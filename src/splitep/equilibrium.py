@@ -20,6 +20,7 @@ operation here is a pure function, safe to call from any number of threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,7 +264,8 @@ def resolvent(
     ValueError
         If ``alpha <= 0``.
     InnerSolveError
-        On non-convergence within ``max_inner`` iterations.
+        On non-convergence within ``max_inner`` iterations, or as soon as the
+        displacement stops being finite (the iteration diverges).
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -287,6 +289,8 @@ def resolvent(
     for _ in range(max_inner):
         w_next = Q.project(w - rho * (alpha * direction(w) + (w - u)))
         displacement = float(np.linalg.norm(w_next - w))
+        if not math.isfinite(displacement):
+            raise InnerSolveError("resolvent fixed-point iteration diverged", displacement)
         w = w_next
         if displacement < tol:
             return w

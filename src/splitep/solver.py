@@ -13,6 +13,12 @@ halfspaces of points at least as close to the corrected point as to the
 trial points, and re-projects the fixed anchor ``x1`` onto the constraint
 set intersected with all accumulated cuts.
 
+One driver loop runs both iterations: it owns the start point, the
+divergence guard, the mapping of inner-solver failures to the
+``InnerFailure`` status, the stop test and the budget. It keeps every
+``history_stride``-th record as the run goes (the last record always), so
+the stride bounds the history's memory on every exit path.
+
 A solve is one sequential process owning its own state; problems and
 configs are immutable, so any number of solves may run concurrently.
 """
@@ -132,8 +138,10 @@ class SolverConfig:
         Unsafe escape hatch: when False, :func:`validate` skips the upper
         bound on ``mu``. Exists for negative-control experiments only.
     history_stride : int
-        Thinning applied to the report's history (the last record is always
-        kept). Audits that walk consecutive iterations need stride 1.
+        The report's history keeps record ``k`` when ``k`` is a multiple of
+        the stride, plus the last record. Thinning happens while the run
+        goes, on every exit path, so the stride bounds the memory the history
+        holds. Audits that walk consecutive iterations need stride 1.
     """
 
     lambda_schedule: Callable[[int], float]
@@ -352,8 +360,13 @@ def _effective_maps(problem, config: SolverConfig):
     return problem.S, problem.T
 
 
-def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int):
-    """Shared portion of both iterations, through the corrected point ``s``."""
+def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
+    """Shared portion of both iterations: the plain iteration's record.
+
+    Its ``next_x`` is the corrected point ``s``; the hybrid iteration amends
+    the record in place.
+    """
+    x = as_vector(x, problem.C.dim)
     S, T = _effective_maps(problem, config)
     lam = config.lambda_schedule(k)
     alpha_k = config.alpha_k_schedule(k)
@@ -384,19 +397,7 @@ def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int):
         res_uAt=norm(u - At),
         res_Tu=norm(Tu - u),
     )
-    return y, z, t, u, s, lam, alpha_k, parts
-
-
-def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
-    """One iteration of the plain extragradient scheme from ``x`` at index ``k``.
-
-    The caller is responsible for ``x`` in ``C`` and for ``config`` having
-    passed :func:`validate`.
-    """
-    x = as_vector(x, problem.C.dim)
-    y, z, t, u, s, lam, alpha_k, parts = _core_step(problem, config, x, k)
     step = norm(s - x)
-    residual = max(step, *parts.values())
     return IterateRecord(
         k=k,
         x=x,
@@ -408,9 +409,18 @@ def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
         lambda_k=lam,
         alpha_k=alpha_k,
         step=step,
-        residual=residual,
+        residual=max(step, *parts.values()),
         **parts,
     )
+
+
+def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
+    """One iteration of the plain extragradient scheme from ``x`` at index ``k``.
+
+    The caller is responsible for ``x`` in ``C`` and for ``config`` having
+    passed :func:`validate`.
+    """
+    return _core_step(problem, config, x, k)
 
 
 def _project_shrinking_set(problem, config: SolverConfig, state: StrongState) -> np.ndarray:
@@ -440,76 +450,84 @@ def _project_shrinking_set(problem, config: SolverConfig, state: StrongState) ->
     )
 
 
-def strong_step(
-    problem, config: SolverConfig, state: StrongState, record_prev: IterateRecord | None = None
-) -> tuple[IterateRecord, StrongState]:
-    """One iteration of the shrinking-projection scheme.
+def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) -> IterateRecord:
+    """One iteration of the shrinking-projection scheme from ``x`` at index ``k``.
 
     Appends the two new cuts (points at least as close to the corrected point
-    ``s`` as to ``t``, and to ``t`` as to ``x``) to ``state`` and projects the
-    anchor onto the constraint set intersected with all accumulated cuts.
+    ``s`` as to ``t``, and to ``t`` as to ``x``) to ``state``, which it
+    mutates in place, and projects the anchor onto the constraint set
+    intersected with all accumulated cuts. The record's ``next_x`` is that
+    projection; ``s`` holds the corrected point. The caller is responsible
+    for ``x`` in ``C`` and for ``config`` having passed :func:`validate`.
     """
-    if record_prev is None:
-        x = as_vector(problem.x1, problem.C.dim)
-        k = 0
-    else:
-        x = record_prev.next_x
-        k = record_prev.k + 1
-    y, z, t, u, s, lam, alpha_k, parts = _core_step(problem, config, x, k)
+    record = _core_step(problem, config, x, k)
     if state.rows is None and state.rows_usable:
         base = linear_inequality_rows(problem.C)
         if base is None:
             state.rows_usable = False
         else:
             state.rows = _RowBuffer(*base)
-    for cut in (halfspace_dominates(s, t), halfspace_dominates(t, x)):
+    for cut in (halfspace_dominates(record.next_x, record.t), halfspace_dominates(record.t, record.x)):
         state.cuts.append(cut)
         if not cut.is_whole_space and state.rows is not None:
             state.rows.append(cut.normal, cut.offset)
-    next_x = _project_shrinking_set(problem, config, state)
-    step = norm(next_x - x)
-    res_sx = norm(s - x)
-    res_tx = norm(t - x)
-    residual = max(step, res_sx, res_tx, *parts.values())
-    record = IterateRecord(
-        k=k,
-        x=x,
-        y=y,
-        z=z,
-        t=t,
-        u=u,
-        next_x=next_x,
-        lambda_k=lam,
-        alpha_k=alpha_k,
-        step=step,
-        residual=residual,
-        s=s,
-        res_sx=res_sx,
-        res_tx=res_tx,
-        **parts,
-    )
-    return record, state
+    record.s = record.next_x
+    record.res_sx = record.step
+    record.next_x = _project_shrinking_set(problem, config, state)
+    record.step = norm(record.next_x - record.x)
+    record.res_tx = norm(record.t - record.x)
+    # the plain residual already covers res_sx and the five residual parts
+    record.residual = max(record.step, record.residual, record.res_tx)
+    return record
 
 
-def _thin(history: list[IterateRecord], stride: int) -> list[IterateRecord]:
-    if stride <= 1 or len(history) <= 1:
-        return history
-    thinned = history[::stride]
-    if thinned[-1] is not history[-1]:
-        thinned.append(history[-1])
-    return thinned
+def _solve(problem, config: SolverConfig, step, cuts=()) -> SolveReport:
+    """Iterate ``step(x, k) -> IterateRecord`` from ``problem.x1``.
 
-
-def _failure(history, x, message, cuts=()) -> SolveReport:
+    Stops at the first record whose residual is at most ``config.tol``,
+    after ``config.max_iter + 1`` records, or on the first failure: iterates
+    beyond ``DIVERGENCE_LIMIT``, an inner solver giving up, or a non-finite
+    residual. Record ``k`` enters the history when ``k`` is a multiple of
+    ``config.history_stride``; the last record always does.
+    """
+    _require_valid(config, problem)
+    history: list[IterateRecord] = []
+    last = failure = None
+    x = as_vector(problem.x1, problem.C.dim)
+    for k in range(config.max_iter + 1):
+        if norm(x) > DIVERGENCE_LIMIT:
+            failure = "iterates diverged; check the problem data"
+            break
+        try:
+            last = step(x, k)
+        except (InnerSolveError, DykstraError) as exc:
+            failure = str(exc)
+            break
+        if k % config.history_stride == 0:
+            history.append(last)
+        if not np.isfinite(last.residual):
+            failure = "non-finite residual; check the problem data"
+            break
+        x = last.next_x
+        if last.residual <= config.tol:
+            break
+    if last is not None and (not history or history[-1] is not last):
+        history.append(last)
+    if failure is not None:
+        status = SolveStatus.INNER_FAILURE
+    elif last.residual <= config.tol:
+        status = SolveStatus.CONVERGED
+    else:
+        status = SolveStatus.MAX_ITER_REACHED
     return SolveReport(
-        status=SolveStatus.INNER_FAILURE,
-        iterations=len(history) - 1 if history else 0,
+        status=status,
+        iterations=last.k if last else 0,
         final_x=x,
-        final_u=history[-1].u if history else None,
-        final_residual=history[-1].residual if history else np.inf,
+        final_u=last.u if last else None,
+        final_residual=last.residual if last else np.inf,
         history=history,
         cuts=list(cuts),
-        message=message,
+        message=failure or "",
     )
 
 
@@ -524,38 +542,7 @@ def weak_solve(problem, config: SolverConfig | None = None) -> SolveReport:
         config = default_config(problem, mode=WEAK)
     if config.mode != WEAK:
         raise ValueError("weak_solve requires a config with mode='weak'")
-    _require_valid(config, problem)
-    history: list[IterateRecord] = []
-    x = as_vector(problem.x1, problem.C.dim)
-    for k in range(config.max_iter + 1):
-        if norm(x) > DIVERGENCE_LIMIT:
-            return _failure(history, x, "iterates diverged; check the problem data")
-        try:
-            record = weak_step(problem, config, x, k)
-        except (InnerSolveError, DykstraError) as exc:
-            return _failure(history, x, str(exc))
-        history.append(record)
-        if not np.isfinite(record.residual):
-            return _failure(history, x, "non-finite residual; check the problem data")
-        if record.residual <= config.tol:
-            return SolveReport(
-                status=SolveStatus.CONVERGED,
-                iterations=k,
-                final_x=record.next_x,
-                final_u=record.u,
-                final_residual=record.residual,
-                history=_thin(history, config.history_stride),
-            )
-        x = record.next_x
-    last = history[-1]
-    return SolveReport(
-        status=SolveStatus.MAX_ITER_REACHED,
-        iterations=config.max_iter,
-        final_x=last.next_x,
-        final_u=last.u,
-        final_residual=last.residual,
-        history=_thin(history, config.history_stride),
-    )
+    return _solve(problem, config, lambda x, k: weak_step(problem, config, x, k))
 
 
 def strong_solve(problem, config: SolverConfig | None = None) -> SolveReport:
@@ -568,40 +555,9 @@ def strong_solve(problem, config: SolverConfig | None = None) -> SolveReport:
         config = default_config(problem, mode=STRONG)
     if config.mode != STRONG:
         raise ValueError("strong_solve requires a config with mode='strong'")
-    _require_valid(config, problem)
-    history: list[IterateRecord] = []
     state = StrongState(anchor=as_vector(problem.x1, problem.C.dim))
-    record = None
-    for k in range(config.max_iter + 1):
-        x = state.anchor if record is None else record.next_x
-        if norm(x) > DIVERGENCE_LIMIT:
-            return _failure(history, x, "iterates diverged; check the problem data", state.cuts)
-        try:
-            record, state = strong_step(problem, config, state, record)
-        except (InnerSolveError, DykstraError) as exc:
-            return _failure(history, x, str(exc), state.cuts)
-        history.append(record)
-        if not np.isfinite(record.residual):
-            return _failure(history, x, "non-finite residual; check the problem data", state.cuts)
-        if record.residual <= config.tol:
-            return SolveReport(
-                status=SolveStatus.CONVERGED,
-                iterations=k,
-                final_x=record.next_x,
-                final_u=record.u,
-                final_residual=record.residual,
-                history=_thin(history, config.history_stride),
-                cuts=state.cuts,
-            )
-    last = history[-1]
-    return SolveReport(
-        status=SolveStatus.MAX_ITER_REACHED,
-        iterations=config.max_iter,
-        final_x=last.next_x,
-        final_u=last.u,
-        final_residual=last.residual,
-        history=_thin(history, config.history_stride),
-        cuts=state.cuts,
+    return _solve(
+        problem, config, lambda x, k: strong_step(problem, config, state, x, k), state.cuts
     )
 
 

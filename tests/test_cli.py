@@ -140,6 +140,24 @@ class TestSolve:
         assert code == 4
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["weak", "strong"])
+    def test_diverging_resolvent_exit_code(self, outdir, capsys, algorithm):
+        # g is monotone but skew, and its resolvent iteration blows up
+        skew = {
+            "type": "vi_affine", "M": [[0.0, 10.0], [-10.0, 0.0]], "q": [0.0, 0.0],
+            "c1": 5.0, "c2": 5.0, "monotonicity": "monotone",
+        }
+        data = {
+            "C": {"type": "whole", "dim": 2}, "Q": {"type": "whole", "dim": 2},
+            "A": [[1.0, 0.0], [0.0, 1.0]], "f": skew, "g": skew,
+            "S": {"type": "identity", "dim": 2}, "T": {"type": "identity", "dim": 2},
+            "x1": [1.0, 2.0], "planted_solution": None,
+        }
+        path = outdir / "skew.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("solve", "--problem", path, "--algorithm", algorithm) == 4
+        assert "resolvent" in capsys.readouterr().err
+
     def test_unplanted_trace_has_nan_distance(self, outdir):
         path = outdir / "anon.json"
         data = problem_to_dict(sp.generate_planted(2, 2, seed=9))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,35 @@ def degenerate_problem():
         S=Identity(1),
         T=Identity(1),
         x1=np.array([0.7]),
+    )
+
+
+def expansive_problem():
+    # declared monotone but f = -<x, y - x> pushes the iterates outward
+    return ProblemSpec(
+        C=WholeSpace(1),
+        Q=WholeSpace(1),
+        A=sp.DenseOperator([[1.0]]),
+        f=AffineVIBifunction(-np.eye(1), np.zeros(1), "monotone", 0.5, 0.5),
+        g=flat_bifunction(1),
+        S=Identity(1),
+        T=Identity(1),
+        x1=np.array([1.0]),
+    )
+
+
+def skew_problem():
+    # monotone but not symmetric: the resolvent's fixed-point step expands
+    skew = AffineVIBifunction(np.array([[0.0, 10.0], [-10.0, 0.0]]), np.zeros(2), "monotone", 5.0, 5.0)
+    return ProblemSpec(
+        C=WholeSpace(2),
+        Q=WholeSpace(2),
+        A=sp.DenseOperator(np.eye(2)),
+        f=skew,
+        g=skew,
+        S=Identity(2),
+        T=Identity(2),
+        x1=np.array([1.0, 2.0]),
     )
 
 
@@ -179,16 +210,7 @@ class TestWeakIteration:
         assert "resolvent" in report.message
 
     def test_divergence_guard(self):
-        problem = ProblemSpec(
-            C=WholeSpace(1),
-            Q=WholeSpace(1),
-            A=sp.DenseOperator([[1.0]]),
-            f=AffineVIBifunction(-np.eye(1), np.zeros(1), "monotone", 0.5, 0.5),
-            g=flat_bifunction(1),
-            S=Identity(1),
-            T=Identity(1),
-            x1=np.array([1.0]),
-        )
+        problem = expansive_problem()
         report = weak_solve(problem, simple_config(problem, max_iter=500))
         assert report.status is SolveStatus.INNER_FAILURE
         assert "diverged" in report.message
@@ -214,7 +236,7 @@ class TestStrongIteration:
         problem = degenerate_problem()
         config = simple_config(problem, mode="strong")
         state = StrongState(anchor=np.array(problem.x1))
-        record, state = strong_step(problem, config, state)
+        record = strong_step(problem, config, state, problem.x1, 0)
         assert all(cut.is_whole_space for cut in state.cuts)
         assert np.array_equal(record.next_x, problem.x1)
         assert record.residual == 0.0
@@ -252,6 +274,16 @@ class TestStrongIteration:
             lhs = np.linalg.norm(xs[m_idx] - xs[n_idx]) ** 2
             assert lhs <= d1[m_idx] ** 2 - d1[n_idx] ** 2 + 1e-6
 
+    def test_cuts_follow_history_in_order(self):
+        problem = sp.generate_planted(2, 3, seed=31)
+        report = strong_solve(problem)
+        assert len(report.cuts) == 2 * len(report.history)
+        for record in report.history:
+            expected = (sp.halfspace_dominates(record.s, record.t), sp.halfspace_dominates(record.t, record.x))
+            for cut, want in zip(report.cuts[2 * record.k : 2 * record.k + 2], expected):
+                assert np.array_equal(cut.normal, want.normal)
+                assert cut.offset == want.offset
+
     def test_strong_records_carry_corrected_point(self):
         problem = sp.generate_planted(2, 2, seed=33)
         report = strong_solve(problem)
@@ -275,6 +307,51 @@ class TestStrongIteration:
         assert distances[-1] <= distances[0]
         for record in report.history:
             assert ball_C.membership_violation(record.x) <= 1e-8
+
+
+SOLVERS = {"weak": weak_solve, "strong": strong_solve}
+
+
+class TestFailureRouting:
+    @pytest.mark.parametrize("mode", SOLVERS)
+    def test_diverging_resolvent_is_an_inner_failure(self, mode):
+        problem = skew_problem()
+        report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert "resolvent" in report.message
+
+
+def stride_runs(mode, exit_path, stride):
+    """The same run with history stride 1 and ``stride``."""
+    if exit_path is SolveStatus.INNER_FAILURE:
+        problem = expansive_problem()
+        config = simple_config(problem, mode=mode, max_iter=500)
+    else:
+        problem = sp.generate_planted(2, 3, seed=31)
+        budget = 40 if exit_path is SolveStatus.MAX_ITER_REACHED else 50_000
+        config = default_config(problem, mode=mode, max_iter=budget)
+    full = SOLVERS[mode](problem, config)
+    thinned = SOLVERS[mode](problem, dataclasses.replace(config, history_stride=stride))
+    return full, thinned
+
+
+class TestHistoryStride:
+    @pytest.mark.parametrize("mode", SOLVERS)
+    @pytest.mark.parametrize("exit_path", list(SolveStatus))
+    @pytest.mark.parametrize("stride", [7, 10])
+    def test_stride_keeps_every_stride_th_record_and_the_last(self, mode, exit_path, stride):
+        full, thinned = stride_runs(mode, exit_path, stride)
+        assert full.status is thinned.status is exit_path
+        assert thinned.iterations == full.iterations
+        expected = full.history[::stride]
+        if expected[-1].k != full.history[-1].k:
+            expected.append(full.history[-1])
+        assert [r.k for r in thinned.history] == [r.k for r in expected]
+        for kept, want in zip(thinned.history, expected):
+            assert np.array_equal(kept.x, want.x)
+            assert np.array_equal(kept.next_x, want.next_x)
+            assert kept.residual == want.residual
+        assert len(thinned.history) <= thinned.iterations // stride + 2
 
 
 class TestVariableSchedules:
