@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from splitep.equilibrium import check_assumptions
@@ -30,7 +29,7 @@ from splitep.solver import (
     weak_solve,
 )
 
-__all__ = ["RunRequest", "main", "run", "write_trace"]
+__all__ = ["main", "run", "write_trace"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,30 +41,6 @@ OUTPUT_DIR_ENV = "SPLITEP_OUTPUT_DIR"
 TRACE_HEADER = "k,res_xy,res_yz,res_Sz,res_uAt,res_Tu,step,dist_xstar"
 
 ALGORITHMS = ("weak", "strong", "sep-weak", "sep-strong")
-
-
-@dataclass
-class RunRequest:
-    """One CLI invocation after argument parsing."""
-
-    command: str
-    problem_path: str | None = None
-    algorithm: str = "weak"
-    tol: float | None = None
-    max_iter: int | None = None
-    lam: float | None = None
-    alpha: float | None = None
-    mu_fraction: float = 0.5
-    alpha_k: float | None = None
-    unsafe_mu: float | None = None
-    seed: int | None = None
-    seeds: list[int] = field(default_factory=list)
-    n: int = 5
-    m: int = 4
-    samples: int = 100
-    output_path: str | None = None
-    report_path: str | None = None
-    trace_path: str | None = None
 
 
 def _output_dir() -> Path:
@@ -93,12 +68,14 @@ def write_trace(report: SolveReport, problem: ProblemSpec, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _report_payload(report: SolveReport, problem: ProblemSpec, request: RunRequest, config: SolverConfig) -> dict:
+def _report_payload(
+    report: SolveReport, problem: ProblemSpec, args: argparse.Namespace, config: SolverConfig
+) -> dict:
     x_star = problem.planted_solution
-    payload = {
-        "command": request.command,
-        "problem": request.problem_path,
-        "algorithm": request.algorithm,
+    return {
+        "command": args.command,
+        "problem": args.problem,
+        "algorithm": args.algorithm,
         "tol": config.tol,
         "max_iter": config.max_iter,
         "mu": config.mu,
@@ -113,53 +90,53 @@ def _report_payload(report: SolveReport, problem: ProblemSpec, request: RunReque
         ),
         "message": report.message,
     }
-    return payload
 
 
-def _build_config(problem: ProblemSpec, request: RunRequest) -> SolverConfig:
-    mode = "strong" if request.algorithm.endswith("strong") else "weak"
-    overrides: dict = {"sep_mode": request.algorithm.startswith("sep-")}
-    if request.tol is not None:
-        overrides["tol"] = request.tol
-    if request.max_iter is not None:
-        overrides["max_iter"] = request.max_iter
-    if request.lam is not None:
-        overrides["lambda_schedule"] = constant_schedule(request.lam)
-        overrides["lambda_bounds"] = (request.lam, request.lam)
-    if request.alpha is not None:
-        overrides["alpha"] = request.alpha
-    if request.alpha_k is not None:
-        overrides["alpha_k_schedule"] = constant_schedule(request.alpha_k)
-        overrides["alpha_k_lower"] = request.alpha_k
-    if request.unsafe_mu is not None:
-        overrides["mu_fraction"] = request.unsafe_mu
-        overrides["validate_mu"] = False
-    else:
-        overrides["mu_fraction"] = request.mu_fraction
-    return default_config(problem, mode=mode, **overrides)
+def _solve(problem: ProblemSpec, args: argparse.Namespace):
+    """Run ``args.algorithm`` on ``problem`` with the override flags applied.
+
+    A ``sep-*`` algorithm solves ``problem.with_identity_maps()``, the split
+    equilibrium problem without fixed-point constraints. Returns the problem
+    actually solved, its config and the report.
+    """
+    if args.algorithm.startswith("sep-"):
+        problem = problem.with_identity_maps()
+    overrides: dict = {"mu_fraction": args.mu_fraction}
+    if args.tol is not None:
+        overrides["tol"] = args.tol
+    if args.max_iter is not None:
+        overrides["max_iter"] = args.max_iter
+    if args.lam is not None:
+        overrides["lambda_schedule"] = constant_schedule(args.lam)
+        overrides["lambda_bounds"] = (args.lam, args.lam)
+    if args.alpha is not None:
+        overrides["alpha"] = args.alpha
+    if args.alpha_k is not None:
+        overrides["alpha_k_schedule"] = constant_schedule(args.alpha_k)
+        overrides["alpha_k_lower"] = args.alpha_k
+    if args.unsafe_mu is not None:
+        overrides.update(mu_fraction=args.unsafe_mu, validate_mu=False)
+    strong = args.algorithm.endswith("strong")
+    config = default_config(problem, mode="strong" if strong else "weak", **overrides)
+    return problem, config, (strong_solve if strong else weak_solve)(problem, config)
 
 
-def _cmd_generate(request: RunRequest) -> int:
-    problem = generate_planted(request.n, request.m, request.seed or 0)
-    path = request.output_path or _default_path(
-        f"problem-seed{request.seed or 0}-n{request.n}-m{request.m}.json"
-    )
+def _cmd_generate(args: argparse.Namespace) -> int:
+    problem = generate_planted(args.n, args.m, args.seed)
+    path = args.output or _default_path(f"problem-seed{args.seed}-n{args.n}-m{args.m}.json")
     save(problem, path)
     print(path)
     return EXIT_OK
 
 
-def _cmd_solve(request: RunRequest) -> int:
-    problem = load(request.problem_path)
-    config = _build_config(problem, request)
-    solve = strong_solve if config.mode == "strong" else weak_solve
-    report = solve(problem, config)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    problem, config, report = _solve(load(args.problem), args)
 
-    stem = Path(request.problem_path).stem
-    report_path = request.report_path or _default_path(f"{stem}-{request.algorithm}-report.json")
-    trace_path = request.trace_path or _default_path(f"{stem}-{request.algorithm}-trace.csv")
+    stem = Path(args.problem).stem
+    report_path = args.report or _default_path(f"{stem}-{args.algorithm}-report.json")
+    trace_path = args.trace or _default_path(f"{stem}-{args.algorithm}-trace.csv")
     with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(_report_payload(report, problem, request, config), handle, indent=2, sort_keys=True)
+        json.dump(_report_payload(report, problem, args, config), handle, indent=2, sort_keys=True)
         handle.write("\n")
     write_trace(report, problem, trace_path)
 
@@ -173,11 +150,11 @@ def _cmd_solve(request: RunRequest) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(request: RunRequest) -> int:
-    problem = load(request.problem_path)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    problem = load(args.problem)
     worst = 0.0
     if problem.planted_solution is not None:
-        planted = verify_planted(problem, samples=request.samples, seed=request.seed or 0)
+        planted = verify_planted(problem, samples=args.samples, seed=args.seed)
         print("planted-solution certificates (violations):")
         for name, value in vars(planted).items():
             print(f"  {name:24s} {value:.3e}")
@@ -186,7 +163,7 @@ def _cmd_verify(request: RunRequest) -> int:
         print("no planted solution recorded; skipping certificate checks")
 
     for label, bifunction, domain in (("f on C", problem.f, problem.C), ("g on Q", problem.g, problem.Q)):
-        rep = check_assumptions(bifunction, domain, samples=request.samples, seed=request.seed or 0)
+        rep = check_assumptions(bifunction, domain, samples=args.samples, seed=args.seed)
         declared = (
             rep.monotonicity if bifunction.monotonicity == "monotone" else rep.pseudomonotonicity
         )
@@ -203,21 +180,11 @@ def _cmd_verify(request: RunRequest) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(request: RunRequest) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     exit_code = EXIT_OK
-    for seed in request.seeds:
-        problem = generate_planted(request.n, request.m, seed)
-        bench_request = RunRequest(
-            command="bench",
-            algorithm=request.algorithm,
-            tol=request.tol,
-            max_iter=request.max_iter,
-            mu_fraction=request.mu_fraction,
-        )
-        config = _build_config(problem, bench_request)
-        solve = strong_solve if config.mode == "strong" else weak_solve
-        report = solve(problem, config)
+    for seed in args.seeds:
+        problem, _, report = _solve(generate_planted(args.n, args.m, seed), args)
         dist = norm(report.final_x - problem.planted_solution)
         rows.append((seed, report.status.value, report.iterations, report.final_residual, dist))
         if report.status is SolveStatus.INNER_FAILURE:
@@ -228,11 +195,28 @@ def _cmd_bench(request: RunRequest) -> int:
     return exit_code
 
 
+COMMANDS = {
+    "generate": _cmd_generate,
+    "solve": _cmd_solve,
+    "verify": _cmd_verify,
+    "bench": _cmd_bench,
+}
+
+
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        first, last = text.split("..", 1)
-        return list(range(int(first), int(last) + 1))
-    return [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            first, last = text.split("..", 1)
+            seeds = list(range(int(first), int(last) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"expected at least one seed as a range '1..10' or a list '1,4,9', got {text!r}"
+        )
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,73 +256,34 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
 
     bench = sub.add_parser("bench", help="run a seed range and print a summary table")
-    bench.add_argument("--seeds", required=True, help="range '1..10' or comma list '1,4,9'")
+    bench.add_argument(
+        "--seeds", type=_parse_seeds, required=True, help="range '1..10' or comma list '1,4,9'"
+    )
     bench.add_argument("--n", type=int, default=5)
     bench.add_argument("--m", type=int, default=4)
     bench.add_argument("--algorithm", choices=ALGORITHMS, default="weak")
     bench.add_argument("--tol", type=float)
     bench.add_argument("--max-iter", type=int)
     bench.add_argument("--mu-fraction", type=float, default=0.5)
+    # solve's overrides that bench does not offer
+    bench.set_defaults(lam=None, alpha=None, alpha_k=None, unsafe_mu=None)
     return parser
 
 
-def _request_from_args(args: argparse.Namespace) -> RunRequest:
-    request = RunRequest(command=args.command)
-    if args.command == "generate":
-        request.seed = args.seed
-        request.n = args.n
-        request.m = args.m
-        request.output_path = args.output
-    elif args.command == "solve":
-        request.problem_path = args.problem
-        request.algorithm = args.algorithm
-        request.tol = args.tol
-        request.max_iter = args.max_iter
-        request.lam = args.lam
-        request.alpha = args.alpha
-        request.mu_fraction = args.mu_fraction
-        request.alpha_k = args.alpha_k
-        request.unsafe_mu = args.unsafe_mu
-        request.report_path = args.report
-        request.trace_path = args.trace
-    elif args.command == "verify":
-        request.problem_path = args.problem
-        request.samples = args.samples
-        request.seed = args.seed
-    elif args.command == "bench":
-        request.seeds = _parse_seeds(args.seeds)
-        request.n = args.n
-        request.m = args.m
-        request.algorithm = args.algorithm
-        request.tol = args.tol
-        request.max_iter = args.max_iter
-        request.mu_fraction = args.mu_fraction
-    return request
-
-
-def run(request: RunRequest) -> int:
-    """Execute a parsed request, mapping failures to the documented exit codes."""
+def run(args: argparse.Namespace) -> int:
+    """Execute parsed arguments, mapping failures to the documented exit codes."""
     # mu is only ever specified as a fraction of the certified bound, so the
     # step-size hypothesis cannot be violated from the command line (the
     # hidden unsafe flag exists solely for negative-control experiments).
-    if request.command in ("solve", "bench") and request.unsafe_mu is None:
-        if not (0.0 < request.mu_fraction < 1.0):
+    if args.command in ("solve", "bench") and args.unsafe_mu is None:
+        if not (0.0 < args.mu_fraction < 1.0):
             print(
-                f"error: --mu-fraction must lie in (0, 1), got {request.mu_fraction}",
+                f"error: --mu-fraction must lie in (0, 1), got {args.mu_fraction}",
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
     try:
-        if request.command == "generate":
-            return _cmd_generate(request)
-        if request.command == "solve":
-            return _cmd_solve(request)
-        if request.command == "verify":
-            return _cmd_verify(request)
-        if request.command == "bench":
-            return _cmd_bench(request)
-        print(f"error: unknown command {request.command!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: cannot parse problem file: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -355,8 +300,7 @@ def run(request: RunRequest) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run(_request_from_args(args))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -286,14 +286,17 @@ def resolvent(
 
     w = Q.project(u)
     displacement = np.inf
-    for _ in range(max_inner):
-        w_next = Q.project(w - rho * (alpha * direction(w) + (w - u)))
-        displacement = float(np.linalg.norm(w_next - w))
-        if not math.isfinite(displacement):
-            raise InnerSolveError("resolvent fixed-point iteration diverged", displacement)
-        w = w_next
-        if displacement < tol:
-            return w
+    # a diverging iteration overflows inside numpy; the finiteness check
+    # below reports it as InnerSolveError, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_inner):
+            w_next = Q.project(w - rho * (alpha * direction(w) + (w - u)))
+            displacement = float(np.linalg.norm(w_next - w))
+            if not math.isfinite(displacement):
+                raise InnerSolveError("resolvent fixed-point iteration diverged", displacement)
+            w = w_next
+            if displacement < tol:
+                return w
     raise InnerSolveError("resolvent fixed-point iteration did not converge", displacement)
 
 

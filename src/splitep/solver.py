@@ -25,6 +25,7 @@ configs are immutable, so any number of solves may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -36,7 +37,6 @@ from splitep.linalg import as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
     DykstraError,
     Halfspace,
-    Identity,
     halfspace_dominates,
     linear_inequality_rows,
     project_intersection,
@@ -130,10 +130,6 @@ class SolverConfig:
         Outer iteration budget.
     mode : str
         ``"weak"`` (plain iteration) or ``"strong"`` (shrinking projections).
-    sep_mode : bool
-        When True, ``S`` and ``T`` are replaced by identities, reducing the
-        problem to a split equilibrium problem without fixed-point
-        constraints.
     validate_mu : bool
         Unsafe escape hatch: when False, :func:`validate` skips the upper
         bound on ``mu``. Exists for negative-control experiments only.
@@ -153,7 +149,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 50_000
     mode: str = WEAK
-    sep_mode: bool = False
     prox_tol: float = 1e-10
     prox_max_inner: int = 20_000
     resolvent_tol: float = 1e-9
@@ -166,8 +161,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in (WEAK, STRONG):
             raise ValueError(f"mode must be 'weak' or 'strong', got {self.mode!r}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.history_stride < 1:
@@ -229,8 +224,10 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
         violations.append(
             ConfigViolation("AlphaOutOfRange", f"alpha = {config.alpha} must lie in (0, 1)")
         )
-    if config.mu <= 0.0:
-        violations.append(ConfigViolation("MuNotPositive", f"mu = {config.mu} must be positive"))
+    if not (0.0 < config.mu < math.inf):
+        violations.append(
+            ConfigViolation("MuNotPositive", f"mu = {config.mu} must be positive and finite")
+        )
     elif config.validate_mu:
         U = operator_norm_sq_upper(problem.A)
         if config.mu >= 1.0 / U:
@@ -241,22 +238,23 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
                     "squared-operator-norm bound U",
                 )
             )
-    if config.alpha_k_lower <= 0.0:
+    if not (0.0 < config.alpha_k_lower < math.inf):
         violations.append(
             ConfigViolation(
                 "AlphaKNotPositive",
-                f"declared resolvent-parameter lower bound {config.alpha_k_lower} must be positive",
+                f"declared resolvent-parameter lower bound {config.alpha_k_lower} must be "
+                "positive and finite",
             )
         )
     else:
         probed = [config.alpha_k_schedule(k) for k in range(SCHEDULE_PROBE_COUNT)]
         slack = 1e-12 * (1.0 + abs(config.alpha_k_lower))
-        if any(v < config.alpha_k_lower - slack for v in probed):
+        if any(not (config.alpha_k_lower - slack <= v < math.inf) for v in probed):
             violations.append(
                 ConfigViolation(
                     "AlphaKBelowDeclaredBound",
                     "resolvent-parameter schedule drops below its declared lower bound "
-                    f"{config.alpha_k_lower}",
+                    f"{config.alpha_k_lower} or is not finite",
                 )
             )
     return violations
@@ -354,12 +352,6 @@ class SolveReport:
     message: str = ""
 
 
-def _effective_maps(problem, config: SolverConfig):
-    if config.sep_mode:
-        return Identity(problem.C.dim), Identity(problem.Q.dim)
-    return problem.S, problem.T
-
-
 def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
     """Shared portion of both iterations: the plain iteration's record.
 
@@ -367,7 +359,6 @@ def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
     the record in place.
     """
     x = as_vector(x, problem.C.dim)
-    S, T = _effective_maps(problem, config)
     lam = config.lambda_schedule(k)
     alpha_k = config.alpha_k_schedule(k)
 
@@ -377,7 +368,7 @@ def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
     z = prox_step(
         problem.f, problem.C, x, lam, at=y, tol=config.prox_tol, max_inner=config.prox_max_inner
     ).minimizer
-    Sz = S.apply(z)
+    Sz = problem.S.apply(z)
     t = (1.0 - config.alpha) * z + config.alpha * Sz
     At = problem.A.apply(t)
     u = resolvent(
@@ -388,7 +379,7 @@ def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
         tol=config.resolvent_tol,
         max_inner=config.resolvent_max_inner,
     )
-    Tu = T.apply(u)
+    Tu = problem.T.apply(u)
     s = problem.C.project(t + config.mu * problem.A.adjoint_apply(Tu - At))
     parts = dict(
         res_xy=norm(x - y),

@@ -225,6 +225,26 @@ class TestBench:
         assert run_cli("bench", "--seeds", "2,4", "--n", 2, "--m", 2) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    @pytest.mark.parametrize("seeds", ["x", "5..1"])
+    def test_seeds_naming_no_seed_are_a_usage_error(self, outdir, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--seeds", seeds)
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_sep_algorithm_solves_identity_maps(self, outdir, capsys):
+        assert run_cli("bench", "--seeds", "1,2", "--n", 2, "--m", 3,
+                       "--algorithm", "sep-strong", "--max-iter", 50) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for seed, row in zip((1, 2), rows):
+            problem = sp.generate_planted(2, 3, seed).with_identity_maps()
+            report = sp.strong_solve(problem, sp.default_config(problem, mode="strong", max_iter=50))
+            dist = np.linalg.norm(report.final_x - problem.planted_solution)
+            assert row.split()[2:] == [
+                str(report.iterations), f"{report.final_residual:.3e}", f"{dist:.3e}"
+            ]
+
 
 class TestUnsafeMu:
     def test_unsafe_flag_bypasses_validation(self, outdir):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,14 @@ class TestResolvent:
         g = random_monotone_vi(rng, 2)
         with pytest.raises(InnerSolveError):
             resolvent(g, Box(-np.ones(2), np.ones(2)), alpha=1.0, u=[5.0, 5.0], max_inner=2)
+
+    def test_divergence_raises_without_overflow_warnings(self):
+        # monotone but skew: the fixed-point step expands until it overflows
+        g = AffineVIBifunction(np.array([[0.0, 10.0], [-10.0, 0.0]]), np.zeros(2), "monotone", 5.0, 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InnerSolveError, match="diverged"):
+                resolvent(g, WholeSpace(2), alpha=1.0, u=[1.0, 2.0])
 
     def test_firm_nonexpansiveness_sampled(self):
         rng = np.random.default_rng(7)
