@@ -16,6 +16,9 @@ monotonicity class, which :func:`check_assumptions` probes numerically.
 
 Bifunction values are immutable (user callables must be pure), and every
 operation here is a pure function, safe to call from any number of threads.
+:class:`AffineVIBifunction` fills two caches lazily, its operator-norm bound
+and the inverse its exact resolvent uses; each is replaced by one
+assignment, so threads sharing a bifunction at worst compute a value twice.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splitep.linalg import DenseOperator, as_vector, operator_norm_sq_upper
-from splitep.sets import ConvexSet
+from splitep.sets import Box, ConvexSet, WholeSpace
 
 __all__ = [
     "AffineVIBifunction",
@@ -86,7 +89,12 @@ def _check_metadata(monotonicity: str, c1: float, c2: float) -> tuple[str, float
 
 
 class AffineVIBifunction(Bifunction):
-    """Bifunction ``f(x, y) = <M x + q, y - x>`` of an affine operator."""
+    """Bifunction ``f(x, y) = <M x + q, y - x>`` of an affine operator.
+
+    The first resolvent call caches ``(alpha, inv(I + alpha M))``, one
+    ``m x m`` array, and later calls reuse it while ``alpha`` repeats; a
+    schedule that changes ``alpha`` every iteration rebuilds it every call.
+    """
 
     def __init__(self, matrix, offset, monotonicity: str, c1: float, c2: float):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -98,6 +106,7 @@ class AffineVIBifunction(Bifunction):
         self.monotonicity, self.c1, self.c2 = _check_metadata(monotonicity, c1, c2)
         self.dim = self.matrix.shape[0]
         self._norm_upper: float | None = None
+        self._inverse_cache: tuple[float, np.ndarray | None] | None = None
 
     @classmethod
     def with_default_constants(cls, matrix, offset, monotonicity: str = MONOTONE) -> "AffineVIBifunction":
@@ -121,6 +130,24 @@ class AffineVIBifunction(Bifunction):
                 np.sqrt(operator_norm_sq_upper(DenseOperator(self.matrix), iters=300))
             )
         return self._norm_upper
+
+    def _resolvent_inverse(self, alpha: float) -> np.ndarray | None:
+        """``inv(I + alpha M)``, cached for the last ``alpha``; None when singular.
+
+        The matrix is invertible whenever ``M`` is monotone (positive
+        semidefinite symmetric part), since then ``I + alpha M`` has a
+        symmetric part of at least ``I``.
+        """
+        cached = self._inverse_cache
+        if cached is None or cached[0] != alpha:
+            try:
+                inverse = np.linalg.inv(np.eye(self.dim) + alpha * self.matrix)
+            except np.linalg.LinAlgError:
+                inverse = None
+            # one assignment of the pair keeps it consistent across threads
+            cached = (alpha, inverse)
+            self._inverse_cache = cached
+        return cached[1]
 
     def operator(self, x) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float) + self.offset
@@ -237,6 +264,56 @@ def prox_step(
     raise InnerSolveError("projected subgradient descent did not converge", displacement)
 
 
+def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps: int):
+    """Exact resolvent of an affine bifunction on a box or the whole space.
+
+    With ``K = I + alpha M`` and ``b = u - alpha q`` the resolvent is the
+    ``w`` in ``Q`` with ``K w - b`` in ``-N_Q(w)``. On the whole space that
+    is ``inv(K) b``. On a box, primal-dual active-set steps (Hintermueller,
+    Ito and Kunisch, SIAM J. Optim. 13, 2003) hold the coordinates of the
+    active set ``A`` at their bounds ``c``: the multipliers ``nu = K w - b``
+    solve ``inv(K)[A, A] nu_A = c - (inv(K) b)[A]`` and
+    ``w = inv(K) b + inv(K)[:, A] nu_A``, all from ``g``'s cached
+    ``inv(K)``. An active coordinate stays while its multiplier has the sign
+    the normal cone of its bound asks for, a free one joins when it leaves
+    the box; an unchanged set is the solution. This is the method's rule
+    with its constant taken large: with the constant 1 (next set from
+    ``w - nu``) a multiplier wider than the box moves a coordinate to the
+    opposite bound, and on narrow boxes the steps cycle far more often.
+
+    Returns None when ``K`` is singular, when an active set repeats, or after
+    ``max_steps`` steps; the caller then runs the fixed-point loop.
+    """
+    inverse = g._resolvent_inverse(alpha)
+    if inverse is None:
+        return None
+    free = inverse @ (u - alpha * g.offset)
+    if isinstance(Q, WholeSpace):
+        return free
+    w, nu = free, np.zeros(Q.dim)
+    at_upper = at_lower = active = np.zeros(Q.dim, dtype=bool)
+    previous = (bytes(Q.dim), bytes(Q.dim))  # the empty active set, solved by free
+    seen = {previous}
+    for step in range(max_steps + 1):
+        at_upper = np.where(active, at_upper & (nu < 0.0), w > Q.upper)
+        at_lower = np.where(active, at_lower & (nu > 0.0), w < Q.lower)
+        key = (at_upper.tobytes(), at_lower.tobytes())
+        if key == previous:
+            return Q.project(w)
+        if key in seen or step == max_steps:
+            return None
+        seen.add(key)
+        previous = key
+        active = at_upper | at_lower
+        bound = np.where(at_upper, Q.upper, Q.lower)[active]
+        nu = np.zeros(Q.dim)
+        try:
+            nu[active] = np.linalg.solve(inverse[np.ix_(active, active)], bound - free[active])
+        except np.linalg.LinAlgError:
+            return None
+        w = free + inverse[:, active] @ nu[active]
+
+
 def resolvent(
     g: Bifunction,
     Q: ConvexSet,
@@ -250,27 +327,44 @@ def resolvent(
 
     ``g(w, v) + (1/alpha) <v - w, w - u> >= 0`` for all ``v`` in ``Q``.
 
-    For :class:`AffineVIBifunction` with positive-semidefinite matrix this is
-    the strongly monotone variational inequality with operator
-    ``alpha G(.) + (. - u)``, solved by the projected fixed-point iteration
-    ``w <- P_Q(w - rho (alpha G(w) + w - u))`` with
-    ``rho = 1 / (1 + alpha ||M||)``, iterated until the displacement drops
-    below ``tol``. For general monotone bifunctions the same scheme runs with
-    a subgradient selection in place of ``G``; convergence is then heuristic
-    and failures surface as :class:`InnerSolveError`.
+    For :class:`AffineVIBifunction` ``g(w, v) = <M w + q, v - w>`` this is
+    the affine variational inequality ``(I + alpha M) w + alpha q - u`` in
+    ``-N_Q(w)``. When ``Q`` is a :class:`Box` or :class:`WholeSpace` and no
+    ``rho`` is given it is solved exactly from ``g``'s cached
+    ``inv(I + alpha M)``: one matrix-vector product on the whole space; on a box, when that
+    product lies outside it, primal-dual active-set steps, at most
+    ``max_inner`` of them. The exact path ignores ``tol`` and holds for any
+    monotone ``M``, symmetric or not.
+
+    Every other case runs the projected fixed-point iteration
+    ``w <- P_Q(w - rho (alpha G(w) + w - u))``, with
+    ``rho = 1 / (1 + alpha ||M||)`` by default, iterated until the
+    displacement drops below ``tol``; so does a box whose active-set steps
+    revisit a set or exhaust ``max_inner``. An explicit ``rho`` forces this
+    loop. The loop contracts for symmetric ``M``; it may diverge for
+    non-symmetric ``M`` once ``alpha ||M||`` is large. For general monotone
+    bifunctions the same scheme runs with a subgradient selection in place
+    of ``G``; convergence is then heuristic and failures surface as
+    :class:`InnerSolveError`.
 
     Raises
     ------
     ValueError
         If ``alpha <= 0``.
     InnerSolveError
-        On non-convergence within ``max_inner`` iterations, or as soon as the
-        displacement stops being finite (the iteration diverges).
+        When the fixed-point loop does not converge within ``max_inner``
+        iterations, or as soon as its displacement stops being finite (the
+        iteration diverges).
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("resolvent parameter must be positive")
     u = as_vector(u, Q.dim)
+
+    if rho is None and isinstance(g, AffineVIBifunction) and isinstance(Q, (Box, WholeSpace)):
+        w = _exact_affine_resolvent(g, Q, alpha, u, max_inner)
+        if w is not None:
+            return w
 
     if rho is None:
         if isinstance(g, AffineVIBifunction):

@@ -20,7 +20,10 @@ divergence guard, the mapping of inner-solver failures to the
 the stride bounds the history's memory on every exit path.
 
 A solve is one sequential process owning its own state; problems and
-configs are immutable, so any number of solves may run concurrently.
+configs are immutable, so any number of solves may run concurrently. The
+only state a problem carries is the lazily filled caches of an affine
+bifunction (see :mod:`splitep.equilibrium`), which concurrent solves may
+share.
 """
 
 from __future__ import annotations
@@ -69,6 +72,19 @@ DIVERGENCE_LIMIT = 1e12
 
 # How many leading schedule values validate() probes against declared bounds.
 SCHEDULE_PROBE_COUNT = 50
+
+# Inner-solver settings validate() checks: tolerances must be positive and
+# finite, budgets at least 1. Each pair is (config field, violation name).
+INNER_TOLERANCES = (
+    ("prox_tol", "ProxTolNotPositive"),
+    ("resolvent_tol", "ResolventTolNotPositive"),
+    ("dykstra_tol", "DykstraTolNotPositive"),
+)
+INNER_BUDGETS = (
+    ("prox_max_inner", "ProxMaxInnerBelowOne"),
+    ("resolvent_max_inner", "ResolventMaxInnerBelowOne"),
+    ("dykstra_max_sweeps", "DykstraMaxSweepsBelowOne"),
+)
 
 
 class SolveStatus(str, Enum):
@@ -257,6 +273,14 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
                     f"{config.alpha_k_lower} or is not finite",
                 )
             )
+    for field_name, name in INNER_TOLERANCES:
+        value = getattr(config, field_name)
+        if not (0.0 < value < math.inf):
+            violations.append(ConfigViolation(name, f"{field_name} = {value} must be positive and finite"))
+    for field_name, name in INNER_BUDGETS:
+        value = getattr(config, field_name)
+        if value < 1:
+            violations.append(ConfigViolation(name, f"{field_name} = {value} must be at least 1"))
     return violations
 
 

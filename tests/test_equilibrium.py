@@ -7,6 +7,7 @@ from splitep.equilibrium import (
     AffineVIBifunction,
     CallableBifunction,
     InnerSolveError,
+    _exact_affine_resolvent,
     check_assumptions,
     prox_step,
     resolvent,
@@ -27,6 +28,13 @@ def random_monotone_vi(rng, dim, center=None):
     B = rng.standard_normal((dim, dim)) / np.sqrt(dim)
     N = B.T @ B
     center = np.zeros(dim) if center is None else center
+    return AffineVIBifunction.with_default_constants(N, -N @ center)
+
+
+def skew_plus_psd_vi(rng, dim, center):
+    B = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    S = rng.standard_normal((dim, dim))
+    N = B.T @ B + S - S.T
     return AffineVIBifunction.with_default_constants(N, -N @ center)
 
 
@@ -198,15 +206,17 @@ class TestResolvent:
         rng = np.random.default_rng(6)
         g = random_monotone_vi(rng, 2)
         with pytest.raises(InnerSolveError):
-            resolvent(g, Box(-np.ones(2), np.ones(2)), alpha=1.0, u=[5.0, 5.0], max_inner=2)
+            resolvent(g, Ball(np.zeros(2), 1.0), alpha=1.0, u=[5.0, 5.0], max_inner=2)
 
     def test_divergence_raises_without_overflow_warnings(self):
-        # monotone but skew: the fixed-point step expands until it overflows
+        # monotone but skew: the fixed-point step expands until it overflows;
+        # an explicit rho forces the loop where the exact path would apply
         g = AffineVIBifunction(np.array([[0.0, 10.0], [-10.0, 0.0]]), np.zeros(2), "monotone", 5.0, 5.0)
+        rho = 1.0 / (1.0 + g.operator_norm_upper)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InnerSolveError, match="diverged"):
-                resolvent(g, WholeSpace(2), alpha=1.0, u=[1.0, 2.0])
+                resolvent(g, WholeSpace(2), alpha=1.0, u=[1.0, 2.0], rho=rho)
 
     def test_firm_nonexpansiveness_sampled(self):
         rng = np.random.default_rng(7)
@@ -250,6 +260,82 @@ class TestResolvent:
             lhs = np.linalg.norm(Ta_u - Tb_v)
             rhs = np.linalg.norm(v - u) + abs(b - a) / b * np.linalg.norm(Tb_v - v)
             assert lhs <= rhs + 1e-6
+
+
+class TestExactResolvent:
+    def test_skew_whole_space_is_the_linear_solve(self):
+        N = np.array([[0.0, 10.0], [-10.0, 0.0]])
+        q = np.array([0.5, -1.0])
+        g = AffineVIBifunction(N, q, "monotone", 5.0, 5.0)
+        u = np.array([1.0, 2.0])
+        for alpha in (0.3, 1.0, 4.0):
+            w = resolvent(g, WholeSpace(2), alpha, u)
+            expected = np.linalg.solve(np.eye(2) + alpha * N, u - alpha * q)
+            assert np.allclose(w, expected, rtol=0.0, atol=1e-12)
+
+    def test_skew_box_matches_grid_oracle(self):
+        box = Box(-np.ones(2), np.ones(2))
+        g = AffineVIBifunction(np.array([[0.0, 3.0], [-3.0, 0.0]]), np.array([1.0, -0.5]), "monotone", 1.5, 1.5)
+        u = np.array([1.5, 0.2])
+        w = resolvent(g, box, 1.0, u)
+        oracle = resolvent_oracle(g, box, 1.0, u, grid_points=81)
+        assert np.abs(w - oracle).max() <= 2.0 * 2.0 / 80
+
+    @pytest.mark.parametrize("family", [random_monotone_vi, skew_plus_psd_vi])
+    def test_matches_the_loop_on_boxes_with_active_bounds(self, family):
+        rng = np.random.default_rng(13)
+        active_cases = 0
+        for _ in range(20):
+            dim = int(rng.integers(2, 6))
+            radius = rng.choice([0.5, 1.0])
+            box = Box(-radius * np.ones(dim), radius * np.ones(dim))
+            g = family(rng, dim, rng.uniform(-1.0, 1.0, dim))
+            alpha = rng.uniform(0.5, 3.0)
+            u = 3.0 * rng.standard_normal(dim)
+            w = resolvent(g, box, alpha, u)
+            # rho = 1/L^2 for the Lipschitz constant L of alpha G + I: a step
+            # that contracts for any monotone g, symmetric or not
+            rho = 1.0 / (1.0 + alpha * g.operator_norm_upper) ** 2
+            loop = resolvent(g, box, alpha, u, tol=1e-13, max_inner=10**6, rho=rho)
+            assert np.abs(w - loop).max() <= 1e-8
+            assert box.membership_violation(w) == 0.0
+            active_cases += bool(np.any(np.abs(w) == radius))
+            for _ in range(50):
+                v = box.project(3.0 * rng.standard_normal(dim))
+                assert g.evaluate(w, v) + float((v - w) @ (w - u)) / alpha >= -1e-10
+        assert active_cases >= 15
+
+    def test_repeated_active_set_falls_back_to_the_loop(self):
+        # seeded so that the active-set steps revisit a set (about 1 call in
+        # 200 of this family in dimension 3) and the default loop converges
+        rng = np.random.default_rng(161)
+        g = skew_plus_psd_vi(rng, 3, rng.uniform(-1.0, 1.0, 3))
+        box = Box(-0.5 * np.ones(3), 0.5 * np.ones(3))
+        alpha = rng.uniform(0.5, 3.0)
+        u = 3.0 * rng.standard_normal(3)
+        assert _exact_affine_resolvent(g, box, alpha, u, 10_000) is None
+        loop = resolvent(g, box, alpha, u, rho=1.0 / (1.0 + alpha * g.operator_norm_upper))
+        assert np.array_equal(resolvent(g, box, alpha, u), loop)
+
+    def test_singular_matrix_runs_the_loop(self):
+        # declared monotone but I + alpha M = 0: no inverse, so the loop runs
+        # and reports that it does not converge
+        g = AffineVIBifunction(-np.eye(2), np.zeros(2), "monotone", 0.5, 0.5)
+        with pytest.raises(InnerSolveError, match="did not converge"):
+            resolvent(g, WholeSpace(2), alpha=1.0, u=[1.0, 2.0])
+
+    def test_changing_alpha_invalidates_the_cached_inverse(self):
+        rng = np.random.default_rng(14)
+        matrix = rng.standard_normal((4, 4))
+        matrix = matrix.T @ matrix
+        offset = rng.standard_normal(4)
+        u = 3.0 * rng.standard_normal(4)
+        box = Box(-np.ones(4), np.ones(4))
+        cached = AffineVIBifunction.with_default_constants(matrix, offset)
+        for Q in (WholeSpace(4), box):
+            for alpha in (1.0, 2.0, 1.0):
+                fresh = AffineVIBifunction.with_default_constants(matrix, offset)
+                assert np.array_equal(resolvent(cached, Q, alpha, u), resolvent(fresh, Q, alpha, u))
 
 
 class TestResolventOracle:

@@ -8,7 +8,7 @@ import pytest
 import splitep as sp
 from splitep.equilibrium import AffineVIBifunction
 from splitep.problems import ProblemSpec
-from splitep.sets import Box, Identity, WholeSpace
+from splitep.sets import Ball, Box, Halfspace, Identity, WholeSpace
 from splitep.solver import (
     ConfigError,
     SolveStatus,
@@ -56,12 +56,13 @@ def expansive_problem():
     )
 
 
-def skew_problem():
-    # monotone but not symmetric: the resolvent's fixed-point step expands
+def skew_problem(Q=WholeSpace(2)):
+    # monotone but not symmetric: the resolvent's fixed-point step expands, so
+    # on a Q without an exact resolvent the inner solve diverges
     skew = AffineVIBifunction(np.array([[0.0, 10.0], [-10.0, 0.0]]), np.zeros(2), "monotone", 5.0, 5.0)
     return ProblemSpec(
         C=WholeSpace(2),
-        Q=WholeSpace(2),
+        Q=Q,
         A=sp.DenseOperator(np.eye(2)),
         f=skew,
         g=skew,
@@ -155,6 +156,24 @@ class TestValidate:
         with pytest.raises(ConfigError, match=name):
             weak_solve(problem, config)
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            (dict(prox_tol=math.nan), "ProxTolNotPositive"),
+            (dict(resolvent_tol=math.nan), "ResolventTolNotPositive"),
+            (dict(dykstra_tol=-1.0), "DykstraTolNotPositive"),
+            (dict(prox_max_inner=-5), "ProxMaxInnerBelowOne"),
+            (dict(resolvent_max_inner=0), "ResolventMaxInnerBelowOne"),
+            (dict(dykstra_max_sweeps=0), "DykstraMaxSweepsBelowOne"),
+        ],
+    )
+    def test_inner_settings_are_named_violations(self, overrides, name):
+        problem = sp.generate_planted(2, 2, seed=1)
+        config = default_config(problem, **overrides)
+        assert [v.name for v in validate(config, problem)] == [name]
+        with pytest.raises(ConfigError, match=name):
+            weak_solve(problem, config)
+
     def test_mode_mismatch_rejected(self):
         problem = degenerate_problem()
         with pytest.raises(ValueError, match="weak"):
@@ -225,10 +244,15 @@ class TestWeakIteration:
         assert len(report.history) == 4
 
     def test_inner_failure_propagates_as_status(self):
-        problem = sp.generate_planted(3, 3, seed=26)
+        # a ball has no exact resolvent, so the fixed-point loop runs
+        planted = sp.generate_planted(3, 3, seed=26)
+        problem = dataclasses.replace(planted, Q=Ball(planted.A.apply(planted.planted_solution), 5.0))
         report = weak_solve(problem, default_config(problem, resolvent_max_inner=1))
         assert report.status is SolveStatus.INNER_FAILURE
         assert "resolvent" in report.message
+        report = weak_solve(problem, default_config(problem))
+        assert report.status is SolveStatus.CONVERGED
+        assert report.iterations == 52
 
     def test_divergence_guard(self):
         problem = expansive_problem()
@@ -336,13 +360,39 @@ SOLVERS = {"weak": weak_solve, "strong": strong_solve}
 class TestFailureRouting:
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_diverging_resolvent_is_an_inner_failure(self, mode):
-        problem = skew_problem()
+        problem = skew_problem(Q=Halfspace([1.0, 0.0], 100.0))
         # the divergence is reported as a status, without numpy overflow warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = SOLVERS[mode](problem, default_config(problem, mode=mode))
         assert report.status is SolveStatus.INNER_FAILURE
         assert "resolvent" in report.message
+
+    @pytest.mark.parametrize("mode", SOLVERS)
+    def test_skew_resolvent_on_whole_space_is_exact(self, mode):
+        problem = skew_problem()
+        report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+        assert report.status is SolveStatus.CONVERGED
+        assert np.linalg.norm(report.final_x) <= 1e-6
+
+
+class TestExactResolventPath:
+    def test_planted_resolvent_projects_onto_q_once(self, monkeypatch):
+        # the planted family (affine g, box Q) takes the exact resolvent,
+        # which projects onto Q once per call; the fixed-point loop would
+        # project about 30 times
+        problem = sp.generate_planted(5, 5, seed=4)
+        project = problem.Q.project
+        calls = []
+
+        def counting_project(x):
+            calls.append(1)
+            return project(x)
+
+        monkeypatch.setattr(problem.Q, "project", counting_project)
+        report = weak_solve(problem)
+        assert report.status is SolveStatus.CONVERGED
+        assert len(calls) == report.iterations + 1
 
 
 def stride_runs(mode, exit_path, stride):
