@@ -16,9 +16,10 @@ monotonicity class, which :func:`check_assumptions` probes numerically.
 
 Bifunction values are immutable (user callables must be pure), and every
 operation here is a pure function, safe to call from any number of threads.
-:class:`AffineVIBifunction` fills two caches lazily, its operator-norm bound
-and the inverse its exact resolvent uses; each is replaced by one
-assignment, so threads sharing a bifunction at worst compute a value twice.
+:class:`AffineVIBifunction` fills two caches lazily, the operator-norm bound
+of its matrix (held by a :class:`~splitep.linalg.DenseOperator`) and the
+inverse its exact resolvent uses; each is replaced by one assignment, so
+threads sharing a bifunction at worst compute a value twice.
 """
 
 from __future__ import annotations
@@ -100,12 +101,10 @@ class AffineVIBifunction(Bifunction):
         self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("bifunction matrix must be square")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("bifunction matrix must be finite")
+        self._linear = DenseOperator(self.matrix)  # rejects non-finite entries
         self.offset = as_vector(offset, self.matrix.shape[0])
         self.monotonicity, self.c1, self.c2 = _check_metadata(monotonicity, c1, c2)
         self.dim = self.matrix.shape[0]
-        self._norm_upper: float | None = None
         self._inverse_cache: tuple[float, np.ndarray | None] | None = None
 
     @classmethod
@@ -124,12 +123,8 @@ class AffineVIBifunction(Bifunction):
 
     @property
     def operator_norm_upper(self) -> float:
-        """Certified-style upper bound on ``||M||`` (power iteration)."""
-        if self._norm_upper is None:
-            self._norm_upper = float(
-                np.sqrt(operator_norm_sq_upper(DenseOperator(self.matrix), iters=300))
-            )
-        return self._norm_upper
+        """Certified upper bound on ``||M||``: the root of :func:`operator_norm_sq_upper`."""
+        return math.sqrt(operator_norm_sq_upper(self._linear))
 
     def _resolvent_inverse(self, alpha: float) -> np.ndarray | None:
         """``inv(I + alpha M)``, cached for the last ``alpha``; None when singular.
@@ -217,7 +212,6 @@ def prox_step(
     at=None,
     tol: float = 1e-10,
     max_inner: int = 20_000,
-    step0: float = 1.0,
 ) -> ProxResult:
     """Minimize ``lam * f(at, y) + (1/2) ||y - x||^2`` over ``y`` in ``C``.
 
@@ -229,15 +223,16 @@ def prox_step(
     For :class:`AffineVIBifunction` the minimizer is exact:
     ``P_C(x - lam * F(at))`` by first-order optimality. For general
     bifunctions a projected subgradient descent with diminishing steps
-    ``step0 / (j + 1)`` runs until the iterate displacement drops below
-    ``tol``.
+    ``1 / (j + 1)`` runs until the iterate displacement drops below ``tol``.
 
     Raises
     ------
     ValueError
         If ``lam <= 0`` or ``x`` lies outside ``C`` (violation above 1e-9).
     InnerSolveError
-        If the iterative path stalls above ``tol`` within ``max_inner`` steps.
+        If the iterative path stalls above ``tol`` within ``max_inner`` steps,
+        or as soon as one of its steps is not finite (for instance a
+        subgradient with ``inf`` or ``NaN`` components).
     """
     lam = float(lam)
     if lam <= 0.0:
@@ -256,7 +251,10 @@ def prox_step(
     displacement = np.inf
     for j in range(max_inner):
         grad = lam * f.subgradient_y(at, y) + (y - x)
-        y_next = C.project(y - (step0 / (j + 1.0)) * grad)
+        step = y - (1.0 / (j + 1.0)) * grad
+        if not np.all(np.isfinite(step)):
+            raise InnerSolveError("projected subgradient descent took a non-finite step", displacement)
+        y_next = C.project(step)
         displacement = float(np.linalg.norm(y_next - y))
         y = y_next
         if displacement < tol:
@@ -321,7 +319,6 @@ def resolvent(
     u,
     tol: float = 1e-9,
     max_inner: int = 10_000,
-    rho: float | None = None,
 ) -> np.ndarray:
     """Resolvent of a monotone bifunction: the unique ``w`` in ``Q`` with
 
@@ -329,22 +326,22 @@ def resolvent(
 
     For :class:`AffineVIBifunction` ``g(w, v) = <M w + q, v - w>`` this is
     the affine variational inequality ``(I + alpha M) w + alpha q - u`` in
-    ``-N_Q(w)``. When ``Q`` is a :class:`Box` or :class:`WholeSpace` and no
-    ``rho`` is given it is solved exactly from ``g``'s cached
-    ``inv(I + alpha M)``: one matrix-vector product on the whole space; on a box, when that
-    product lies outside it, primal-dual active-set steps, at most
-    ``max_inner`` of them. The exact path ignores ``tol`` and holds for any
-    monotone ``M``, symmetric or not.
+    ``-N_Q(w)``. When ``Q`` is a :class:`Box` or :class:`WholeSpace` it is
+    solved exactly from ``g``'s cached ``inv(I + alpha M)``: one
+    matrix-vector product on the whole space; on a box, when that product
+    lies outside it, primal-dual active-set steps, at most ``max_inner`` of
+    them. The exact path ignores ``tol`` and holds for any monotone ``M``,
+    symmetric or not.
 
     Every other case runs the projected fixed-point iteration
-    ``w <- P_Q(w - rho (alpha G(w) + w - u))``, with
-    ``rho = 1 / (1 + alpha ||M||)`` by default, iterated until the
-    displacement drops below ``tol``; so does a box whose active-set steps
-    revisit a set or exhaust ``max_inner``. An explicit ``rho`` forces this
-    loop. The loop contracts for symmetric ``M``; it may diverge for
-    non-symmetric ``M`` once ``alpha ||M||`` is large. For general monotone
-    bifunctions the same scheme runs with a subgradient selection in place
-    of ``G``; convergence is then heuristic and failures surface as
+    ``w <- P_Q(w - rho (alpha G(w) + w - u))`` with
+    ``rho = 1 / (1 + alpha ||M||)``, iterated until the displacement drops
+    below ``tol``; so does a box whose active-set steps revisit a set or
+    exhaust ``max_inner``. The loop contracts for symmetric ``M``; it may
+    diverge for non-symmetric ``M`` once ``alpha ||M||`` is large. For
+    general monotone bifunctions the same scheme runs with
+    ``rho = 1 / (1 + alpha)`` and a subgradient selection in place of ``G``;
+    convergence is then heuristic and failures surface as
     :class:`InnerSolveError`.
 
     Raises
@@ -353,28 +350,24 @@ def resolvent(
         If ``alpha <= 0``.
     InnerSolveError
         When the fixed-point loop does not converge within ``max_inner``
-        iterations, or as soon as its displacement stops being finite (the
-        iteration diverges).
+        iterations, or as soon as one of its steps is not finite (the
+        iteration diverges, or the subgradient is not finite).
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("resolvent parameter must be positive")
     u = as_vector(u, Q.dim)
 
-    if rho is None and isinstance(g, AffineVIBifunction) and isinstance(Q, (Box, WholeSpace)):
-        w = _exact_affine_resolvent(g, Q, alpha, u, max_inner)
-        if w is not None:
-            return w
-
-    if rho is None:
-        if isinstance(g, AffineVIBifunction):
-            rho = 1.0 / (1.0 + alpha * g.operator_norm_upper)
-        else:
-            rho = 1.0 / (1.0 + alpha)
-
     if isinstance(g, AffineVIBifunction):
+        if isinstance(Q, (Box, WholeSpace)):
+            w = _exact_affine_resolvent(g, Q, alpha, u, max_inner)
+            if w is not None:
+                return w
+        rho = 1.0 / (1.0 + alpha * g.operator_norm_upper)
         direction = g.operator
     else:
+        rho = 1.0 / (1.0 + alpha)
+
         def direction(w):
             return g.subgradient_y(w, w)
 
@@ -384,10 +377,11 @@ def resolvent(
     # below reports it as InnerSolveError, so numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_inner):
-            w_next = Q.project(w - rho * (alpha * direction(w) + (w - u)))
-            displacement = float(np.linalg.norm(w_next - w))
-            if not math.isfinite(displacement):
+            step = w - rho * (alpha * direction(w) + (w - u))
+            if not np.all(np.isfinite(step)):
                 raise InnerSolveError("resolvent fixed-point iteration diverged", displacement)
+            w_next = Q.project(step)
+            displacement = float(np.linalg.norm(w_next - w))
             w = w_next
             if displacement < tol:
                 return w

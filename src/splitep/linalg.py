@@ -4,6 +4,11 @@ Points are plain 1-D ``numpy`` arrays of ``float64``; :func:`as_vector` is the
 validating constructor used at API boundaries. Linear operators between the
 two spaces are dense matrices wrapped in :class:`DenseOperator`, whose adjoint
 is exactly the transpose action.
+
+An operator's entries never change after construction. Its one mutable slot
+is the lazily filled squared-norm bound of :func:`operator_norm_sq_upper`,
+replaced by a single assignment, so threads sharing an operator at worst
+compute the bound twice.
 """
 
 from __future__ import annotations
@@ -60,11 +65,12 @@ class DenseOperator:
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError(f"operator entries must be a 2-D matrix, got shape {entries.shape}")
+        if entries.ndim != 2 or entries.size == 0:
+            raise ValueError(f"operator entries must be a nonempty 2-D matrix, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("operator entries must be finite")
         self.entries = entries
+        self._norm_sq_upper: float | None = None
 
     @property
     def m(self) -> int:
@@ -107,52 +113,19 @@ def adjoint_apply(A: DenseOperator, y) -> np.ndarray:
     return A.adjoint_apply(y)
 
 
-def operator_norm_sq_upper(A: DenseOperator, iters: int = 200, safety: float = 1.01) -> float:
-    """Upper bound on the squared spectral norm of ``A`` via power iteration.
+def operator_norm_sq_upper(A: DenseOperator) -> float:
+    """Certified upper bound ``U >= ||A||^2`` on the squared spectral norm.
 
-    Runs ``iters`` power-iteration steps on the Gram matrix ``A^T A`` from a
-    deterministic start vector and returns the Rayleigh-quotient estimate
-    multiplied by ``safety``. Step sizes chosen below ``1 / U`` with
-    ``U = operator_norm_sq_upper(A)`` then stay below ``1 / ||A||^2``, the
-    safety factor absorbing residual non-convergence of the power method.
-
-    A zero operator returns ``safety * tiny`` for the smallest positive normal
-    float, so that ``1 / U`` remains finite.
+    ``U`` is 1.01 times the largest eigenvalue of the smaller Gram matrix,
+    ``A A^T`` or ``A^T A``, from a symmetric eigensolver, so step sizes below
+    ``1 / U`` stay below ``1 / ||A||^2``; the factor absorbs the solver's
+    rounding. A zero operator gets the floor ``1.01 * tiny`` for the smallest
+    positive normal float, so that ``1 / U`` remains finite. The bound is
+    computed once per operator and cached on it.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if safety < 1.0:
-        raise ValueError("safety must be >= 1")
-    gram = A.entries.T @ A.entries
-    v = _start_vector(A.entries)
-    if v is None:
-        return safety * float(np.finfo(float).tiny)
-    v = v / np.linalg.norm(v)
-    for _ in range(iters):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    lam = float(v @ (gram @ v))
-    return safety * lam
-
-
-def _start_vector(entries: np.ndarray) -> np.ndarray | None:
-    """Deterministic power-iteration start; None for the zero operator.
-
-    All-ones with a graded tilt (so symmetric structure cannot trap the
-    iteration in an invariant subspace orthogonal to the top eigenvector),
-    falling back through basis vectors when that probe lies in the kernel.
-    """
-    n = entries.shape[1]
-    v = 1.0 + 1e-6 * np.arange(n)
-    if np.linalg.norm(entries @ v) > 0.0:
-        return v
-    column_norms = np.linalg.norm(entries, axis=0)
-    for j in range(n):
-        if column_norms[j] > 0.0:
-            e = np.zeros(n)
-            e[j] = 1.0
-            return e
-    return None
+    if A._norm_sq_upper is None:
+        entries = A.entries
+        gram = entries @ entries.T if A.m <= A.n else entries.T @ entries
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        A._norm_sq_upper = 1.01 * max(top, float(np.finfo(float).tiny))
+    return A._norm_sq_upper

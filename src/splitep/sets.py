@@ -342,11 +342,7 @@ def linear_inequality_rows(convex_set: ConvexSet) -> tuple[np.ndarray, np.ndarra
         return convex_set.normal[None, :], np.array([convex_set.offset])
     if isinstance(convex_set, Box):
         eye = np.eye(convex_set.dim)
-        finite_upper = np.isfinite(convex_set.upper)
-        finite_lower = np.isfinite(convex_set.lower)
-        G = np.vstack([eye[finite_upper], -eye[finite_lower]])
-        h = np.concatenate([convex_set.upper[finite_upper], -convex_set.lower[finite_lower]])
-        return G, h
+        return np.vstack([eye, -eye]), np.concatenate([convex_set.upper, -convex_set.lower])
     if isinstance(convex_set, Intersection):
         rows = [linear_inequality_rows(member) for member in convex_set.members]
         if any(r is None for r in rows):
@@ -363,8 +359,6 @@ def project_polyhedron(
     G: np.ndarray,
     h: np.ndarray,
     start_active=(),
-    feas_tol: float = 1e-12,
-    max_pivots: int | None = None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Exact projection of ``x0`` onto ``{r : G r <= h}`` by a dual active-set method.
 
@@ -372,9 +366,12 @@ def project_polyhedron(
     program ``min ||r - x0||^2`` subject to the rows: repeatedly pick a
     violated row, then take the longest step that keeps the working-set
     multipliers nonnegative, either activating the row (full primal step) or
-    dropping the blocking working row (dual step) and retrying. On success
-    the returned point satisfies all rows and the KKT conditions to tolerance,
-    i.e. it is the projection to machine precision.
+    dropping the blocking working row (dual step) and retrying. It stops once
+    no row is violated by more than ``1e-12 (1 + ||x0||)`` in scaled
+    distance, or after ``200 + 10 n + 2 k`` pivots for ``k`` rows in
+    dimension ``n``. On success the returned point satisfies all rows and
+    the KKT conditions to tolerance, i.e. it is the projection to machine
+    precision.
 
     Returns the projection together with the final active row indices, which
     can seed ``start_active`` on a subsequent call with an enlarged row set
@@ -398,9 +395,8 @@ def project_polyhedron(
     row_scale = np.linalg.norm(G, axis=1)
     if np.any(row_scale == 0.0):
         raise ValueError("zero rows must be filtered out before projection")
-    if max_pivots is None:
-        max_pivots = 200 + 10 * G.shape[1] + 2 * G.shape[0]
-    feas_scale = feas_tol * (1.0 + float(np.linalg.norm(x0)))
+    max_pivots = 200 + 10 * G.shape[1] + 2 * G.shape[0]
+    feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 
     working: list[int] = []
     multipliers: list[float] = []

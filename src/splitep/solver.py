@@ -21,9 +21,10 @@ the stride bounds the history's memory on every exit path.
 
 A solve is one sequential process owning its own state; problems and
 configs are immutable, so any number of solves may run concurrently. The
-only state a problem carries is the lazily filled caches of an affine
-bifunction (see :mod:`splitep.equilibrium`), which concurrent solves may
-share.
+only state a problem carries is the lazily filled norm bound of its
+operators and the resolvent inverse of an affine bifunction (see
+:mod:`splitep.linalg` and :mod:`splitep.equilibrium`), which concurrent
+solves may share.
 """
 
 from __future__ import annotations
@@ -73,19 +74,6 @@ DIVERGENCE_LIMIT = 1e12
 # How many leading schedule values validate() probes against declared bounds.
 SCHEDULE_PROBE_COUNT = 50
 
-# Inner-solver settings validate() checks: tolerances must be positive and
-# finite, budgets at least 1. Each pair is (config field, violation name).
-INNER_TOLERANCES = (
-    ("prox_tol", "ProxTolNotPositive"),
-    ("resolvent_tol", "ResolventTolNotPositive"),
-    ("dykstra_tol", "DykstraTolNotPositive"),
-)
-INNER_BUDGETS = (
-    ("prox_max_inner", "ProxMaxInnerBelowOne"),
-    ("resolvent_max_inner", "ResolventMaxInnerBelowOne"),
-    ("dykstra_max_sweeps", "DykstraMaxSweepsBelowOne"),
-)
-
 
 class SolveStatus(str, Enum):
     CONVERGED = "Converged"
@@ -133,8 +121,9 @@ class SolverConfig:
         Declared range ``[a, b]``; admissible when
         ``0 < a <= b < min(1/(2 c1), 1/(2 c2))`` for the constants of ``f``.
     mu : float
-        Dual step; admissible when ``0 < mu < 1 / U`` for the certified
-        operator-norm bound ``U`` of ``A``.
+        Dual step; admissible when ``0 < mu < 1 / U`` for the certified bound
+        ``U >= ||A||^2`` of :func:`~splitep.linalg.operator_norm_sq_upper`,
+        so that ``mu < 1 / ||A||^2`` holds as the convergence theorems ask.
     alpha : float
         Averaging weight for ``S``; admissible in ``(0, 1)``.
     alpha_k_schedule : callable
@@ -165,12 +154,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 50_000
     mode: str = WEAK
-    prox_tol: float = 1e-10
-    prox_max_inner: int = 20_000
-    resolvent_tol: float = 1e-9
-    resolvent_max_inner: int = 10_000
-    dykstra_tol: float = 1e-10
-    dykstra_max_sweeps: int = 10_000
     validate_mu: bool = True
     history_stride: int = 1
 
@@ -273,14 +256,6 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
                     f"{config.alpha_k_lower} or is not finite",
                 )
             )
-    for field_name, name in INNER_TOLERANCES:
-        value = getattr(config, field_name)
-        if not (0.0 < value < math.inf):
-            violations.append(ConfigViolation(name, f"{field_name} = {value} must be positive and finite"))
-    for field_name, name in INNER_BUDGETS:
-        value = getattr(config, field_name)
-        if value < 1:
-            violations.append(ConfigViolation(name, f"{field_name} = {value} must be at least 1"))
     return violations
 
 
@@ -386,23 +361,12 @@ def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
     lam = config.lambda_schedule(k)
     alpha_k = config.alpha_k_schedule(k)
 
-    y = prox_step(
-        problem.f, problem.C, x, lam, tol=config.prox_tol, max_inner=config.prox_max_inner
-    ).minimizer
-    z = prox_step(
-        problem.f, problem.C, x, lam, at=y, tol=config.prox_tol, max_inner=config.prox_max_inner
-    ).minimizer
+    y = prox_step(problem.f, problem.C, x, lam).minimizer
+    z = prox_step(problem.f, problem.C, x, lam, at=y).minimizer
     Sz = problem.S.apply(z)
     t = (1.0 - config.alpha) * z + config.alpha * Sz
     At = problem.A.apply(t)
-    u = resolvent(
-        problem.g,
-        problem.Q,
-        alpha_k,
-        At,
-        tol=config.resolvent_tol,
-        max_inner=config.resolvent_max_inner,
-    )
+    u = resolvent(problem.g, problem.Q, alpha_k, At)
     Tu = problem.T.apply(u)
     s = problem.C.project(t + config.mu * problem.A.adjoint_apply(Tu - At))
     parts = dict(
@@ -438,7 +402,7 @@ def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
     return _core_step(problem, config, x, k)
 
 
-def _project_shrinking_set(problem, config: SolverConfig, state: StrongState) -> np.ndarray:
+def _project_shrinking_set(problem, state: StrongState) -> np.ndarray:
     """Project the anchor onto the constraint set intersected with all cuts.
 
     When the constraint set has an explicit inequality description the exact
@@ -457,12 +421,7 @@ def _project_shrinking_set(problem, config: SolverConfig, state: StrongState) ->
             return next_x
         except DykstraError:
             state.active_rows = ()
-    return project_intersection(
-        [*state.cuts, problem.C],
-        state.anchor,
-        tol=config.dykstra_tol,
-        max_sweeps=config.dykstra_max_sweeps,
-    )
+    return project_intersection([*state.cuts, problem.C], state.anchor)
 
 
 def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) -> IterateRecord:
@@ -488,7 +447,7 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
             state.rows.append(cut.normal, cut.offset)
     record.s = record.next_x
     record.res_sx = record.step
-    record.next_x = _project_shrinking_set(problem, config, state)
+    record.next_x = _project_shrinking_set(problem, state)
     record.step = norm(record.next_x - record.x)
     record.res_tx = norm(record.t - record.x)
     # the plain residual already covers res_sx and the five residual parts

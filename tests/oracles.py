@@ -41,3 +41,21 @@ def random_two_halfspaces(rng, dim=3):
     b1 = float(a1 @ interior) + rng.uniform(0.1, 1.0)
     b2 = float(a2 @ interior) + rng.uniform(0.1, 1.0)
     return Halfspace(a1, b1), Halfspace(a2, b2)
+
+
+def contracting_resolvent(g, Q, alpha, u, tol=1e-13, max_steps=10**6):
+    """Resolvent of an affine ``g`` by a projected fixed point that always contracts.
+
+    Iterates ``w <- P_Q(w - rho (alpha (M w + q) + w - u))`` with
+    ``rho = 1 / L^2`` for the Lipschitz constant ``L = 1 + alpha ||M||`` of
+    ``alpha G + I``: a step that contracts for any monotone ``g``, symmetric
+    or not, until the displacement drops below ``tol``.
+    """
+    rho = 1.0 / (1.0 + alpha * g.operator_norm_upper) ** 2
+    w = Q.project(u)
+    for _ in range(max_steps):
+        w_next = Q.project(w - rho * (alpha * g.operator(w) + (w - u)))
+        if np.linalg.norm(w_next - w) < tol:
+            return w_next
+        w = w_next
+    raise AssertionError("the contracting resolvent loop did not converge")

@@ -15,6 +15,8 @@ from splitep.equilibrium import (
 )
 from splitep.sets import Ball, Box, Halfspace, WholeSpace
 
+from oracles import contracting_resolvent
+
 
 def zero_bifunction(dim):
     return AffineVIBifunction.with_default_constants(np.zeros((dim, dim)), np.zeros(dim))
@@ -209,14 +211,16 @@ class TestResolvent:
             resolvent(g, Ball(np.zeros(2), 1.0), alpha=1.0, u=[5.0, 5.0], max_inner=2)
 
     def test_divergence_raises_without_overflow_warnings(self):
-        # monotone but skew: the fixed-point step expands until it overflows;
-        # an explicit rho forces the loop where the exact path would apply
-        g = AffineVIBifunction(np.array([[0.0, 10.0], [-10.0, 0.0]]), np.zeros(2), "monotone", 5.0, 5.0)
-        rho = 1.0 / (1.0 + g.operator_norm_upper)
+        # monotone but skew, given as callables, which always run the
+        # fixed-point loop: its step expands until it overflows
+        N = np.array([[0.0, 10.0], [-10.0, 0.0]])
+        g = CallableBifunction(
+            lambda x, y: float((N @ x) @ (y - x)), lambda x, y: N @ x, "monotone", 5.0, 5.0
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InnerSolveError, match="diverged"):
-                resolvent(g, WholeSpace(2), alpha=1.0, u=[1.0, 2.0], rho=rho)
+                resolvent(g, WholeSpace(2), alpha=1.0, u=[1.0, 2.0])
 
     def test_firm_nonexpansiveness_sampled(self):
         rng = np.random.default_rng(7)
@@ -293,11 +297,7 @@ class TestExactResolvent:
             alpha = rng.uniform(0.5, 3.0)
             u = 3.0 * rng.standard_normal(dim)
             w = resolvent(g, box, alpha, u)
-            # rho = 1/L^2 for the Lipschitz constant L of alpha G + I: a step
-            # that contracts for any monotone g, symmetric or not
-            rho = 1.0 / (1.0 + alpha * g.operator_norm_upper) ** 2
-            loop = resolvent(g, box, alpha, u, tol=1e-13, max_inner=10**6, rho=rho)
-            assert np.abs(w - loop).max() <= 1e-8
+            assert np.abs(w - contracting_resolvent(g, box, alpha, u)).max() <= 1e-8
             assert box.membership_violation(w) == 0.0
             active_cases += bool(np.any(np.abs(w) == radius))
             for _ in range(50):
@@ -314,8 +314,8 @@ class TestExactResolvent:
         alpha = rng.uniform(0.5, 3.0)
         u = 3.0 * rng.standard_normal(3)
         assert _exact_affine_resolvent(g, box, alpha, u, 10_000) is None
-        loop = resolvent(g, box, alpha, u, rho=1.0 / (1.0 + alpha * g.operator_norm_upper))
-        assert np.array_equal(resolvent(g, box, alpha, u), loop)
+        w = resolvent(g, box, alpha, u)
+        assert np.abs(w - contracting_resolvent(g, box, alpha, u)).max() <= 1e-8
 
     def test_singular_matrix_runs_the_loop(self):
         # declared monotone but I + alpha M = 0: no inverse, so the loop runs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import splitep as sp
-from splitep.equilibrium import AffineVIBifunction
+from splitep.equilibrium import AffineVIBifunction, CallableBifunction
 from splitep.problems import ProblemSpec
 from splitep.sets import Ball, Box, Halfspace, Identity, WholeSpace
 from splitep.solver import (
@@ -156,23 +156,37 @@ class TestValidate:
         with pytest.raises(ConfigError, match=name):
             weak_solve(problem, config)
 
-    @pytest.mark.parametrize(
-        "overrides, name",
-        [
-            (dict(prox_tol=math.nan), "ProxTolNotPositive"),
-            (dict(resolvent_tol=math.nan), "ResolventTolNotPositive"),
-            (dict(dykstra_tol=-1.0), "DykstraTolNotPositive"),
-            (dict(prox_max_inner=-5), "ProxMaxInnerBelowOne"),
-            (dict(resolvent_max_inner=0), "ResolventMaxInnerBelowOne"),
-            (dict(dykstra_max_sweeps=0), "DykstraMaxSweepsBelowOne"),
-        ],
-    )
-    def test_inner_settings_are_named_violations(self, overrides, name):
-        problem = sp.generate_planted(2, 2, seed=1)
-        config = default_config(problem, **overrides)
-        assert [v.name for v in validate(config, problem)] == [name]
-        with pytest.raises(ConfigError, match=name):
-            weak_solve(problem, config)
+    def test_mu_bound_is_certified_for_close_singular_values(self):
+        # singular values 1 and 0.99, the second right singular vector along
+        # the all-ones start vector with a graded tilt: a power iteration
+        # started there stays on the second singular value and underestimates
+        # ||A||^2 by about 2%, more than the 1% safety factor
+        n = 2
+        start = 1.0 + 1e-6 * np.arange(n)
+        second = start / np.linalg.norm(start)
+        first = np.array([-second[1], second[0]])
+        entries = np.diag([1.0, 0.99]) @ np.vstack([first, second])
+        problem = dataclasses.replace(
+            sp.generate_planted(n, n, seed=1), A=sp.DenseOperator(entries)
+        )
+        norm_sq = np.linalg.norm(entries, 2) ** 2
+        assert sp.operator_norm_sq_upper(problem.A) >= norm_sq
+        config = default_config(problem, mu=1.0 / norm_sq)
+        assert [v.name for v in validate(config, problem)] == ["MuTooLarge"]
+
+    def test_default_config_and_solve_decompose_the_gram_matrix_once(self, monkeypatch):
+        problem = sp.generate_planted(4, 3, seed=2)
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def counting_eigvalsh(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        report = weak_solve(problem, default_config(problem))
+        assert report.status is SolveStatus.CONVERGED
+        assert shapes == [(3, 3)]
 
     def test_mode_mismatch_rejected(self):
         problem = degenerate_problem()
@@ -243,13 +257,10 @@ class TestWeakIteration:
         assert report.iterations == 3
         assert len(report.history) == 4
 
-    def test_inner_failure_propagates_as_status(self):
+    def test_ball_resolvent_loop_converges(self):
         # a ball has no exact resolvent, so the fixed-point loop runs
         planted = sp.generate_planted(3, 3, seed=26)
         problem = dataclasses.replace(planted, Q=Ball(planted.A.apply(planted.planted_solution), 5.0))
-        report = weak_solve(problem, default_config(problem, resolvent_max_inner=1))
-        assert report.status is SolveStatus.INNER_FAILURE
-        assert "resolvent" in report.message
         report = weak_solve(problem, default_config(problem))
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations == 52
@@ -367,6 +378,28 @@ class TestFailureRouting:
             report = SOLVERS[mode](problem, default_config(problem, mode=mode))
         assert report.status is SolveStatus.INNER_FAILURE
         assert "resolvent" in report.message
+
+    @pytest.mark.parametrize("mode", SOLVERS)
+    @pytest.mark.parametrize(
+        "member, value",
+        [("f", math.inf), ("f", math.nan), ("g", math.inf)],
+    )
+    def test_non_finite_subgradient_is_an_inner_failure(self, mode, member, value):
+        # the inner loops stop at the first non-finite step instead of handing
+        # it to a projection, which would reject it with a ValueError
+        planted = sp.generate_planted(3, 3, seed=1)
+        bifunction = getattr(planted, member)
+        broken = CallableBifunction(
+            lambda x, y: 0.0,
+            lambda x, y: np.full(bifunction.dim, value),
+            "monotone",
+            bifunction.c1,
+            bifunction.c2,
+        )
+        problem = dataclasses.replace(planted, **{member: broken})
+        report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert {"f": "subgradient descent", "g": "resolvent"}[member] in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_skew_resolvent_on_whole_space_is_exact(self, mode):
