@@ -304,17 +304,12 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
     x = as_vector(x, dim)
     if len(members) == 1:
         return members[0].project(x)
-    # Whole-space members are no-ops for the sweep; dropping them here keeps
-    # degenerate cuts (coincident points) from inflating the member list.
-    active = [m for m in members if not (isinstance(m, Halfspace) and m.is_whole_space)]
-    if not active:
-        return x
-    increments = [np.zeros(dim) for _ in active]
+    increments = [np.zeros(dim) for _ in members]
     current = x
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         moved = 0.0
-        for i, member in enumerate(active):
+        for i, member in enumerate(members):
             shifted = current + increments[i]
             projected = member.project(shifted)
             increments[i] = shifted - projected
@@ -322,7 +317,7 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
             current = projected
         if moved < tol:
             break
-    worst = max(member.membership_violation(current) for member in active)
+    worst = max(member.membership_violation(current) for member in members)
     if worst > 10.0 * tol:
         raise DykstraError(worst, sweeps)
     return current

@@ -40,6 +40,7 @@ from splitep.equilibrium import InnerSolveError, prox_step, resolvent
 from splitep.linalg import as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
     DykstraError,
+    EmptySetError,
     Halfspace,
     halfspace_dominates,
     linear_inequality_rows,
@@ -168,6 +169,11 @@ class SolverConfig:
             raise ValueError("history_stride must be >= 1")
 
 
+def _lambda_bound(f) -> float:
+    """Admissible bound ``min(1/(2 c1), 1/(2 c2))`` on the proximal step for ``f``."""
+    return min(1.0 / (2.0 * f.c1), 1.0 / (2.0 * f.c2))
+
+
 def default_config(problem, mode: str = WEAK, **overrides) -> SolverConfig:
     """Admissible configuration derived from the problem's constants.
 
@@ -180,8 +186,7 @@ def default_config(problem, mode: str = WEAK, **overrides) -> SolverConfig:
     mu_fraction = float(overrides.pop("mu_fraction", 0.5))
     if mu_fraction <= 0.0:
         raise ValueError("mu_fraction must be positive")
-    lam_bound = min(1.0 / (2.0 * problem.f.c1), 1.0 / (2.0 * problem.f.c2))
-    lam = 0.9 * lam_bound
+    lam = 0.9 * _lambda_bound(problem.f)
     U = operator_norm_sq_upper(problem.A)
     defaults = dict(
         lambda_schedule=constant_schedule(lam),
@@ -200,7 +205,7 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
     """
     violations = []
     a, b = config.lambda_bounds
-    lam_bound = min(1.0 / (2.0 * problem.f.c1), 1.0 / (2.0 * problem.f.c2))
+    lam_bound = _lambda_bound(problem.f)
     if not (0.0 < a <= b < lam_bound):
         violations.append(
             ConfigViolation(
@@ -293,54 +298,53 @@ class IterateRecord:
         return (self.res_xy, self.res_yz, self.res_Sz, self.res_uAt, self.res_Tu, self.step)
 
 
-class _RowBuffer:
-    """Append-only inequality rows ``G r <= h`` with amortized growth.
+class StrongState:
+    """Anchor and inequality rows ``G r <= h`` of the shrinking-set iteration.
 
-    Row indices are stable, so active-set indices from one projection remain
-    valid after appending more rows.
+    The rows are those of ``C`` when :func:`linear_inequality_rows` gives
+    them (``rows_include_C``), followed by every cut that constrains
+    something, in the order made; whole-space cuts are not stored. Rows are
+    never dropped: the nesting of the constraint sets, which the convergence
+    argument relies on, would break otherwise. Row indices are stable, so the
+    last active rows (``active_rows``) stay valid after appending and
+    warm-start the next anchor projection.
     """
 
-    def __init__(self, G0: np.ndarray, h0: np.ndarray):
-        dim = G0.shape[1]
-        capacity = max(64, 2 * len(h0))
-        self._G = np.zeros((capacity, dim))
-        self._h = np.zeros(capacity)
-        self.count = len(h0)
-        self._G[: self.count] = G0
-        self._h[: self.count] = h0
+    def __init__(self, problem):
+        dim = problem.C.dim
+        self.anchor = as_vector(problem.x1, dim)
+        base = linear_inequality_rows(problem.C)
+        self.rows_include_C = base is not None
+        G0, h0 = base if base is not None else (np.zeros((0, dim)), np.zeros(0))
+        self.first_cut = self.count = len(h0)
+        self._G = np.vstack([G0, np.zeros((max(64, self.count), dim))])
+        self._h = np.concatenate([h0, np.zeros(max(64, self.count))])
+        self.active_rows: tuple[int, ...] = ()
 
-    def append(self, row: np.ndarray, offset: float) -> None:
+    def add_cut(self, cut: Halfspace) -> None:
+        """Store ``cut`` as a row unless it is the whole space."""
+        if cut.is_whole_space:
+            return
         if self.count == len(self._h):
             self._G = np.concatenate([self._G, np.zeros_like(self._G)])
             self._h = np.concatenate([self._h, np.zeros_like(self._h)])
-        self._G[self.count] = row
-        self._h[self.count] = offset
+        self._G[self.count] = cut.normal
+        self._h[self.count] = cut.offset
         self.count += 1
 
-    def view(self) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
         return self._G[: self.count], self._h[: self.count]
 
-
-@dataclass
-class StrongState:
-    """Anchor and accumulated halfspace cuts of the shrinking-set iteration.
-
-    Cuts are never dropped: the nesting of the constraint sets, which the
-    convergence argument relies on, would break otherwise. The remaining
-    fields carry the exact-projection working state between iterations (the
-    stacked inequality rows and the last active rows, used to warm-start the
-    next anchor projection).
-    """
-
-    anchor: np.ndarray
-    cuts: list[Halfspace] = field(default_factory=list)
-    rows: "_RowBuffer | None" = None
-    rows_usable: bool = True
-    active_rows: tuple[int, ...] = ()
+    def cuts(self) -> list[Halfspace]:
+        """The stored cuts, in order, as halfspaces."""
+        return [Halfspace(self._G[i], self._h[i]) for i in range(self.first_cut, self.count)]
 
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve; ``cuts`` lists, in order, every cut of a strong
+    solve that constrains something, and is empty for a weak solve."""
+
     status: SolveStatus
     iterations: int
     final_x: np.ndarray
@@ -405,15 +409,15 @@ def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
 def _project_shrinking_set(problem, state: StrongState) -> np.ndarray:
     """Project the anchor onto the constraint set intersected with all cuts.
 
-    When the constraint set has an explicit inequality description the exact
-    active-set projector is used, warm-started with the previously active
-    rows (rows only ever append, so indices stay valid). Otherwise, or if the
-    pivoting degenerates, Dykstra's scheme is the fallback; the constraint
-    set goes last in its member list so the returned sweep iterate is exactly
-    feasible for it (the next prox step checks membership).
+    When the stored rows include the constraint set, the exact active-set
+    projector runs on them, warm-started with the previously active rows.
+    Otherwise, or if the pivots run out, Dykstra's scheme is the fallback, on
+    halfspaces built from the stored cut rows; the constraint set goes last
+    in its member list so the returned sweep iterate is exactly feasible for
+    it (the next prox step checks membership).
     """
-    if state.rows_usable and state.rows is not None:
-        G, h = state.rows.view()
+    if state.rows_include_C:
+        G, h = state.rows()
         try:
             next_x, state.active_rows = project_polyhedron(
                 state.anchor, G, h, start_active=state.active_rows
@@ -421,30 +425,23 @@ def _project_shrinking_set(problem, state: StrongState) -> np.ndarray:
             return next_x
         except DykstraError:
             state.active_rows = ()
-    return project_intersection([*state.cuts, problem.C], state.anchor)
+    return project_intersection([*state.cuts(), problem.C], state.anchor)
 
 
 def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) -> IterateRecord:
     """One iteration of the shrinking-projection scheme from ``x`` at index ``k``.
 
-    Appends the two new cuts (points at least as close to the corrected point
-    ``s`` as to ``t``, and to ``t`` as to ``x``) to ``state``, which it
-    mutates in place, and projects the anchor onto the constraint set
-    intersected with all accumulated cuts. The record's ``next_x`` is that
-    projection; ``s`` holds the corrected point. The caller is responsible
-    for ``x`` in ``C`` and for ``config`` having passed :func:`validate`.
+    Stores the two new cuts (points at least as close to the corrected point
+    ``s`` as to ``t``, and to ``t`` as to ``x``) as rows of ``state``, which
+    it mutates in place, unless a cut is the whole space, and projects the
+    anchor onto the constraint set intersected with all stored cuts. The
+    record's ``next_x`` is that projection; ``s`` holds the corrected point.
+    The caller is responsible for ``x`` in ``C`` and for ``config`` having
+    passed :func:`validate`.
     """
     record = _core_step(problem, config, x, k)
-    if state.rows is None and state.rows_usable:
-        base = linear_inequality_rows(problem.C)
-        if base is None:
-            state.rows_usable = False
-        else:
-            state.rows = _RowBuffer(*base)
-    for cut in (halfspace_dominates(record.next_x, record.t), halfspace_dominates(record.t, record.x)):
-        state.cuts.append(cut)
-        if not cut.is_whole_space and state.rows is not None:
-            state.rows.append(cut.normal, cut.offset)
+    state.add_cut(halfspace_dominates(record.next_x, record.t))
+    state.add_cut(halfspace_dominates(record.t, record.x))
     record.s = record.next_x
     record.res_sx = record.step
     record.next_x = _project_shrinking_set(problem, state)
@@ -455,14 +452,15 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     return record
 
 
-def _solve(problem, config: SolverConfig, step, cuts=()) -> SolveReport:
+def _solve(problem, config: SolverConfig, step) -> SolveReport:
     """Iterate ``step(x, k) -> IterateRecord`` from ``problem.x1``.
 
     Stops at the first record whose residual is at most ``config.tol``,
     after ``config.max_iter + 1`` records, or on the first failure: iterates
-    beyond ``DIVERGENCE_LIMIT``, an inner solver giving up, or a non-finite
-    residual. Record ``k`` enters the history when ``k`` is a multiple of
-    ``config.history_stride``; the last record always does.
+    beyond ``DIVERGENCE_LIMIT``, an inner solver giving up, an empty
+    shrinking set, or a non-finite residual. Record ``k`` enters the history
+    when ``k`` is a multiple of ``config.history_stride``; the last record
+    always does.
     """
     _require_valid(config, problem)
     history: list[IterateRecord] = []
@@ -476,6 +474,9 @@ def _solve(problem, config: SolverConfig, step, cuts=()) -> SolveReport:
             last = step(x, k)
         except (InnerSolveError, DykstraError) as exc:
             failure = str(exc)
+            break
+        except EmptySetError as exc:
+            failure = f"the shrinking set is empty: {exc}"
             break
         if k % config.history_stride == 0:
             history.append(last)
@@ -500,7 +501,6 @@ def _solve(problem, config: SolverConfig, step, cuts=()) -> SolveReport:
         final_u=last.u if last else None,
         final_residual=last.residual if last else np.inf,
         history=history,
-        cuts=list(cuts),
         message=failure or "",
     )
 
@@ -522,17 +522,19 @@ def weak_solve(problem, config: SolverConfig | None = None) -> SolveReport:
 def strong_solve(problem, config: SolverConfig | None = None) -> SolveReport:
     """Run the shrinking-projection iteration from ``problem.x1``.
 
-    The report's ``cuts`` field carries every accumulated halfspace; any
-    solution of the problem satisfies them all.
+    The report's ``cuts`` lists, in order, every cut that constrains
+    something; any solution of the problem satisfies them all. When ``C``
+    intersected with the cuts becomes empty, so that the problem has no
+    solution, the run ends with the ``InnerFailure`` status.
     """
     if config is None:
         config = default_config(problem, mode=STRONG)
     if config.mode != STRONG:
         raise ValueError("strong_solve requires a config with mode='strong'")
-    state = StrongState(anchor=as_vector(problem.x1, problem.C.dim))
-    return _solve(
-        problem, config, lambda x, k: strong_step(problem, config, state, x, k), state.cuts
-    )
+    state = StrongState(problem)
+    report = _solve(problem, config, lambda x, k: strong_step(problem, config, state, x, k))
+    report.cuts = state.cuts()
+    return report
 
 
 def fejer_audit(history: list[IterateRecord], x_star) -> float:

@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import splitep as sp
 from splitep.cli import TRACE_HEADER, main
 from splitep.problems import problem_to_dict
+from splitep.sets import Ball, ProjectionOnto
 
 
 def run_cli(*args):
@@ -160,6 +164,21 @@ class TestSolve:
         assert run_cli("solve", "--problem", path, "--algorithm", algorithm) == 4
         assert "resolvent" in capsys.readouterr().err
 
+    def test_empty_shrinking_set_exit_code(self, outdir, capsys):
+        # the fixed points of S miss C, so the cuts and C have no common point
+        planted = sp.generate_planted(2, 2, seed=1)
+        problem = dataclasses.replace(planted, S=ProjectionOnto(Ball([20.0, 20.0], 1.0)))
+        path = outdir / "empty.json"
+        path.write_text(json.dumps(problem_to_dict(problem)))
+        report, trace = outdir / "empty-report.json", outdir / "empty-trace.csv"
+        code = run_cli(
+            "solve", "--problem", path, "--algorithm", "strong", "--report", report, "--trace", trace
+        )
+        assert code == 4
+        assert "shrinking set is empty" in capsys.readouterr().err
+        assert json.loads(report.read_text())["status"] == "InnerFailure"
+        assert trace.read_text().startswith(TRACE_HEADER)
+
     def test_unplanted_trace_has_nan_distance(self, outdir):
         path = outdir / "anon.json"
         data = problem_to_dict(sp.generate_planted(2, 2, seed=9))
@@ -266,9 +285,11 @@ class TestUnsafeMu:
 
 
 def test_module_entry_point(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-m", "splitep", "generate", "--seed", "1", "--n", "2", "--m", "2",
          "-o", str(tmp_path / "p.json")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )

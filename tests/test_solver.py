@@ -8,7 +8,7 @@ import pytest
 import splitep as sp
 from splitep.equilibrium import AffineVIBifunction, CallableBifunction
 from splitep.problems import ProblemSpec
-from splitep.sets import Ball, Box, Halfspace, Identity, WholeSpace
+from splitep.sets import Ball, Box, DykstraError, Halfspace, Identity, ProjectionOnto, WholeSpace
 from splitep.solver import (
     ConfigError,
     SolveStatus,
@@ -291,9 +291,9 @@ class TestStrongIteration:
     def test_degenerate_problem_cuts_are_whole_space(self):
         problem = degenerate_problem()
         config = simple_config(problem, mode="strong")
-        state = StrongState(anchor=np.array(problem.x1))
+        state = StrongState(problem)
         record = strong_step(problem, config, state, problem.x1, 0)
-        assert all(cut.is_whole_space for cut in state.cuts)
+        assert state.cuts() == []
         assert np.array_equal(record.next_x, problem.x1)
         assert record.residual == 0.0
 
@@ -364,6 +364,24 @@ class TestStrongIteration:
         for record in report.history:
             assert ball_C.membership_violation(record.x) <= 1e-8
 
+    def test_fallback_when_pivots_run_out_matches_exact_path(self, monkeypatch):
+        problem = sp.generate_planted(2, 3, seed=31)
+        config = default_config(problem, mode="strong", max_iter=8)
+        exact = strong_solve(problem, config)
+
+        def out_of_pivots(*args, **kwargs):
+            raise DykstraError(1.0, 0)
+
+        monkeypatch.setattr("splitep.solver.project_polyhedron", out_of_pivots)
+        fallback = strong_solve(problem, config)
+        assert fallback.status is SolveStatus.MAX_ITER_REACHED
+        assert len(fallback.history) == len(exact.history) == 9
+        # within Dykstra's feasibility bound, ten times its 1e-10 sweep tolerance
+        for swept, projected in zip(fallback.history, exact.history):
+            assert np.linalg.norm(swept.next_x - projected.next_x) <= 1e-9
+        x_star = problem.planted_solution
+        assert max(cut.membership_violation(x_star) for cut in fallback.cuts) <= 1e-8
+
 
 SOLVERS = {"weak": weak_solve, "strong": strong_solve}
 
@@ -400,6 +418,14 @@ class TestFailureRouting:
         report = SOLVERS[mode](problem, default_config(problem, mode=mode))
         assert report.status is SolveStatus.INNER_FAILURE
         assert {"f": "subgradient descent", "g": "resolvent"}[member] in report.message
+
+    def test_empty_shrinking_set_is_an_inner_failure(self):
+        # the fixed points of S miss C, so the cuts and C have no common point
+        planted = sp.generate_planted(2, 2, seed=1)
+        problem = dataclasses.replace(planted, S=ProjectionOnto(Ball([20.0, 20.0], 1.0)))
+        report = strong_solve(problem)
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert "shrinking set is empty" in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_skew_resolvent_on_whole_space_is_exact(self, mode):
