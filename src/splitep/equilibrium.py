@@ -228,7 +228,8 @@ def prox_step(
     Raises
     ------
     ValueError
-        If ``lam <= 0`` or ``x`` lies outside ``C`` (violation above 1e-9).
+        If ``lam <= 0``, ``x`` or ``at`` is not a finite vector of dimension
+        ``C.dim``, or ``x`` lies outside ``C`` (violation above 1e-9).
     InnerSolveError
         If the iterative path stalls above ``tol`` within ``max_inner`` steps,
         or as soon as one of its steps is not finite (for instance a
@@ -242,9 +243,13 @@ def prox_step(
     if violation > 1e-9:
         raise ValueError(f"prox anchor lies outside the constraint set (violation {violation:.3e})")
     at = x if at is None else as_vector(at, C.dim)
+    return _prox_step(f, C, x, lam, at, tol, max_inner)
 
+
+def _prox_step(f, C, x: np.ndarray, lam: float, at: np.ndarray, tol=1e-10, max_inner=20_000) -> ProxResult:
+    """:func:`prox_step` unchecked: ``lam > 0``, ``x`` in ``C``, and ``x``, ``at`` finite float vectors."""
     if isinstance(f, AffineVIBifunction):
-        y = C.project(x - lam * f.operator(at))
+        y = C._project(x - lam * f.operator(at))
         return ProxResult(minimizer=y, inner_iterations=0, inner_residual=0.0)
 
     y = x
@@ -254,7 +259,7 @@ def prox_step(
         step = y - (1.0 / (j + 1.0)) * grad
         if not np.all(np.isfinite(step)):
             raise InnerSolveError("projected subgradient descent took a non-finite step", displacement)
-        y_next = C.project(step)
+        y_next = C._project(step)
         displacement = float(np.linalg.norm(y_next - y))
         y = y_next
         if displacement < tol:
@@ -297,7 +302,7 @@ def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps
         at_lower = np.where(active, at_lower & (nu > 0.0), w < Q.lower)
         key = (at_upper.tobytes(), at_lower.tobytes())
         if key == previous:
-            return Q.project(w)
+            return Q._project(w)
         if key in seen or step == max_steps:
             return None
         seen.add(key)
@@ -347,7 +352,7 @@ def resolvent(
     Raises
     ------
     ValueError
-        If ``alpha <= 0``.
+        If ``alpha <= 0`` or ``u`` is not a finite vector of dimension ``Q.dim``.
     InnerSolveError
         When the fixed-point loop does not converge within ``max_inner``
         iterations, or as soon as one of its steps is not finite (the
@@ -356,8 +361,11 @@ def resolvent(
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("resolvent parameter must be positive")
-    u = as_vector(u, Q.dim)
+    return _resolvent(g, Q, alpha, as_vector(u, Q.dim), tol, max_inner)
 
+
+def _resolvent(g, Q, alpha: float, u: np.ndarray, tol=1e-9, max_inner=10_000) -> np.ndarray:
+    """:func:`resolvent` unchecked: ``alpha > 0`` and ``u`` a finite float vector of dimension ``Q.dim``."""
     if isinstance(g, AffineVIBifunction):
         if isinstance(Q, (Box, WholeSpace)):
             w = _exact_affine_resolvent(g, Q, alpha, u, max_inner)
@@ -371,7 +379,7 @@ def resolvent(
         def direction(w):
             return g.subgradient_y(w, w)
 
-    w = Q.project(u)
+    w = Q._project(u)
     displacement = np.inf
     # a diverging iteration overflows inside numpy; the finiteness check
     # below reports it as InnerSolveError, so numpy's warnings are silenced
@@ -380,7 +388,7 @@ def resolvent(
             step = w - rho * (alpha * direction(w) + (w - u))
             if not np.all(np.isfinite(step)):
                 raise InnerSolveError("resolvent fixed-point iteration diverged", displacement)
-            w_next = Q.project(step)
+            w_next = Q._project(step)
             displacement = float(np.linalg.norm(w_next - w))
             w = w_next
             if displacement < tol:

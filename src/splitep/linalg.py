@@ -81,16 +81,12 @@ class DenseOperator:
         return self.entries.shape[1]
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"operator expects dimension {self.n}, got {x.shape}")
-        return self.entries @ x
+        """``A x`` for a finite vector ``x`` of dimension ``n``, checked."""
+        return self.entries @ as_vector(x, self.n)
 
     def adjoint_apply(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m,):
-            raise ValueError(f"adjoint expects dimension {self.m}, got {y.shape}")
-        return self.entries.T @ y
+        """``A* y`` for a finite vector ``y`` of dimension ``m``, checked."""
+        return self.entries.T @ as_vector(y, self.m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseOperator):

@@ -5,6 +5,8 @@ Each :class:`ConvexSet` variant carries a closed-form metric projection except
 The projection ``z = P(x)`` of any variant satisfies the variational
 characterization ``<x - z, y - z> <= 0`` for all members ``y`` of the set.
 
+``project`` and ``apply`` check their argument and call the variant's unchecked
+``_project`` or ``_apply``; a user subclass may override the public method alone.
 Set and mapping objects are immutable after construction and all operations
 are pure, so values can be shared freely across threads.
 """
@@ -68,7 +70,14 @@ class ConvexSet:
     dim: int
 
     def project(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """Metric projection of ``x``, checked as a finite vector of dimension ``dim``."""
+        return self._project(as_vector(x, self.dim))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """Projection of a finite float vector of dimension ``dim``, unchecked."""
+        if type(self).project is ConvexSet.project:
+            raise NotImplementedError
+        return self.project(x)
 
     def membership_violation(self, x) -> float:
         """Euclidean distance from ``x`` to the set (a lower bound for Intersection)."""
@@ -90,8 +99,8 @@ class WholeSpace(ConvexSet):
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
 
-    def project(self, x) -> np.ndarray:
-        return as_vector(x, self.dim)
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def membership_violation(self, x) -> float:
         as_vector(x, self.dim)
@@ -114,8 +123,8 @@ class Box(ConvexSet):
             raise ValueError("box requires lower <= upper componentwise")
         self.dim = self.lower.size
 
-    def project(self, x) -> np.ndarray:
-        return np.clip(as_vector(x, self.dim), self.lower, self.upper)
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, self.lower, self.upper)
 
     def membership_violation(self, x) -> float:
         x = as_vector(x, self.dim)
@@ -146,8 +155,7 @@ class Ball(ConvexSet):
         self.radius = radius
         self.dim = self.center.size
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
+    def _project(self, x: np.ndarray) -> np.ndarray:
         offset = x - self.center
         dist = np.linalg.norm(offset)
         if dist <= self.radius:
@@ -191,8 +199,15 @@ class Halfspace(ConvexSet):
         if self.is_whole_space and self.offset < -TINY_NORMAL:
             raise EmptySetError("halfspace with zero normal and negative offset is empty")
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
+    @classmethod
+    def _from_row(cls, normal: np.ndarray, offset: float) -> "Halfspace":
+        """Halfspace of a finite row whose normal has norm ``>= TINY_NORMAL``, unchecked."""
+        cut = cls.__new__(cls)
+        cut.normal, cut.offset, cut.dim, cut.is_whole_space = normal, float(offset), normal.size, False
+        cut._normal_sq = float(normal @ normal)
+        return cut
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         if self.is_whole_space:
             return x
         excess = float(self.normal @ x) - self.offset
@@ -231,7 +246,7 @@ class Intersection(ConvexSet):
         self.members = members
         self.dim = members[0].dim
 
-    def project(self, x) -> np.ndarray:
+    def _project(self, x: np.ndarray) -> np.ndarray:
         return project_intersection(self.members, x)
 
     def membership_violation(self, x) -> float:
@@ -303,7 +318,7 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
     dim = members[0].dim
     x = as_vector(x, dim)
     if len(members) == 1:
-        return members[0].project(x)
+        return members[0]._project(x)
     increments = [np.zeros(dim) for _ in members]
     current = x
     sweeps = 0
@@ -311,7 +326,7 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
         moved = 0.0
         for i, member in enumerate(members):
             shifted = current + increments[i]
-            projected = member.project(shifted)
+            projected = member._project(shifted)
             increments[i] = shifted - projected
             moved = max(moved, float(np.linalg.norm(projected - current)))
             current = projected
@@ -354,6 +369,7 @@ def project_polyhedron(
     G: np.ndarray,
     h: np.ndarray,
     start_active=(),
+    row_norms=None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Exact projection of ``x0`` onto ``{r : G r <= h}`` by a dual active-set method.
 
@@ -370,7 +386,8 @@ def project_polyhedron(
 
     Returns the projection together with the final active row indices, which
     can seed ``start_active`` on a subsequent call with an enlarged row set
-    (existing rows must keep their indices). Unlike Dykstra's scheme this
+    (existing rows must keep their indices). Given ``row_norms`` must equal
+    ``np.linalg.norm(G, axis=1)``. Unlike Dykstra's scheme this
     is insensitive to nearly parallel rows, but it needs the explicit
     inequality description.
 
@@ -387,7 +404,7 @@ def project_polyhedron(
     h = np.asarray(h, dtype=float)
     if G.shape[0] == 0:
         return x0.copy(), ()
-    row_scale = np.linalg.norm(G, axis=1)
+    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
     if np.any(row_scale == 0.0):
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * G.shape[0]
@@ -481,13 +498,15 @@ def halfspace_dominates(a, b) -> Halfspace:
     zero-normal halfspace with offset 0.
     """
     a = as_vector(a)
-    b = as_vector(b, a.size)
+    row = _dominating_row(a, as_vector(b, a.size))
+    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace(*row)
+
+
+def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Normal and offset of :func:`halfspace_dominates`, unchecked; None for the whole space."""
     difference = b - a
     normal = 2.0 * difference
-    if np.linalg.norm(normal) < TINY_NORMAL:
-        return Halfspace(np.zeros(a.size), 0.0)
-    offset = float(difference @ (a + b))
-    return Halfspace(normal, offset)
+    return None if np.linalg.norm(normal) < TINY_NORMAL else (normal, float(difference @ (a + b)))
 
 
 class NonexpansiveMap:
@@ -496,7 +515,14 @@ class NonexpansiveMap:
     dim: int
 
     def apply(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """Image of ``x``, checked as a finite vector of dimension ``dim``."""
+        return self._apply(as_vector(x, self.dim))
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Image of a finite float vector of dimension ``dim``, unchecked."""
+        if type(self).apply is NonexpansiveMap.apply:
+            raise NotImplementedError
+        return self.apply(x)
 
 
 class Identity(NonexpansiveMap):
@@ -505,8 +531,8 @@ class Identity(NonexpansiveMap):
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
 
-    def apply(self, x) -> np.ndarray:
-        return as_vector(x, self.dim)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Identity) and other.dim == self.dim
@@ -522,8 +548,8 @@ class ProjectionOnto(NonexpansiveMap):
         self.target = target
         self.dim = target.dim
 
-    def apply(self, x) -> np.ndarray:
-        return self.target.project(x)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return self.target._project(x)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProjectionOnto) and other.target == self.target
@@ -543,9 +569,8 @@ class Averaged(NonexpansiveMap):
         self.base = base
         self.dim = base.dim
 
-    def apply(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        return (1.0 - self.theta) * x + self.theta * self.base.apply(x)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return (1.0 - self.theta) * x + self.theta * self.base._apply(x)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Averaged) and other.theta == self.theta and other.base == self.base
@@ -564,8 +589,8 @@ class Composition(NonexpansiveMap):
         self.inner = inner
         self.dim = outer.dim
 
-    def apply(self, x) -> np.ndarray:
-        return self.outer.apply(self.inner.apply(x))
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return self.outer._apply(self.inner._apply(x))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Composition) and other.outer == self.outer and other.inner == self.inner

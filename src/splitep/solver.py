@@ -36,13 +36,15 @@ from typing import Callable
 
 import numpy as np
 
-from splitep.equilibrium import InnerSolveError, prox_step, resolvent
+# bench/spans.py looks up and wraps the checked prox_step, resolvent and halfspace_dominates here
+from splitep.equilibrium import InnerSolveError, _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
 from splitep.linalg import as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
     DykstraError,
     EmptySetError,
     Halfspace,
-    halfspace_dominates,
+    _dominating_row,
+    halfspace_dominates,  # noqa: F401
     linear_inequality_rows,
     project_intersection,
     project_polyhedron,
@@ -307,7 +309,8 @@ class StrongState:
     never dropped: the nesting of the constraint sets, which the convergence
     argument relies on, would break otherwise. Row indices are stable, so the
     last active rows (``active_rows``) stay valid after appending and
-    warm-start the next anchor projection.
+    warm-start the next anchor projection. Each row's norm is kept with it,
+    reduced as ``np.linalg.norm(G, axis=1)`` reduces it, so they match bit for bit.
     """
 
     def __init__(self, problem):
@@ -319,25 +322,29 @@ class StrongState:
         self.first_cut = self.count = len(h0)
         self._G = np.vstack([G0, np.zeros((max(64, self.count), dim))])
         self._h = np.concatenate([h0, np.zeros(max(64, self.count))])
+        self._norms = np.linalg.norm(self._G, axis=1)
         self.active_rows: tuple[int, ...] = ()
 
-    def add_cut(self, cut: Halfspace) -> None:
-        """Store ``cut`` as a row unless it is the whole space."""
-        if cut.is_whole_space:
+    def add_cut(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space."""
+        row = _dominating_row(a, b)
+        if row is None:
             return
         if self.count == len(self._h):
             self._G = np.concatenate([self._G, np.zeros_like(self._G)])
             self._h = np.concatenate([self._h, np.zeros_like(self._h)])
-        self._G[self.count] = cut.normal
-        self._h[self.count] = cut.offset
+            self._norms = np.concatenate([self._norms, np.zeros_like(self._norms)])
+        self._G[self.count], self._h[self.count] = row
+        self._norms[self.count] = np.linalg.norm(self._G[self.count : self.count + 1], axis=1)[0]
         self.count += 1
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._G[: self.count], self._h[: self.count]
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored rows ``G`` and ``h``, and the norms of the rows of ``G``."""
+        return self._G[: self.count], self._h[: self.count], self._norms[: self.count]
 
     def cuts(self) -> list[Halfspace]:
-        """The stored cuts, in order, as halfspaces."""
-        return [Halfspace(self._G[i], self._h[i]) for i in range(self.first_cut, self.count)]
+        """The stored cuts, in order, as halfspaces, not checked again."""
+        return [Halfspace._from_row(self._G[i], self._h[i]) for i in range(self.first_cut, self.count)]
 
 
 @dataclass
@@ -355,24 +362,25 @@ class SolveReport:
     message: str = ""
 
 
-def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
+def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int) -> IterateRecord:
     """Shared portion of both iterations: the plain iteration's record.
 
     Its ``next_x`` is the corrected point ``s``; the hybrid iteration amends
-    the record in place.
+    the record in place. It runs on unchecked kernels and checks nothing: a
+    non-finite value a user's map or bifunction returns makes the residual
+    non-finite, and the driver ends the run with the ``InnerFailure`` status.
     """
-    x = as_vector(x, problem.C.dim)
     lam = config.lambda_schedule(k)
     alpha_k = config.alpha_k_schedule(k)
 
-    y = prox_step(problem.f, problem.C, x, lam).minimizer
-    z = prox_step(problem.f, problem.C, x, lam, at=y).minimizer
-    Sz = problem.S.apply(z)
+    y = _prox_step(problem.f, problem.C, x, lam, at=x).minimizer
+    z = _prox_step(problem.f, problem.C, x, lam, at=y).minimizer
+    Sz = problem.S._apply(z)
     t = (1.0 - config.alpha) * z + config.alpha * Sz
-    At = problem.A.apply(t)
-    u = resolvent(problem.g, problem.Q, alpha_k, At)
-    Tu = problem.T.apply(u)
-    s = problem.C.project(t + config.mu * problem.A.adjoint_apply(Tu - At))
+    At = problem.A.entries @ t
+    u = _resolvent(problem.g, problem.Q, alpha_k, At)
+    Tu = problem.T._apply(u)
+    s = problem.C._project(t + config.mu * (problem.A.entries.T @ (Tu - At)))
     parts = dict(
         res_xy=norm(x - y),
         res_yz=norm(y - z),
@@ -400,8 +408,8 @@ def _core_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
 def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
     """One iteration of the plain extragradient scheme from ``x`` at index ``k``.
 
-    The caller is responsible for ``x`` in ``C`` and for ``config`` having
-    passed :func:`validate`.
+    The caller is responsible for ``x`` being a finite float vector in ``C``
+    and for ``config`` having passed :func:`validate`.
     """
     return _core_step(problem, config, x, k)
 
@@ -417,10 +425,10 @@ def _project_shrinking_set(problem, state: StrongState) -> np.ndarray:
     it (the next prox step checks membership).
     """
     if state.rows_include_C:
-        G, h = state.rows()
+        G, h, norms = state.rows()
         try:
             next_x, state.active_rows = project_polyhedron(
-                state.anchor, G, h, start_active=state.active_rows
+                state.anchor, G, h, start_active=state.active_rows, row_norms=norms
             )
             return next_x
         except DykstraError:
@@ -436,12 +444,15 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     it mutates in place, unless a cut is the whole space, and projects the
     anchor onto the constraint set intersected with all stored cuts. The
     record's ``next_x`` is that projection; ``s`` holds the corrected point.
-    The caller is responsible for ``x`` in ``C`` and for ``config`` having
-    passed :func:`validate`.
+    A record with a non-finite residual is returned without cuts, for the
+    driver to stop on. The caller is responsible for ``x`` being a finite
+    float vector in ``C`` and for ``config`` having passed :func:`validate`.
     """
     record = _core_step(problem, config, x, k)
-    state.add_cut(halfspace_dominates(record.next_x, record.t))
-    state.add_cut(halfspace_dominates(record.t, record.x))
+    if not math.isfinite(record.residual):
+        return record
+    state.add_cut(record.next_x, record.t)
+    state.add_cut(record.t, record.x)
     record.s = record.next_x
     record.res_sx = record.step
     record.next_x = _project_shrinking_set(problem, state)

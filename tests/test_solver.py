@@ -8,7 +8,16 @@ import pytest
 import splitep as sp
 from splitep.equilibrium import AffineVIBifunction, CallableBifunction
 from splitep.problems import ProblemSpec
-from splitep.sets import Ball, Box, DykstraError, Halfspace, Identity, ProjectionOnto, WholeSpace
+from splitep.sets import (
+    Ball,
+    Box,
+    DykstraError,
+    Halfspace,
+    Identity,
+    NonexpansiveMap,
+    ProjectionOnto,
+    WholeSpace,
+)
 from splitep.solver import (
     ConfigError,
     SolveStatus,
@@ -70,6 +79,19 @@ def skew_problem(Q=WholeSpace(2)):
         T=Identity(2),
         x1=np.array([1.0, 2.0]),
     )
+
+
+class NaNFromFourthCall(NonexpansiveMap):
+    """A user map, defined by ``apply`` alone, that returns NaN from its fourth call on."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.calls = 0
+
+    def apply(self, x):
+        self.calls += 1
+        return self.base.apply(x) if self.calls < 4 else np.full(self.dim, np.nan)
 
 
 def simple_config(problem, **overrides):
@@ -419,6 +441,17 @@ class TestFailureRouting:
         assert report.status is SolveStatus.INNER_FAILURE
         assert {"f": "subgradient descent", "g": "resolvent"}[member] in report.message
 
+    @pytest.mark.parametrize("mode", SOLVERS)
+    def test_non_finite_map_value_is_an_inner_failure(self, mode):
+        # the loop checks nothing past its start, so the NaN flows through the
+        # step into the residual instead of being rejected by a projection
+        planted = sp.generate_planted(3, 3, seed=1)
+        problem = dataclasses.replace(planted, S=NaNFromFourthCall(planted.S))
+        report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert report.iterations == 3
+        assert "non-finite residual" in report.message
+
     def test_empty_shrinking_set_is_an_inner_failure(self):
         # the fixed points of S miss C, so the cuts and C have no common point
         planted = sp.generate_planted(2, 2, seed=1)
@@ -439,16 +472,16 @@ class TestExactResolventPath:
     def test_planted_resolvent_projects_onto_q_once(self, monkeypatch):
         # the planted family (affine g, box Q) takes the exact resolvent,
         # which projects onto Q once per call; the fixed-point loop would
-        # project about 30 times
+        # project about 30 times. The solve loop calls the unchecked kernel.
         problem = sp.generate_planted(5, 5, seed=4)
-        project = problem.Q.project
+        project = problem.Q._project
         calls = []
 
         def counting_project(x):
             calls.append(1)
             return project(x)
 
-        monkeypatch.setattr(problem.Q, "project", counting_project)
+        monkeypatch.setattr(problem.Q, "_project", counting_project)
         report = weak_solve(problem)
         assert report.status is SolveStatus.CONVERGED
         assert len(calls) == report.iterations + 1
