@@ -8,8 +8,7 @@ the domain. Two realizations are provided:
   ``F(x) = M x + q``; covers variational inequalities and admits closed-form
   proximal sub-steps.
 * :class:`CallableBifunction` -- user-supplied evaluation and a selection
-  from the subdifferential of ``f(x, .)``; supported on a best-effort basis
-  by iterative inner solvers.
+  from the subdifferential of ``f(x, .)``, served by iterative inner solvers.
 
 Both carry declared Lipschitz-type constants ``c1, c2 > 0`` and a declared
 monotonicity class, which :func:`check_assumptions` probes numerically.
@@ -285,7 +284,7 @@ def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps
     opposite bound, and on narrow boxes the steps cycle far more often.
 
     Returns None when ``K`` is singular, when an active set repeats, or after
-    ``max_steps`` steps; the caller then runs the fixed-point loop.
+    ``max_steps`` steps; the caller then runs its iterative loop.
     """
     inverse = g._resolvent_inverse(alpha)
     if inverse is None:
@@ -338,25 +337,24 @@ def resolvent(
     them. The exact path ignores ``tol`` and holds for any monotone ``M``,
     symmetric or not.
 
-    Every other case runs the projected fixed-point iteration
-    ``w <- P_Q(w - rho (alpha G(w) + w - u))`` with
-    ``rho = 1 / (1 + alpha ||M||)``, iterated until the displacement drops
-    below ``tol``; so does a box whose active-set steps revisit a set or
-    exhaust ``max_inner``. The loop contracts for symmetric ``M``; it may
-    diverge for non-symmetric ``M`` once ``alpha ||M||`` is large. For
-    general monotone bifunctions the same scheme runs with
-    ``rho = 1 / (1 + alpha)`` and a subgradient selection in place of ``G``;
-    convergence is then heuristic and failures surface as
-    :class:`InnerSolveError`.
+    Every other case, and a box whose active-set steps revisit a set or
+    exhaust ``max_inner``, runs Tseng's forward-backward-forward step (SIAM
+    J. Control Optim. 38, 2000) on ``F(w) = alpha g.subgradient_y(w, w) +
+    w - u``: ``z = P_Q(w - gamma F(w))``, ``w <- P_Q(z - gamma (F(z) -
+    F(w)))``, halving ``gamma`` (from 1, kept across steps) while
+    ``gamma ||F(z) - F(w)|| > 0.9 ||z - w||``. It converges for every
+    monotone Lipschitz ``g``, symmetric or not, and returns ``z`` once
+    ``||z - w|| <= gamma tol``; as ``F`` is 1-strongly monotone, ``z`` then
+    lies within ``1.9 tol`` of the resolvent.
 
     Raises
     ------
     ValueError
         If ``alpha <= 0`` or ``u`` is not a finite vector of dimension ``Q.dim``.
     InnerSolveError
-        When the fixed-point loop does not converge within ``max_inner``
-        iterations, or as soon as one of its steps is not finite (the
-        iteration diverges, or the subgradient is not finite).
+        When the loop takes ``max_inner`` trial steps, backtracking ones
+        included, or as soon as a trial step is not finite (the iteration
+        diverges for a non-monotone ``g``, or the subgradient is not finite).
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -366,34 +364,35 @@ def resolvent(
 
 def _resolvent(g, Q, alpha: float, u: np.ndarray, tol=1e-9, max_inner=10_000) -> np.ndarray:
     """:func:`resolvent` unchecked: ``alpha > 0`` and ``u`` a finite float vector of dimension ``Q.dim``."""
-    if isinstance(g, AffineVIBifunction):
-        if isinstance(Q, (Box, WholeSpace)):
-            w = _exact_affine_resolvent(g, Q, alpha, u, max_inner)
-            if w is not None:
-                return w
-        rho = 1.0 / (1.0 + alpha * g.operator_norm_upper)
-        direction = g.operator
-    else:
-        rho = 1.0 / (1.0 + alpha)
+    if isinstance(g, AffineVIBifunction) and isinstance(Q, (Box, WholeSpace)):
+        w = _exact_affine_resolvent(g, Q, alpha, u, max_inner)
+        if w is not None:
+            return w
 
-        def direction(w):
-            return g.subgradient_y(w, w)
+    def forward(w):
+        return alpha * g.subgradient_y(w, w) + (w - u)
 
-    w = Q._project(u)
-    displacement = np.inf
+    gamma, displacement = 1.0, np.inf
     # a diverging iteration overflows inside numpy; the finiteness check
     # below reports it as InnerSolveError, so numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
+        w = Q._project(u)
+        forward_w = forward(w)
         for _ in range(max_inner):
-            step = w - rho * (alpha * direction(w) + (w - u))
+            step = w - gamma * forward_w
             if not np.all(np.isfinite(step)):
-                raise InnerSolveError("resolvent fixed-point iteration diverged", displacement)
-            w_next = Q._project(step)
-            displacement = float(np.linalg.norm(w_next - w))
-            w = w_next
-            if displacement < tol:
-                return w
-    raise InnerSolveError("resolvent fixed-point iteration did not converge", displacement)
+                raise InnerSolveError("resolvent forward-backward-forward step diverged", displacement)
+            z = Q._project(step)
+            forward_z = forward(z)
+            displacement = float(np.linalg.norm(z - w))
+            if gamma * float(np.linalg.norm(forward_z - forward_w)) > 0.9 * displacement:
+                gamma *= 0.5  # Armijo backtracking: the trial step is too long
+                continue
+            if displacement <= gamma * tol:
+                return z
+            w = Q._project(z - gamma * (forward_z - forward_w))
+            forward_w = forward(w)
+    raise InnerSolveError("resolvent forward-backward-forward step did not converge", displacement)
 
 
 def resolvent_oracle(g: Bifunction, Q: ConvexSet, alpha: float, u, grid_points: int = 1001) -> np.ndarray:

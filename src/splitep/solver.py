@@ -554,12 +554,15 @@ def fejer_audit(history: list[IterateRecord], x_star) -> float:
     For consecutive records the chain
     ``||x_{k+1} - x*|| <= ||t_k - x*|| <= ||z_k - x*|| <= ||x_k - x*||``
     must hold; the return value is the largest amount by which any link
-    fails, and 0.0 for histories with fewer than two records. Requires an
-    unthinned history.
+    fails, and 0.0 for histories with fewer than two records. Raises
+    ``ValueError`` when two neighbouring records are not consecutive
+    iterations, as in a history thinned by ``history_stride > 1``.
     """
     x_star = as_vector(x_star)
     worst = 0.0
     for prev, nxt in zip(history, history[1:]):
+        if nxt.k != prev.k + 1:
+            raise ValueError(f"records {prev.k} and {nxt.k} are not consecutive iterations")
         d_next = norm(nxt.x - x_star)
         d_t = norm(prev.t - x_star)
         d_z = norm(prev.z - x_star)

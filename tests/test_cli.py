@@ -146,16 +146,20 @@ class TestSolve:
 
     @pytest.mark.parametrize("algorithm", ["weak", "strong"])
     def test_diverging_resolvent_exit_code(self, outdir, capsys, algorithm):
-        # g is monotone but skew, and on a halfspace Q its resolvent iteration
-        # blows up
+        # g is declared monotone but M = -2I is not, and on a halfspace Q its
+        # resolvent iteration blows up
         skew = {
             "type": "vi_affine", "M": [[0.0, 10.0], [-10.0, 0.0]], "q": [0.0, 0.0],
             "c1": 5.0, "c2": 5.0, "monotonicity": "monotone",
         }
+        expanding = {
+            "type": "vi_affine", "M": [[-2.0, 0.0], [0.0, -2.0]], "q": [0.0, 0.0],
+            "c1": 1.0, "c2": 1.0, "monotonicity": "monotone",
+        }
         data = {
             "C": {"type": "whole", "dim": 2},
             "Q": {"type": "halfspace", "normal": [1.0, 0.0], "offset": 100.0},
-            "A": [[1.0, 0.0], [0.0, 1.0]], "f": skew, "g": skew,
+            "A": [[1.0, 0.0], [0.0, 1.0]], "f": skew, "g": expanding,
             "S": {"type": "identity", "dim": 2}, "T": {"type": "identity", "dim": 2},
             "x1": [1.0, 2.0], "planted_solution": None,
         }

@@ -66,8 +66,7 @@ def expansive_problem():
 
 
 def skew_problem(Q=WholeSpace(2)):
-    # monotone but not symmetric: the resolvent's fixed-point step expands, so
-    # on a Q without an exact resolvent the inner solve diverges
+    # monotone but not symmetric, with the solution 0 in every Q used here
     skew = AffineVIBifunction(np.array([[0.0, 10.0], [-10.0, 0.0]]), np.zeros(2), "monotone", 5.0, 5.0)
     return ProblemSpec(
         C=WholeSpace(2),
@@ -79,6 +78,13 @@ def skew_problem(Q=WholeSpace(2)):
         T=Identity(2),
         x1=np.array([1.0, 2.0]),
     )
+
+
+def expanding_resolvent_problem():
+    # g is declared monotone but M = -2I is not: on a halfspace Q its
+    # resolvent step expands until it overflows
+    expanding = AffineVIBifunction(-2.0 * np.eye(2), np.zeros(2), "monotone", 1.0, 1.0)
+    return dataclasses.replace(skew_problem(Q=Halfspace([1.0, 0.0], 100.0)), g=expanding)
 
 
 class NaNFromFourthCall(NonexpansiveMap):
@@ -280,7 +286,7 @@ class TestWeakIteration:
         assert len(report.history) == 4
 
     def test_ball_resolvent_loop_converges(self):
-        # a ball has no exact resolvent, so the fixed-point loop runs
+        # a ball has no exact resolvent, so the forward-backward-forward loop runs
         planted = sp.generate_planted(3, 3, seed=26)
         problem = dataclasses.replace(planted, Q=Ball(planted.A.apply(planted.planted_solution), 5.0))
         report = weak_solve(problem, default_config(problem))
@@ -411,7 +417,7 @@ SOLVERS = {"weak": weak_solve, "strong": strong_solve}
 class TestFailureRouting:
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_diverging_resolvent_is_an_inner_failure(self, mode):
-        problem = skew_problem(Q=Halfspace([1.0, 0.0], 100.0))
+        problem = expanding_resolvent_problem()
         # the divergence is reported as a status, without numpy overflow warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -461,8 +467,14 @@ class TestFailureRouting:
         assert "shrinking set is empty" in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
-    def test_skew_resolvent_on_whole_space_is_exact(self, mode):
-        problem = skew_problem()
+    @pytest.mark.parametrize(
+        "Q",
+        [WholeSpace(2), Halfspace([1.0, 0.0], 100.0), Ball(np.zeros(2), 100.0)],
+        ids=["whole", "halfspace", "ball"],
+    )
+    def test_skew_resolvent_converges(self, mode, Q):
+        # exact on the whole space, the forward-backward-forward loop elsewhere
+        problem = skew_problem(Q)
         report = SOLVERS[mode](problem, default_config(problem, mode=mode))
         assert report.status is SolveStatus.CONVERGED
         assert np.linalg.norm(report.final_x) <= 1e-6
@@ -471,8 +483,9 @@ class TestFailureRouting:
 class TestExactResolventPath:
     def test_planted_resolvent_projects_onto_q_once(self, monkeypatch):
         # the planted family (affine g, box Q) takes the exact resolvent,
-        # which projects onto Q once per call; the fixed-point loop would
-        # project about 30 times. The solve loop calls the unchecked kernel.
+        # which projects onto Q once per call; the forward-backward-forward
+        # loop would project at least twice per inner iteration. The solve
+        # loop calls the unchecked kernel.
         problem = sp.generate_planted(5, 5, seed=4)
         project = problem.Q._project
         calls = []
@@ -556,6 +569,13 @@ class TestSepMode:
 
 
 class TestFejerAudit:
+    def test_thinned_history_is_rejected(self):
+        # the chain links consecutive iterations; records 25 apart say nothing
+        problem = sp.generate_planted(3, 3, seed=27)
+        thinned = weak_solve(problem, default_config(problem, history_stride=25))
+        with pytest.raises(ValueError, match="consecutive"):
+            fejer_audit(thinned.history, problem.planted_solution)
+
     def test_single_record_history_is_empty_chain(self):
         problem = sp.generate_planted(2, 2, seed=51)
         config = default_config(problem)
