@@ -2,8 +2,8 @@
 
 Both are run on the same planted instance. The plain scheme moves the
 iterate directly; the hybrid scheme re-projects the fixed start point onto
-an ever-shrinking polyhedron cut out by two halfspaces per iteration, which
-buys norm convergence at the price of heavier iterations.
+an ever-shrinking set, the constraint set cut by two halfspaces per
+iteration, which buys norm convergence at the price of heavier iterations.
 """
 
 import time

@@ -49,18 +49,19 @@ class EmptySetError(ValueError):
 
 
 class DykstraError(RuntimeError):
-    """Dykstra's scheme stopped without reaching feasibility.
+    """A projection onto an intersection stopped without reaching feasibility.
 
-    Either the sweep budget was too small or the intersection is empty.
+    Dykstra's scheme used up its ``sweeps`` (the intersection may be empty),
+    or, with ``pivots``, :func:`project_polyhedron` used up that many pivots.
     """
 
-    def __init__(self, worst_violation: float, sweeps: int):
+    def __init__(self, worst_violation: float, sweeps: int, pivots: bool = False):
         self.worst_violation = worst_violation
         self.sweeps = sweeps
         super().__init__(
-            f"alternating projections did not converge after {sweeps} sweeps; "
-            f"worst membership violation {worst_violation:.3e} "
-            "(the intersection may be empty)"
+            (f"the active-set projection used up its budget of {sweeps} pivots" if pivots else
+             f"alternating projections did not converge after {sweeps} sweeps")
+            + f"; worst membership violation {worst_violation:.3e} (the intersection may be empty)"
         )
 
 
@@ -396,8 +397,7 @@ def project_polyhedron(
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     DykstraError
-        If the pivot budget is exhausted; callers may fall back to
-        :func:`project_intersection`.
+        If the pivot budget is exhausted.
     """
     x0 = np.asarray(x0, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -482,7 +482,7 @@ def project_polyhedron(
                 break
             del working[blocking]
             del multipliers[blocking]
-    raise DykstraError(float(np.max((G @ r - h) / row_scale)), max_pivots)
+    raise DykstraError(float(np.max((G @ r - h) / row_scale)), max_pivots, pivots=True)
 
 
 def halfspace_dominates(a, b) -> Halfspace:

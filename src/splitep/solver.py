@@ -11,7 +11,7 @@ directly and is Fejer monotone with respect to every solution. The hybrid
 variant (:func:`strong_solve`) instead accumulates, per iteration, the two
 halfspaces of points at least as close to the corrected point as to the
 trial points, and re-projects the fixed anchor ``x1`` onto the constraint
-set intersected with all accumulated cuts.
+set, any closed convex one, intersected with all accumulated cuts.
 
 One driver loop runs both iterations: it owns the start point, the
 divergence guard, the mapping of inner-solver failures to the
@@ -40,6 +40,7 @@ import numpy as np
 from splitep.equilibrium import InnerSolveError, _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
 from splitep.linalg import as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
+    ConvexSet,
     DykstraError,
     EmptySetError,
     Halfspace,
@@ -300,21 +301,22 @@ class IterateRecord:
         return (self.res_xy, self.res_yz, self.res_Sz, self.res_uAt, self.res_Tu, self.step)
 
 
-class StrongState:
-    """Anchor and inequality rows ``G r <= h`` of the shrinking-set iteration.
+class StrongState(ConvexSet):
+    """Anchor, and the convex set ``{r : G r <= h}`` of the shrinking-set iteration's rows.
 
     The rows are those of ``C`` when :func:`linear_inequality_rows` gives
     them (``rows_include_C``), followed by every cut that constrains
     something, in the order made; whole-space cuts are not stored. Rows are
     never dropped: the nesting of the constraint sets, which the convergence
     argument relies on, would break otherwise. Row indices are stable, so the
-    last active rows (``active_rows``) stay valid after appending and
-    warm-start the next anchor projection. Each row's norm is kept with it,
-    reduced as ``np.linalg.norm(G, axis=1)`` reduces it, so they match bit for bit.
+    active rows that each exact projection (:func:`project_polyhedron`) stores
+    in ``active_rows`` stay valid after appending and warm-start the next one.
+    Each row's norm is kept with it, reduced as ``np.linalg.norm(G, axis=1)``
+    reduces it, so they match bit for bit.
     """
 
     def __init__(self, problem):
-        dim = problem.C.dim
+        self.dim = dim = problem.C.dim
         self.anchor = as_vector(problem.x1, dim)
         base = linear_inequality_rows(problem.C)
         self.rows_include_C = base is not None
@@ -324,6 +326,18 @@ class StrongState:
         self._h = np.concatenate([h0, np.zeros(max(64, self.count))])
         self._norms = np.linalg.norm(self._G, axis=1)
         self.active_rows: tuple[int, ...] = ()
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        G, h, norms = self.rows()
+        point, self.active_rows = project_polyhedron(
+            x, G, h, start_active=self.active_rows, row_norms=norms
+        )
+        return point
+
+    def membership_violation(self, x) -> float:
+        """Largest row violation, scaled by the row's norm; 0 inside."""
+        G, h, norms = self.rows()
+        return float(np.max((G @ as_vector(x, self.dim) - h) / norms, initial=0.0))
 
     def add_cut(self, a: np.ndarray, b: np.ndarray) -> None:
         """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space."""
@@ -414,35 +428,14 @@ def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
     return _core_step(problem, config, x, k)
 
 
-def _project_shrinking_set(problem, state: StrongState) -> np.ndarray:
-    """Project the anchor onto the constraint set intersected with all cuts.
-
-    When the stored rows include the constraint set, the exact active-set
-    projector runs on them, warm-started with the previously active rows.
-    Otherwise, or if the pivots run out, Dykstra's scheme is the fallback, on
-    halfspaces built from the stored cut rows; the constraint set goes last
-    in its member list so the returned sweep iterate is exactly feasible for
-    it (the next prox step checks membership).
-    """
-    if state.rows_include_C:
-        G, h, norms = state.rows()
-        try:
-            next_x, state.active_rows = project_polyhedron(
-                state.anchor, G, h, start_active=state.active_rows, row_norms=norms
-            )
-            return next_x
-        except DykstraError:
-            state.active_rows = ()
-    return project_intersection([*state.cuts(), problem.C], state.anchor)
-
-
 def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) -> IterateRecord:
     """One iteration of the shrinking-projection scheme from ``x`` at index ``k``.
 
     Stores the two new cuts (points at least as close to the corrected point
     ``s`` as to ``t``, and to ``t`` as to ``x``) as rows of ``state``, which
     it mutates in place, unless a cut is the whole space, and projects the
-    anchor onto the constraint set intersected with all stored cuts. The
+    anchor onto ``state``, or, when its rows omit ``C``, onto ``state`` and
+    then ``C`` (last, so the sweep iterate is exactly feasible for it). The
     record's ``next_x`` is that projection; ``s`` holds the corrected point.
     A record with a non-finite residual is returned without cuts, for the
     driver to stop on. The caller is responsible for ``x`` being a finite
@@ -455,7 +448,8 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     state.add_cut(record.t, record.x)
     record.s = record.next_x
     record.res_sx = record.step
-    record.next_x = _project_shrinking_set(problem, state)
+    members = [state] if state.rows_include_C else [state, problem.C]
+    record.next_x = project_intersection(members, state.anchor)
     record.step = norm(record.next_x - record.x)
     record.res_tx = norm(record.t - record.x)
     # the plain residual already covers res_sx and the five residual parts
@@ -491,7 +485,7 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
             break
         if k % config.history_stride == 0:
             history.append(last)
-        if not np.isfinite(last.residual):
+        if not math.isfinite(last.residual):
             failure = "non-finite residual; check the problem data"
             break
         x = last.next_x

@@ -84,6 +84,18 @@ class TestSolve:
         assert payload["status"] == "Converged"
         assert payload["distance_to_planted"] <= 1e-4
 
+    def test_strong_solve_with_ball_constraint(self, outdir):
+        # a ball has no inequality rows, so the cut rows and C are swept together
+        problem = dataclasses.replace(sp.generate_planted(2, 2, seed=34), C=Ball([0.0, 0.0], 8.0))
+        path = outdir / "ball.json"
+        path.write_text(json.dumps(problem_to_dict(problem)))
+        report = outdir / "ball-report.json"
+        code = run_cli("solve", "--problem", path, "--algorithm", "strong", "--report", report)
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert payload["status"] == "Converged"
+        assert payload["distance_to_planted"] <= 1e-5
+
     def test_parameter_overrides_are_applied(self, outdir):
         path = generate(outdir, seed=4, n=2, m=2)
         report = outdir / "o.json"

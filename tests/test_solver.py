@@ -373,9 +373,9 @@ class TestStrongIteration:
         report = strong_solve(problem)
         assert all(record.s is not None for record in report.history)
 
-    def test_ball_constraint_uses_sweep_fallback(self):
-        # constraint sets without inequality rows exercise the Dykstra path;
-        # a handful of iterations suffices (convergence is the exact-path job)
+    def test_ball_constraint_projects_onto_cut_rows_then_C(self):
+        # a constraint set without inequality rows is swept with the cut rows
+        # as one member; a handful of iterations checks every projection
         problem = sp.generate_planted(2, 2, seed=34)
         ball_C = sp.Ball(np.zeros(2), 8.0)
         moved = ProblemSpec(
@@ -391,24 +391,41 @@ class TestStrongIteration:
         assert distances[-1] <= distances[0]
         for record in report.history:
             assert ball_C.membership_violation(record.x) <= 1e-8
+        # the per-cut Dykstra sweep at a tight tolerance is the reference
+        assert len(report.cuts) == 2 * len(report.history)
+        for record in report.history:
+            cuts_so_far = report.cuts[: 2 * record.k + 2]
+            reference = sp.project_intersection([*cuts_so_far, ball_C], moved.x1, tol=1e-12)
+            assert np.linalg.norm(record.next_x - reference) <= 1e-10
 
-    def test_fallback_when_pivots_run_out_matches_exact_path(self, monkeypatch):
+    def test_pivots_run_out_is_an_inner_failure(self, monkeypatch):
         problem = sp.generate_planted(2, 3, seed=31)
         config = default_config(problem, mode="strong", max_iter=8)
-        exact = strong_solve(problem, config)
 
         def out_of_pivots(*args, **kwargs):
-            raise DykstraError(1.0, 0)
+            raise DykstraError(1.0, 0, pivots=True)
 
         monkeypatch.setattr("splitep.solver.project_polyhedron", out_of_pivots)
-        fallback = strong_solve(problem, config)
-        assert fallback.status is SolveStatus.MAX_ITER_REACHED
-        assert len(fallback.history) == len(exact.history) == 9
-        # within Dykstra's feasibility bound, ten times its 1e-10 sweep tolerance
-        for swept, projected in zip(fallback.history, exact.history):
-            assert np.linalg.norm(swept.next_x - projected.next_x) <= 1e-9
-        x_star = problem.planted_solution
-        assert max(cut.membership_violation(x_star) for cut in fallback.cuts) <= 1e-8
+        report = strong_solve(problem, config)
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert report.iterations == 0
+        assert "active-set projection used up its budget of 0 pivots" in report.message
+
+
+@pytest.mark.parametrize("seed", [34, 1])
+@pytest.mark.parametrize(
+    "C",
+    [Ball(np.zeros(2), 8.0), sp.Intersection([Box(-5.0 * np.ones(2), 5.0 * np.ones(2)), Ball(np.zeros(2), 8.0)])],
+    ids=["ball", "box-and-ball"],
+)
+def test_strong_solve_converges_without_rows_for_C(seed, C):
+    # C has no inequality rows, so each projection sweeps the cut rows and C;
+    # before, a per-cut sweep failed here after some 60 iterations
+    planted = sp.generate_planted(2, 2, seed=seed)
+    problem = dataclasses.replace(planted, C=C)
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=200))
+    assert report.status is SolveStatus.CONVERGED
+    assert np.linalg.norm(report.final_x - planted.planted_solution) <= 1e-5
 
 
 SOLVERS = {"weak": weak_solve, "strong": strong_solve}
