@@ -18,6 +18,7 @@ import numpy as np
 from splitep.linalg import as_vector
 
 __all__ = [
+    "ActiveSet",
     "Averaged",
     "Ball",
     "Box",
@@ -365,11 +366,29 @@ def linear_inequality_rows(convex_set: ConvexSet) -> tuple[np.ndarray, np.ndarra
     return None
 
 
+class ActiveSet:
+    """Where :func:`project_polyhedron` stopped; it reads the record and refreshes it.
+
+    ``rows`` and ``multipliers`` are the working rows and their multipliers,
+    ``point`` the projection of the point whose bytes are ``key``, and
+    ``checked`` how many leading rows that projection satisfies. A fresh
+    record, or one holding only ``rows``, warm-starts from those rows. The
+    record shares ``point`` with the caller, who must not modify it in place.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: tuple[int, ...] = tuple(rows)
+        self.multipliers: list[float] = []
+        self.point: np.ndarray | None = None
+        self.key = b""
+        self.checked = 0
+
+
 def project_polyhedron(
     x0,
     G: np.ndarray,
     h: np.ndarray,
-    start_active=(),
+    start: ActiveSet | None = None,
     row_norms=None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Exact projection of ``x0`` onto ``{r : G r <= h}`` by a dual active-set method.
@@ -385,12 +404,18 @@ def project_polyhedron(
     the KKT conditions to tolerance, i.e. it is the projection to machine
     precision.
 
-    Returns the projection together with the final active row indices, which
-    can seed ``start_active`` on a subsequent call with an enlarged row set
-    (existing rows must keep their indices). Given ``row_norms`` must equal
-    ``np.linalg.norm(G, axis=1)``. Unlike Dykstra's scheme this
-    is insensitive to nearly parallel rows, but it needs the explicit
-    inequality description.
+    Returns the projection together with the active row indices (the working
+    rows with positive multipliers). A ``start`` record carries a call's end
+    state to the next call, whose rows may add rows after the old ones but
+    must leave those unchanged. When ``x0`` is bit-equal to the last point
+    the record projected, the iteration resumes from the stored point and
+    multipliers, and its first scan reads only the added rows: the others
+    held at that point to the same tolerance, which depends on ``x0`` alone.
+    For any other ``x0`` it re-derives multipliers for the stored working
+    rows, shedding those no longer binding. Given ``row_norms`` must be the
+    norms of the rows of ``G``. Unlike Dykstra's scheme this is insensitive
+    to nearly parallel rows, but it needs the explicit inequality
+    description.
 
     Raises
     ------
@@ -402,12 +427,13 @@ def project_polyhedron(
     x0 = np.asarray(x0, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
-    if G.shape[0] == 0:
+    k = G.shape[0]
+    if k == 0:
         return x0.copy(), ()
     row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
     if np.any(row_scale == 0.0):
         raise ValueError("zero rows must be filtered out before projection")
-    max_pivots = 200 + 10 * G.shape[1] + 2 * G.shape[0]
+    max_pivots = 200 + 10 * G.shape[1] + 2 * k
     feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 
     working: list[int] = []
@@ -417,29 +443,40 @@ def project_polyhedron(
         Gw = G[rows]
         return np.linalg.solve(Gw @ Gw.T, Gw @ x0 - h[rows])
 
-    # Re-derive warm-start multipliers, shedding rows that are no longer
-    # binding; rows carried over from a previous call stay independent.
-    warm = [i for i in start_active if 0 <= i < G.shape[0]]
-    while warm:
-        try:
-            lam = solve_working(warm)
-        except np.linalg.LinAlgError:
-            warm = []
-            break
-        if np.min(lam) >= 0.0:
-            working = warm
-            multipliers = [float(v) for v in lam]
-            break
-        del warm[int(np.argmin(lam))]
-
-    r = x0 - G[working].T @ np.asarray(multipliers) if working else x0.copy()
+    start = ActiveSet() if start is None else start
+    key = x0.tobytes()
+    if start.key == key and start.checked <= k:
+        working, multipliers, r = list(start.rows), list(start.multipliers), start.point
+        # The first scan starts at the added rows, or at the last row when none
+        # were added, so that it is never empty.
+        fresh = min(start.checked, k - 1)
+    else:
+        # Re-derive warm-start multipliers, shedding rows that are no longer
+        # binding; rows carried over from a previous call stay independent.
+        warm = [i for i in start.rows if 0 <= i < k]
+        while warm:
+            try:
+                lam = solve_working(warm)
+            except np.linalg.LinAlgError:
+                warm = []
+                break
+            if np.min(lam) >= 0.0:
+                working = warm
+                multipliers = [float(v) for v in lam]
+                break
+            del warm[int(np.argmin(lam))]
+        r = x0 - G[working].T @ np.asarray(multipliers) if working else x0.copy()
+        fresh = 0
 
     for _ in range(max_pivots):
-        violations = (G @ r - h) / row_scale
-        p = int(np.argmax(violations))
-        if violations[p] <= feas_scale:
-            keep = [i for i, lam in zip(working, multipliers) if lam > 0.0]
-            return r, tuple(keep)
+        violations = (G[fresh:] @ r - h[fresh:]) / row_scale[fresh:]
+        p = fresh + int(np.argmax(violations))
+        if violations[p - fresh] <= feas_scale:
+            start.rows, start.multipliers, start.point, start.key, start.checked = (
+                tuple(working), multipliers, r, key, k
+            )
+            return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
+        fresh = 0
         a_p = G[p]
         lam_p = 0.0
         for _ in range(len(working) + 1):
@@ -450,8 +487,9 @@ def project_polyhedron(
                 except np.linalg.LinAlgError:
                     d = np.linalg.lstsq(Gw @ Gw.T, Gw @ a_p, rcond=None)[0]
                 z = a_p - Gw.T @ d
+                d = d.tolist()
             else:
-                d = np.zeros(0)
+                d = []
                 z = a_p.copy()
             z_sq = float(z @ z)
             dependent = z_sq <= (1e-12 * row_scale[p]) ** 2
@@ -499,14 +537,15 @@ def halfspace_dominates(a, b) -> Halfspace:
     """
     a = as_vector(a)
     row = _dominating_row(a, as_vector(b, a.size))
-    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace(*row)
+    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace(*row[:2])
 
 
-def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Normal and offset of :func:`halfspace_dominates`, unchecked; None for the whole space."""
+def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """Normal, offset and normal's norm of :func:`halfspace_dominates`, unchecked; None for the whole space."""
     difference = b - a
     normal = 2.0 * difference
-    return None if np.linalg.norm(normal) < TINY_NORMAL else (normal, float(difference @ (a + b)))
+    size = float(np.linalg.norm(normal))
+    return None if size < TINY_NORMAL else (normal, float(difference @ (a + b)), size)
 
 
 class NonexpansiveMap:

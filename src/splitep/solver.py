@@ -40,6 +40,7 @@ import numpy as np
 from splitep.equilibrium import InnerSolveError, _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
 from splitep.linalg import as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
+    ActiveSet,
     ConvexSet,
     DykstraError,
     EmptySetError,
@@ -308,11 +309,12 @@ class StrongState(ConvexSet):
     them (``rows_include_C``), followed by every cut that constrains
     something, in the order made; whole-space cuts are not stored. Rows are
     never dropped: the nesting of the constraint sets, which the convergence
-    argument relies on, would break otherwise. Row indices are stable, so the
-    active rows that each exact projection (:func:`project_polyhedron`) stores
-    in ``active_rows`` stay valid after appending and warm-start the next one.
-    Each row's norm is kept with it, reduced as ``np.linalg.norm(G, axis=1)``
-    reduces it, so they match bit for bit.
+    argument relies on, would break otherwise. Row indices are stable and
+    stored rows never change, so the end state of each exact projection
+    (:func:`project_polyhedron`), kept in ``active_set``, stays valid after
+    appending: the next projection of the same point resumes from it, and one
+    of another point warm-starts from its working rows. Each row's norm is
+    kept with it.
     """
 
     def __init__(self, problem):
@@ -325,14 +327,11 @@ class StrongState(ConvexSet):
         self._G = np.vstack([G0, np.zeros((max(64, self.count), dim))])
         self._h = np.concatenate([h0, np.zeros(max(64, self.count))])
         self._norms = np.linalg.norm(self._G, axis=1)
-        self.active_rows: tuple[int, ...] = ()
+        self.active_set = ActiveSet()
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         G, h, norms = self.rows()
-        point, self.active_rows = project_polyhedron(
-            x, G, h, start_active=self.active_rows, row_norms=norms
-        )
-        return point
+        return project_polyhedron(x, G, h, start=self.active_set, row_norms=norms)[0]
 
     def membership_violation(self, x) -> float:
         """Largest row violation, scaled by the row's norm; 0 inside."""
@@ -340,7 +339,11 @@ class StrongState(ConvexSet):
         return float(np.max((G @ as_vector(x, self.dim) - h) / norms, initial=0.0))
 
     def add_cut(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space."""
+        """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space.
+
+        The row's norm, which also decides whether the cut is the whole space,
+        is computed once and stored with it.
+        """
         row = _dominating_row(a, b)
         if row is None:
             return
@@ -348,8 +351,7 @@ class StrongState(ConvexSet):
             self._G = np.concatenate([self._G, np.zeros_like(self._G)])
             self._h = np.concatenate([self._h, np.zeros_like(self._h)])
             self._norms = np.concatenate([self._norms, np.zeros_like(self._norms)])
-        self._G[self.count], self._h[self.count] = row
-        self._norms[self.count] = np.linalg.norm(self._G[self.count : self.count + 1], axis=1)[0]
+        self._G[self.count], self._h[self.count], self._norms[self.count] = row
         self.count += 1
 
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

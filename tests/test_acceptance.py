@@ -222,3 +222,21 @@ def test_criterion_9_determinism(tmp_path):
             traces.append(path.read_bytes())
         ok &= traces[0] == traces[1]
     assert report_line(9, "byte-identical re-runs", ok)
+
+
+def test_criterion_9_strong_determinism(tmp_path):
+    # two passes over the grid, so another instance is solved between the two
+    # runs of each one: nothing a solve carries may leak into the next
+    from conftest import ACCEPTANCE_CASES
+    from splitep.cli import write_trace
+
+    traces = {}
+    for run in range(2):
+        for seed, n, m in ACCEPTANCE_CASES:
+            problem = sp.generate_planted(n, m, seed=seed)
+            report = sp.strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
+            path = tmp_path / f"trace-{seed}-{run}.csv"
+            write_trace(report, problem, path)
+            traces.setdefault(seed, []).append(path.read_bytes())
+    ok = all(first == second for first, second in traces.values())
+    assert report_line(9, "byte-identical strong re-runs", ok)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splitep.sets import (
+    ActiveSet,
     Averaged,
     Ball,
     Box,
@@ -276,9 +277,53 @@ class TestProjectPolyhedron:
         hs = Halfspace(rng.standard_normal(3), -0.5)
         G2 = np.vstack([G, hs.normal])
         h2 = np.concatenate([h, [hs.offset]])
-        r2, _ = project_polyhedron(x, G2, h2, start_active=active)
+        r2, _ = project_polyhedron(x, G2, h2, start=ActiveSet(rows=active))
         cold, _ = project_polyhedron(x, G2, h2)
         assert np.linalg.norm(r2 - cold) <= 1e-12
+
+    @staticmethod
+    def box_and_cuts(rng, dim, cuts):
+        G, h = linear_inequality_rows(Box(-np.ones(dim), np.ones(dim)))
+        normals = rng.standard_normal((cuts, dim))
+        return np.vstack([G, normals]), np.concatenate([h, rng.uniform(0.1, 1.0, cuts)])
+
+    def test_resumed_call_after_appending_rows_matches_a_cold_one(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            G, h = self.box_and_cuts(rng, 4, 12)
+            x = 3.0 * rng.standard_normal(4)
+            start = ActiveSet()
+            for rows in (8, 9, 12, 12):
+                point, active = project_polyhedron(x, G[:rows], h[:rows], start=start)
+                cold, cold_active = project_polyhedron(x, G[:rows], h[:rows])
+                assert start.checked == rows
+                assert np.linalg.norm(point - cold) <= 1e-12
+                assert set(active) == set(cold_active)
+
+    def test_start_recorded_for_another_point_gives_the_cold_result(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            G, h = self.box_and_cuts(rng, 4, 6)
+            start = ActiveSet()
+            project_polyhedron(3.0 * rng.standard_normal(4), G[:10], h[:10], start=start)
+            y = 3.0 * rng.standard_normal(4)
+            point, _ = project_polyhedron(y, G, h, start=start)
+            cold, _ = project_polyhedron(y, G, h)
+            assert np.linalg.norm(point - cold) <= 1e-12
+
+    def test_resumed_call_detects_rows_that_empty_the_set(self):
+        rng = np.random.default_rng(15)
+        G, h = self.box_and_cuts(rng, 3, 2)
+        x = np.array([2.0, -3.0, 0.5])
+        start = ActiveSet()
+        before, _ = project_polyhedron(x, G, h, start=start)
+        # a halfspace that misses the box [-1, 1]^3: <a, r> <= -||a||_1 - 1
+        a = rng.standard_normal(3)
+        G2, h2 = np.vstack([G, a]), np.concatenate([h, [-np.abs(a).sum() - 1.0]])
+        with pytest.raises(EmptySetError):
+            project_polyhedron(x, G2, h2, start=start)
+        again, _ = project_polyhedron(x, G, h, start=start)
+        assert np.array_equal(again, before)
 
     def test_detects_infeasible_rows(self):
         G = np.array([[1.0], [-1.0]])

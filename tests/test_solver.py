@@ -411,6 +411,39 @@ class TestStrongIteration:
         assert report.iterations == 0
         assert "active-set projection used up its budget of 0 pivots" in report.message
 
+    @pytest.mark.parametrize(
+        "n, m, seed, ball",
+        [(5, 5, 4, False), (20, 10, 7, False), (2, 2, 34, True)],
+        ids=["rows-5x5", "rows-20x10", "ball"],
+    )
+    def test_every_projection_matches_a_cold_one(self, monkeypatch, n, m, seed, ball):
+        # each call resumes from, or warm-starts at, where the last one
+        # stopped; a cold call on the same rows is the reference. Rows for C
+        # mean one point, the anchor, in every call. The ball passes near x1
+        # and x* with the segment between them close to its boundary, so the
+        # iterates reach it and Dykstra's sweeps change the point within a step.
+        problem = sp.generate_planted(n, m, seed=seed)
+        if ball:
+            x1, x_star = problem.x1, problem.planted_solution
+            side = np.array([x_star[1] - x1[1], x1[0] - x_star[0]]) / np.linalg.norm(x_star - x1)
+            center = (x1 + x_star) / 2.0 + 2.0 * side
+            problem = dataclasses.replace(problem, C=Ball(center, 1.02 * np.linalg.norm(x1 - center)))
+        original = sp.solver.project_polyhedron
+        points, gaps = set(), []
+
+        def checked(x0, G, h, *args, **kwargs):
+            point, active = original(x0, G, h, *args, **kwargs)
+            points.add(x0.tobytes())
+            gaps.append(float(np.linalg.norm(point - original(x0, G, h)[0])))
+            return point, active
+
+        monkeypatch.setattr("splitep.solver.project_polyhedron", checked)
+        report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
+        assert report.status is (SolveStatus.CONVERGED if ball else SolveStatus.MAX_ITER_REACHED)
+        assert len(gaps) >= report.iterations
+        assert max(gaps) <= 1e-10
+        assert (len(points) > 1) == ball
+
 
 @pytest.mark.parametrize("seed", [34, 1])
 @pytest.mark.parametrize(
