@@ -8,7 +8,8 @@ the domain. Two realizations are provided:
   ``F(x) = M x + q``; covers variational inequalities and admits closed-form
   proximal sub-steps.
 * :class:`CallableBifunction` -- user-supplied evaluation and a selection
-  from the subdifferential of ``f(x, .)``, served by iterative inner solvers.
+  from the subdifferential of ``f(x, .)``, served by one iterative inner
+  solver for both sub-problems.
 
 Both carry declared Lipschitz-type constants ``c1, c2 > 0`` and a declared
 monotonicity class, which :func:`check_assumptions` probes numerically.
@@ -50,6 +51,10 @@ PSEUDOMONOTONE = "pseudomonotone"
 # Floor applied to declared Lipschitz-type constants so that step-size bounds
 # of the form 1 / (2 c) stay finite even for constant or vanishing operators.
 MIN_LIPSCHITZ_CONSTANT = 1e-9
+
+# Floor on the backtracked forward-backward-forward step size, about 40
+# halvings from 1; below it the loop raises, as :func:`resolvent` explains.
+MIN_FBF_STEP = 1e-12
 
 
 class InnerSolveError(RuntimeError):
@@ -196,7 +201,7 @@ class CallableBifunction(Bifunction):
 
 @dataclass
 class ProxResult:
-    """Outcome of a proximal sub-step: the minimizer and inner-solve effort."""
+    """Outcome of an inner solve: the solution, trial steps taken and last displacement."""
 
     minimizer: np.ndarray
     inner_iterations: int
@@ -220,9 +225,10 @@ def prox_step(
     objective is linearized at ``at`` but penalized around ``x``.
 
     For :class:`AffineVIBifunction` the minimizer is exact:
-    ``P_C(x - lam * F(at))`` by first-order optimality. For general
-    bifunctions a projected subgradient descent with diminishing steps
-    ``1 / (j + 1)`` runs until the iterate displacement drops below ``tol``.
+    ``P_C(x - lam * F(at))`` by first-order optimality. Other bifunctions run
+    the forward-backward-forward loop of :func:`resolvent` from ``x`` on
+    ``F(y) = lam f.subgradient_y(at, y) + y - x``; for a convex ``f(at, .)``
+    it returns a point within ``1.9 tol`` of the minimizer.
 
     Raises
     ------
@@ -230,9 +236,7 @@ def prox_step(
         If ``lam <= 0``, ``x`` or ``at`` is not a finite vector of dimension
         ``C.dim``, or ``x`` lies outside ``C`` (violation above 1e-9).
     InnerSolveError
-        If the iterative path stalls above ``tol`` within ``max_inner`` steps,
-        or as soon as one of its steps is not finite (for instance a
-        subgradient with ``inf`` or ``NaN`` components).
+        As :func:`resolvent`'s loop does, naming the prox step.
     """
     lam = float(lam)
     if lam <= 0.0:
@@ -250,20 +254,7 @@ def _prox_step(f, C, x: np.ndarray, lam: float, at: np.ndarray, tol=1e-10, max_i
     if isinstance(f, AffineVIBifunction):
         y = C._project(x - lam * f.operator(at))
         return ProxResult(minimizer=y, inner_iterations=0, inner_residual=0.0)
-
-    y = x
-    displacement = np.inf
-    for j in range(max_inner):
-        grad = lam * f.subgradient_y(at, y) + (y - x)
-        step = y - (1.0 / (j + 1.0)) * grad
-        if not np.all(np.isfinite(step)):
-            raise InnerSolveError("projected subgradient descent took a non-finite step", displacement)
-        y_next = C._project(step)
-        displacement = float(np.linalg.norm(y_next - y))
-        y = y_next
-        if displacement < tol:
-            return ProxResult(minimizer=y, inner_iterations=j + 1, inner_residual=displacement)
-    raise InnerSolveError("projected subgradient descent did not converge", displacement)
+    return _fbf(lambda y: lam * f.subgradient_y(at, y) + (y - x), C, x, tol, max_inner, "prox step")
 
 
 def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps: int):
@@ -353,8 +344,11 @@ def resolvent(
         If ``alpha <= 0`` or ``u`` is not a finite vector of dimension ``Q.dim``.
     InnerSolveError
         When the loop takes ``max_inner`` trial steps, backtracking ones
-        included, or as soon as a trial step is not finite (the iteration
-        diverges for a non-monotone ``g``, or the subgradient is not finite).
+        included, as soon as a trial step's norm is not finite (the iteration
+        diverges for a non-monotone ``g``, or the subgradient is not finite),
+        or when ``gamma`` falls below ``MIN_FBF_STEP``: the selection is then
+        not Lipschitz at the scale of ``tol`` (``sign(y)`` for ``||y||_1``
+        near a kink), and the stop test could pass at a wrong point.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -372,27 +366,33 @@ def _resolvent(g, Q, alpha: float, u: np.ndarray, tol=1e-9, max_inner=10_000) ->
     def forward(w):
         return alpha * g.subgradient_y(w, w) + (w - u)
 
-    gamma, displacement = 1.0, np.inf
-    # a diverging iteration overflows inside numpy; the finiteness check
-    # below reports it as InnerSolveError, so numpy's warnings are silenced
+    return _fbf(forward, Q, Q._project(u), tol, max_inner, "resolvent").minimizer
+
+
+def _fbf(F, K, start: np.ndarray, tol: float, max_inner: int, name: str) -> ProxResult:
+    """:func:`resolvent`'s loop for ``F(w)`` in ``-N_K(w)`` from ``start`` in ``K``; errors name ``name``."""
+    what, gamma, displacement = f"forward-backward-forward loop of the {name}", 1.0, np.inf
+    # a diverging iteration overflows inside numpy, in its norms first; a trial
+    # step of non-finite norm raises InnerSolveError, so warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        w = Q._project(u)
-        forward_w = forward(w)
-        for _ in range(max_inner):
+        w, forward_w = start, F(start)
+        for trials in range(1, max_inner + 1):
             step = w - gamma * forward_w
-            if not np.all(np.isfinite(step)):
-                raise InnerSolveError("resolvent forward-backward-forward step diverged", displacement)
-            z = Q._project(step)
-            forward_z = forward(z)
+            if not math.isfinite(float(np.linalg.norm(step))):
+                raise InnerSolveError(f"{what} diverged", displacement)
+            z = K._project(step)
+            forward_z = F(z)
             displacement = float(np.linalg.norm(z - w))
             if gamma * float(np.linalg.norm(forward_z - forward_w)) > 0.9 * displacement:
                 gamma *= 0.5  # Armijo backtracking: the trial step is too long
+                if gamma < MIN_FBF_STEP:
+                    raise InnerSolveError(f"{what}: step size fell below {MIN_FBF_STEP:g}", displacement)
                 continue
             if displacement <= gamma * tol:
-                return z
-            w = Q._project(z - gamma * (forward_z - forward_w))
-            forward_w = forward(w)
-    raise InnerSolveError("resolvent forward-backward-forward step did not converge", displacement)
+                return ProxResult(minimizer=z, inner_iterations=trials, inner_residual=displacement)
+            w = K._project(z - gamma * (forward_z - forward_w))
+            forward_w = F(w)
+    raise InnerSolveError(f"{what} did not converge", displacement)
 
 
 def resolvent_oracle(g: Bifunction, Q: ConvexSet, alpha: float, u, grid_points: int = 1001) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Independent brute-force oracles shared by the unit and acceptance suites."""
+"""Independent brute-force oracles, and the test problems they solve, shared by the suites."""
 
 import numpy as np
 
+from splitep.equilibrium import CallableBifunction
 from splitep.sets import Halfspace
 
 
@@ -59,3 +60,51 @@ def contracting_resolvent(g, Q, alpha, u, tol=1e-13, max_steps=10**6):
             return w_next
         w = w_next
     raise AssertionError("the contracting resolvent loop did not converge")
+
+
+def projected_gradient(grad, C, start, lipschitz, tol=1e-13, max_steps=10**6):
+    """Minimizer over ``C`` of a 1-strongly convex function with ``lipschitz``-Lipschitz gradient ``grad``.
+
+    Iterates ``y <- P_C(y - grad(y) / L)``, which contracts by ``1 - 1/L``,
+    until the displacement drops below ``tol``; the distance to the
+    minimizer is then at most ``L tol``.
+    """
+    y = C.project(start)
+    for _ in range(max_steps):
+        y_next = C.project(y - grad(y) / lipschitz)
+        if np.linalg.norm(y_next - y) < tol:
+            return y_next
+        y = y_next
+    raise AssertionError("the projected gradient loop did not converge")
+
+
+def quadratic_bifunction(P, Q, q):
+    """The test bifunction ``f(x, y) = <P x + Q y + q, y - x>`` for a symmetric ``Q``.
+
+    From Tran, Muu and Nguyen (Optimization 57, 2008). It is monotone when
+    ``P - Q`` is positive semidefinite, and satisfies the Lipschitz-type
+    condition with ``c1 = c2 = ||P - Q|| / 2``.
+    """
+    c = np.linalg.norm(P - Q, 2) / 2.0
+    return CallableBifunction(
+        lambda x, y: float((P @ x + Q @ y + q) @ (y - x)),
+        lambda x, y: (P - Q) @ x + 2.0 * Q @ y + q,
+        "monotone",
+        c,
+        c,
+    )
+
+
+def quadratic_prox_reference(P, Q, q, C, x, lam, at):
+    """``argmin_{y in C} lam f(at, y) + ||y - x||^2 / 2`` for :func:`quadratic_bifunction` by projected gradient."""
+    lipschitz = 1.0 + 2.0 * lam * np.linalg.norm(Q, 2)
+    return projected_gradient(lambda y: lam * ((P - Q) @ at + 2.0 * Q @ y + q) + (y - x), C, x, lipschitz)
+
+
+def clipped_soft_threshold(v, t, box):
+    """``argmin_{w in box} t ||w||_1 + ||w - v||^2 / 2``: the soft threshold, clipped coordinatewise.
+
+    This is the exact resolvent of ``g(x, y) = ||y||_1 - ||x||_1`` with
+    parameter ``t``, and the exact prox step of the same bifunction.
+    """
+    return np.clip(np.sign(v) * np.maximum(np.abs(v) - t, 0.0), box.lower, box.upper)

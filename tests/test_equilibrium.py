@@ -15,7 +15,7 @@ from splitep.equilibrium import (
 )
 from splitep.sets import Ball, Box, Halfspace, Intersection, WholeSpace
 
-from oracles import contracting_resolvent
+from oracles import clipped_soft_threshold, contracting_resolvent, quadratic_bifunction, quadratic_prox_reference
 
 
 def zero_bifunction(dim):
@@ -31,6 +31,18 @@ def random_monotone_vi(rng, dim, center=None):
     N = B.T @ B
     center = np.zeros(dim) if center is None else center
     return AffineVIBifunction.with_default_constants(N, -N @ center)
+
+
+def l1_bifunction():
+    # g(x, y) = ||y||_1 - ||x||_1 with the selection sign(y), which is not
+    # Lipschitz: sign(0) = 0 is not the subgradient a kink needs
+    return CallableBifunction(
+        lambda x, y: float(np.sum(np.abs(y)) - np.sum(np.abs(x))),
+        lambda x, y: np.sign(np.asarray(y, dtype=float)),
+        "monotone",
+        0.5,
+        0.5,
+    )
 
 
 def skew_plus_psd_vi(rng, dim, center, psd_weight=1.0):
@@ -156,20 +168,34 @@ class TestProxStep:
         assert np.allclose(result.minimizer, [1.0], atol=1e-6)
 
     def test_general_bifunction_budget_exhaustion(self):
-        # l1-type bifunction whose prox solution sits at the kink, where the
-        # subgradient selection never vanishes: displacement decays only like
-        # the step size, so a tiny budget cannot reach the tolerance
+        # l1-type bifunction whose prox solution sits at the kink: three trial
+        # steps, two of them backtracking, cannot reach the tolerance
         box = Box([-10.0], [10.0])
-        general = CallableBifunction(
-            lambda x, y: float(np.sum(np.abs(y)) - np.sum(np.abs(x))),
-            lambda x, y: np.sign(np.asarray(y, dtype=float)),
-            "monotone",
-            0.5,
-            0.5,
-        )
         with pytest.raises(InnerSolveError) as excinfo:
-            prox_step(general, box, [0.5], lam=1.0, tol=1e-12, max_inner=3)
+            prox_step(l1_bifunction(), box, [0.5], lam=1.0, tol=1e-12, max_inner=3)
         assert excinfo.value.residual > 0.0
+
+    def test_quadratic_family_lands_within_twice_the_tolerance(self):
+        # f(x, y) = <P x + Q y + q, y - x> with P = Q + I/2: the prox step is a
+        # strongly convex quadratic program with a Lipschitz gradient, where
+        # the stop test bounds the distance to the minimizer by 1.9 tol
+        rng = np.random.default_rng(20)
+        tol = 1e-10
+        for dim in (2, 5, 10, 20):
+            for _ in range(15):
+                B = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+                Q = B.T @ B
+                P = Q + 0.5 * np.eye(dim)
+                q = rng.standard_normal(dim)
+                radius = rng.uniform(0.5, 2.0)
+                box = Box(-radius * np.ones(dim), radius * np.ones(dim))
+                lam = rng.choice([0.1, 0.45])
+                x = box.project(2.0 * rng.standard_normal(dim))
+                at = x if rng.random() < 0.5 else box.project(2.0 * rng.standard_normal(dim))
+                result = prox_step(quadratic_bifunction(P, Q, q), box, x, lam, at=at, tol=tol)
+                reference = quadratic_prox_reference(P, Q, q, box, x, lam, at)
+                assert np.linalg.norm(result.minimizer - reference) <= 2.0 * tol
+                assert result.inner_iterations > 0
 
 
 class TestResolvent:
@@ -221,6 +247,41 @@ class TestResolvent:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InnerSolveError, match="diverged"):
                 resolvent(g, WholeSpace(2), alpha=1.0, u=[1.0, 2.0])
+
+    def test_diverging_prox_step_raises_without_overflow_warnings(self):
+        # declared monotone but f(x, .) is concave: the prox objective has no
+        # minimizer, and the step expands until it overflows
+        f = CallableBifunction(lambda x, y: -50.0 * float(y @ y), lambda x, y: -100.0 * y, "monotone", 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InnerSolveError, match="diverged"):
+                prox_step(f, WholeSpace(2), [1.0, 2.0], lam=1.0)
+
+    @pytest.mark.parametrize("sub_problem", ["resolvent", "prox step"])
+    def test_l1_sub_problems_are_exact_or_raise(self, sub_problem):
+        # sign(y) is not Lipschitz: near a kink the step size collapses, and
+        # the stop test could pass at a wrong point; the floor on it raises
+        # instead. Both exact solutions are the clipped soft threshold.
+        rng = np.random.default_rng(30)
+        outcomes = []
+        for _ in range(30):
+            dim = int(rng.integers(1, 6))
+            box = Box(-np.ones(dim), np.ones(dim))
+            alpha = rng.uniform(0.1, 2.0)
+            u = 1.5 * rng.standard_normal(dim)
+            try:
+                if sub_problem == "resolvent":
+                    w = resolvent(l1_bifunction(), box, alpha, u)
+                else:
+                    u = box.project(u)
+                    w = prox_step(l1_bifunction(), box, u, alpha).minimizer
+            except InnerSolveError as exc:
+                assert sub_problem in str(exc)
+                outcomes.append("raised")
+                continue
+            assert np.linalg.norm(w - clipped_soft_threshold(u, alpha, box)) <= 1e-8
+            outcomes.append("exact")
+        assert outcomes.count("exact") >= 5
 
     def test_firm_nonexpansiveness_sampled(self):
         rng = np.random.default_rng(7)

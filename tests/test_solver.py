@@ -33,6 +33,8 @@ from splitep.solver import (
     weak_step,
 )
 
+from oracles import quadratic_bifunction
+
 
 def flat_bifunction(dim, c=0.5):
     return AffineVIBifunction(np.zeros((dim, dim)), np.zeros(dim), "monotone", c, c)
@@ -464,6 +466,22 @@ def test_strong_solve_converges_without_rows_for_C(seed, C):
 SOLVERS = {"weak": weak_solve, "strong": strong_solve}
 
 
+@pytest.mark.parametrize("mode", SOLVERS)
+def test_callable_f_converges_to_the_planted_solution(mode):
+    # f(x, y) = <P x + Q y + q, y - x> with P = Q + I/2 and q = -(P + Q) x*:
+    # f(x*, y) = <Q (y - x*), y - x*> >= 0 and f is strongly monotone, so x*
+    # stays the only solution, reached through the iterative prox step
+    planted = sp.generate_planted(2, 2, seed=1)
+    x_star = planted.planted_solution
+    B = np.random.default_rng(0).standard_normal((2, 2))
+    Q = B @ B.T
+    P = Q + 0.5 * np.eye(2)
+    problem = dataclasses.replace(planted, f=quadratic_bifunction(P, Q, -(P + Q) @ x_star))
+    report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+    assert report.status is SolveStatus.CONVERGED
+    assert np.linalg.norm(report.final_x - x_star) <= 1e-5
+
+
 class TestFailureRouting:
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_diverging_resolvent_is_an_inner_failure(self, mode):
@@ -495,7 +513,7 @@ class TestFailureRouting:
         problem = dataclasses.replace(planted, **{member: broken})
         report = SOLVERS[mode](problem, default_config(problem, mode=mode))
         assert report.status is SolveStatus.INNER_FAILURE
-        assert {"f": "subgradient descent", "g": "resolvent"}[member] in report.message
+        assert {"f": "prox step", "g": "resolvent"}[member] in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_non_finite_map_value_is_an_inner_failure(self, mode):
