@@ -262,10 +262,12 @@ def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps
 
     With ``K = I + alpha M`` and ``b = u - alpha q`` the resolvent is the
     ``w`` in ``Q`` with ``K w - b`` in ``-N_Q(w)``. On the whole space that
-    is ``inv(K) b``. On a box, primal-dual active-set steps (Hintermueller,
-    Ito and Kunisch, SIAM J. Optim. 13, 2003) hold the coordinates of the
-    active set ``A`` at their bounds ``c``: the multipliers ``nu = K w - b``
-    solve ``inv(K)[A, A] nu_A = c - (inv(K) b)[A]`` and
+    is ``inv(K) b``, which is also the answer on a box that holds it (the
+    common case, returned before any bookkeeping). Otherwise primal-dual
+    active-set steps (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13,
+    2003) hold the coordinates of the box's active set ``A`` at their
+    bounds ``c``: the multipliers ``nu = K w - b`` solve
+    ``inv(K)[A, A] nu_A = c - (inv(K) b)[A]`` and
     ``w = inv(K) b + inv(K)[:, A] nu_A``, all from ``g``'s cached
     ``inv(K)``. An active coordinate stays while its multiplier has the sign
     the normal cone of its bound asks for, a free one joins when it leaves
@@ -283,6 +285,9 @@ def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps
     free = inverse @ (u - alpha * g.offset)
     if isinstance(Q, WholeSpace):
         return free
+    w = Q._project(free)
+    if (w == free).all():
+        return w  # free lies in the box, so step 0 below keeps the empty active set
     w, nu = free, np.zeros(Q.dim)
     at_upper = at_lower = active = np.zeros(Q.dim, dtype=bool)
     previous = (bytes(Q.dim), bytes(Q.dim))  # the empty active set, solved by free

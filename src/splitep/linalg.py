@@ -13,6 +13,8 @@ compute the bound twice.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -53,7 +55,17 @@ def inner(u, v) -> float:
 
 def norm(u) -> float:
     """Norm induced by :func:`inner`."""
-    return float(np.linalg.norm(np.asarray(u, dtype=float)))
+    v = np.asarray(u, dtype=float)
+    return _norm(v) if v.ndim == 1 and v.flags.c_contiguous else float(np.linalg.norm(v))
+
+
+def _norm(v: np.ndarray) -> float:
+    """:func:`norm` of a contiguous 1-D float array, unchecked.
+
+    Bit-equal to ``np.linalg.norm``, which takes ``sqrt(v.dot(v))`` of a
+    contiguous copy; a strided view's dot product may round differently.
+    """
+    return math.sqrt(v.dot(v))
 
 
 class DenseOperator:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from splitep.linalg import as_vector
+from splitep.linalg import _norm, as_vector
 
 __all__ = [
     "ActiveSet",
@@ -126,7 +126,8 @@ class Box(ConvexSet):
         self.dim = self.lower.size
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        # np.clip's own result, bit for bit, without its wrapper's overhead
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def membership_violation(self, x) -> float:
         x = as_vector(x, self.dim)
@@ -159,7 +160,7 @@ class Ball(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         offset = x - self.center
-        dist = np.linalg.norm(offset)
+        dist = _norm(offset)
         if dist <= self.radius:
             return x
         return self.center + (self.radius / dist) * offset
@@ -413,12 +414,16 @@ def project_polyhedron(
     held at that point to the same tolerance, which depends on ``x0`` alone.
     For any other ``x0`` it re-derives multipliers for the stored working
     rows, shedding those no longer binding. Given ``row_norms`` must be the
-    norms of the rows of ``G``. Unlike Dykstra's scheme this is insensitive
-    to nearly parallel rows, but it needs the explicit inequality
-    description.
+    norms of the rows of ``G``, none of them zero, and are taken unchecked:
+    :class:`~splitep.solver.StrongState` passes the norms it stored with its
+    rows, and it never stores a zero row. Unlike Dykstra's scheme this is
+    insensitive to nearly parallel rows, but it needs the explicit
+    inequality description.
 
     Raises
     ------
+    ValueError
+        If ``row_norms`` is not given and a row of ``G`` is zero.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     DykstraError
@@ -430,9 +435,12 @@ def project_polyhedron(
     k = G.shape[0]
     if k == 0:
         return x0.copy(), ()
-    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
-    if np.any(row_scale == 0.0):
-        raise ValueError("zero rows must be filtered out before projection")
+    if row_norms is None:
+        row_scale = np.linalg.norm(G, axis=1)
+        if np.any(row_scale == 0.0):
+            raise ValueError("zero rows must be filtered out before projection")
+    else:
+        row_scale = np.asarray(row_norms, dtype=float)
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 
@@ -544,7 +552,7 @@ def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, fl
     """Normal, offset and normal's norm of :func:`halfspace_dominates`, unchecked; None for the whole space."""
     difference = b - a
     normal = 2.0 * difference
-    size = float(np.linalg.norm(normal))
+    size = _norm(normal)
     return None if size < TINY_NORMAL else (normal, float(difference @ (a + b)), size)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 # bench/spans.py looks up and wraps the checked prox_step, resolvent and halfspace_dominates here
 from splitep.equilibrium import InnerSolveError, _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
-from splitep.linalg import as_vector, norm, operator_norm_sq_upper
+from splitep.linalg import _norm, as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
     ActiveSet,
     ConvexSet,
@@ -397,14 +397,8 @@ def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int) -> IterateR
     u = _resolvent(problem.g, problem.Q, alpha_k, At)
     Tu = problem.T._apply(u)
     s = problem.C._project(t + config.mu * (problem.A.entries.T @ (Tu - At)))
-    parts = dict(
-        res_xy=norm(x - y),
-        res_yz=norm(y - z),
-        res_Sz=norm(Sz - z),
-        res_uAt=norm(u - At),
-        res_Tu=norm(Tu - u),
-    )
-    step = norm(s - x)
+    res_xy, res_yz, res_Sz = _norm(x - y), _norm(y - z), _norm(Sz - z)
+    res_uAt, res_Tu, step = _norm(u - At), _norm(Tu - u), _norm(s - x)
     return IterateRecord(
         k=k,
         x=x,
@@ -415,9 +409,14 @@ def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int) -> IterateR
         next_x=s,
         lambda_k=lam,
         alpha_k=alpha_k,
+        res_xy=res_xy,
+        res_yz=res_yz,
+        res_Sz=res_Sz,
+        res_uAt=res_uAt,
+        res_Tu=res_Tu,
         step=step,
-        residual=max(step, *parts.values()),
-        **parts,
+        # max is order-sensitive under NaN: keep step first, then the parts in field order
+        residual=max(step, res_xy, res_yz, res_Sz, res_uAt, res_Tu),
     )
 
 
@@ -452,8 +451,8 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     record.res_sx = record.step
     members = [state] if state.rows_include_C else [state, problem.C]
     record.next_x = project_intersection(members, state.anchor)
-    record.step = norm(record.next_x - record.x)
-    record.res_tx = norm(record.t - record.x)
+    record.step = _norm(record.next_x - record.x)
+    record.res_tx = _norm(record.t - record.x)
     # the plain residual already covers res_sx and the five residual parts
     record.residual = max(record.step, record.residual, record.res_tx)
     return record
@@ -474,7 +473,7 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
     last = failure = None
     x = as_vector(problem.x1, problem.C.dim)
     for k in range(config.max_iter + 1):
-        if norm(x) > DIVERGENCE_LIMIT:
+        if _norm(x) > DIVERGENCE_LIMIT:
             failure = "iterates diverged; check the problem data"
             break
         try:

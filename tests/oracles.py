@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from splitep.equilibrium import CallableBifunction
-from splitep.sets import Halfspace
+from splitep.equilibrium import AffineVIBifunction, CallableBifunction
+from splitep.sets import Averaged, Ball, Box, Halfspace, Identity, ProjectionOnto, WholeSpace
+from splitep.solver import IterateRecord
 
 
 def two_halfspace_projection_oracle(a1, b1, a2, b2, x):
@@ -108,3 +109,106 @@ def clipped_soft_threshold(v, t, box):
     parameter ``t``, and the exact prox step of the same bifunction.
     """
     return np.clip(np.sign(v) * np.maximum(np.abs(v) - t, 0.0), box.lower, box.upper)
+
+
+def reference_project(K, x):
+    """Projection onto a box, ball or the whole space through ``np.clip`` and ``np.linalg.norm``."""
+    if isinstance(K, WholeSpace):
+        return x
+    if isinstance(K, Box):
+        return np.clip(x, K.lower, K.upper)
+    if isinstance(K, Ball):
+        offset = x - K.center
+        dist = np.linalg.norm(offset)
+        return x if dist <= K.radius else K.center + (K.radius / dist) * offset
+    raise NotImplementedError(f"no reference projection onto {K!r}")
+
+
+def reference_apply(T, x):
+    """Image of ``x`` under an identity, projection or averaged map, through :func:`reference_project`."""
+    if isinstance(T, Identity):
+        return x
+    if isinstance(T, ProjectionOnto):
+        return reference_project(T.target, x)
+    if isinstance(T, Averaged):
+        return (1.0 - T.theta) * x + T.theta * reference_apply(T.base, x)
+    raise NotImplementedError(f"no reference image under {T!r}")
+
+
+def reference_affine_resolvent(g, Q, alpha, u, max_steps=10_000):
+    """Exact resolvent of an affine ``g`` on a box or the whole space by the full active-set loop.
+
+    Every call runs the primal-dual active-set steps from the empty set,
+    also when the free point ``inv(I + alpha M) (u - alpha q)`` already lies
+    in the box, and returns None where those steps cycle or run out.
+    """
+    if not isinstance(g, AffineVIBifunction) or not isinstance(Q, (Box, WholeSpace)):
+        raise NotImplementedError("the reference resolvent covers affine g on a box or the whole space")
+    inverse = np.linalg.inv(np.eye(g.dim) + alpha * g.matrix)
+    free = inverse @ (u - alpha * g.offset)
+    if isinstance(Q, WholeSpace):
+        return free
+    w, nu = free, np.zeros(Q.dim)
+    at_upper = at_lower = active = np.zeros(Q.dim, dtype=bool)
+    previous = (bytes(Q.dim), bytes(Q.dim))
+    seen = {previous}
+    for step in range(max_steps + 1):
+        at_upper = np.where(active, at_upper & (nu < 0.0), w > Q.upper)
+        at_lower = np.where(active, at_lower & (nu > 0.0), w < Q.lower)
+        key = (at_upper.tobytes(), at_lower.tobytes())
+        if key == previous:
+            return reference_project(Q, w)
+        if key in seen or step == max_steps:
+            return None
+        seen.add(key)
+        previous = key
+        active = at_upper | at_lower
+        bound = np.where(at_upper, Q.upper, Q.lower)[active]
+        nu = np.zeros(Q.dim)
+        nu[active] = np.linalg.solve(inverse[np.ix_(active, active)], bound - free[active])
+        w = free + inverse[:, active] @ nu[active]
+
+
+def reference_core_step(problem, config, x, k):
+    """The plain iteration's record from ``x`` at index ``k``, written without the solver's kernels.
+
+    Exact prox steps for an affine ``f``, :func:`reference_apply` for ``S``
+    and ``T``, :func:`reference_affine_resolvent` for ``g``, and the residual
+    parts collected in a dict of ``np.linalg.norm`` values, with the residual
+    their ``max`` after the step's norm.
+    """
+    if not isinstance(problem.f, AffineVIBifunction):
+        raise NotImplementedError("the reference step covers an affine f")
+    lam = config.lambda_schedule(k)
+    alpha_k = config.alpha_k_schedule(k)
+    y = reference_project(problem.C, x - lam * problem.f.operator(x))
+    z = reference_project(problem.C, x - lam * problem.f.operator(y))
+    Sz = reference_apply(problem.S, z)
+    t = (1.0 - config.alpha) * z + config.alpha * Sz
+    At = problem.A.entries @ t
+    u = reference_affine_resolvent(problem.g, problem.Q, alpha_k, At)
+    assert u is not None, "the active-set steps cycled; the reference has no fallback"
+    Tu = reference_apply(problem.T, u)
+    s = reference_project(problem.C, t + config.mu * (problem.A.entries.T @ (Tu - At)))
+    parts = dict(
+        res_xy=float(np.linalg.norm(x - y)),
+        res_yz=float(np.linalg.norm(y - z)),
+        res_Sz=float(np.linalg.norm(Sz - z)),
+        res_uAt=float(np.linalg.norm(u - At)),
+        res_Tu=float(np.linalg.norm(Tu - u)),
+    )
+    step = float(np.linalg.norm(s - x))
+    return IterateRecord(
+        k=k,
+        x=x,
+        y=y,
+        z=z,
+        t=t,
+        u=u,
+        next_x=s,
+        lambda_k=lam,
+        alpha_k=alpha_k,
+        step=step,
+        residual=max(step, *parts.values()),
+        **parts,
+    )

@@ -15,7 +15,15 @@ from splitep.equilibrium import (
 )
 from splitep.sets import Ball, Box, Halfspace, Intersection, WholeSpace
 
-from oracles import clipped_soft_threshold, contracting_resolvent, quadratic_bifunction, quadratic_prox_reference
+from splitep.problems import generate_planted
+
+from oracles import (
+    clipped_soft_threshold,
+    contracting_resolvent,
+    quadratic_bifunction,
+    quadratic_prox_reference,
+    reference_affine_resolvent,
+)
 
 
 def zero_bifunction(dim):
@@ -379,6 +387,32 @@ class TestExactResolvent:
         assert _exact_affine_resolvent(g, box, alpha, u, 10_000) is None
         w = resolvent(g, box, alpha, u)
         assert np.abs(w - contracting_resolvent(g, box, alpha, u)).max() <= 1e-8
+
+    def test_interior_free_point_returns_what_the_full_loop_does(self):
+        # a free point inside Q returns before the active-set loop; one
+        # outside runs it. Both must give the loop's bytes, NaN included.
+        interior = boundary = 0
+        for seed, n, m in ((1, 2, 2), (5, 10, 10), (8, 20, 20)):
+            problem = generate_planted(n, m, seed=seed)
+            g, Q = problem.g, problem.Q
+            rng = np.random.default_rng(seed)
+            middle = 0.5 * (Q.lower + Q.upper)
+            for scale in (0.5, 2.0, 8.0, 30.0):
+                for alpha in (0.5, 1.0):
+                    for _ in range(10):
+                        u = middle + scale * rng.standard_normal(m)
+                        w = _exact_affine_resolvent(g, Q, alpha, u, 10_000)
+                        reference = reference_affine_resolvent(g, Q, alpha, u)
+                        assert reference is not None and w.tobytes() == reference.tobytes()
+                        free = np.linalg.solve(np.eye(m) + alpha * g.matrix, u - alpha * g.offset)
+                        inside = Q.membership_violation(free) == 0.0
+                        interior += inside
+                        boundary += not inside
+            u = middle.copy()
+            u[0] = np.nan
+            w = _exact_affine_resolvent(g, Q, 1.0, u, 10_000)
+            assert w.tobytes() == reference_affine_resolvent(g, Q, 1.0, u).tobytes()
+        assert interior >= 40 and boundary >= 40
 
     def test_singular_matrix_runs_the_loop(self):
         # declared monotone but I + alpha M = 0: no inverse, so the iterative

@@ -3,6 +3,7 @@ import pytest
 
 from splitep.linalg import (
     DenseOperator,
+    _norm,
     adjoint_apply,
     apply,
     as_vector,
@@ -35,6 +36,43 @@ class TestInner:
             u = rng.standard_normal(5)
             v = rng.standard_normal(5)
             assert abs(inner(u, v)) <= norm(u) * norm(v) + 1e-12
+
+
+class TestNormKernel:
+    """``_norm`` and ``norm`` give ``np.linalg.norm``'s bits, not just its value."""
+
+    @staticmethod
+    def same_float(a, b) -> bool:
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 200, 1000])
+    def test_bit_equal_to_numpy_across_scales(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            for _ in range(20):
+                v = scale * rng.standard_normal(n)
+                expected = np.linalg.norm(v)
+                assert self.same_float(_norm(v), expected)
+                assert self.same_float(norm(v), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 200, 1000])
+    def test_bit_equal_to_numpy_with_inf_and_nan(self, n):
+        rng = np.random.default_rng(100 + n)
+        for special in (np.inf, -np.inf, np.nan):
+            v = rng.standard_normal(n)
+            v[rng.integers(n)] = special
+            assert self.same_float(_norm(v), np.linalg.norm(v))
+            assert self.same_float(norm(v), np.linalg.norm(v))
+
+    @pytest.mark.parametrize(
+        "u",
+        [[3.0, 4.0], [1, 2, 2], 5.0, -2, np.arange(12.0).reshape(3, 4), np.arange(20.0)[::3]],
+        ids=["list", "int-list", "scalar", "int-scalar", "matrix", "strided-view"],
+    )
+    def test_public_norm_of_other_inputs_is_unchanged(self, u):
+        result = norm(u)
+        assert type(result) is float
+        assert self.same_float(result, np.linalg.norm(np.asarray(u, dtype=float)))
 
 
 class TestAsVector:

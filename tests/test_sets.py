@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,26 @@ class TestClosedFormProjections:
             for _ in range(50):
                 p = s.project(4.0 * rng.standard_normal(4))
                 assert np.linalg.norm(s.project(p) - p) <= 1e-12
+
+
+def test_box_projection_is_bit_equal_to_clip():
+    # every value against every box with bounds from the list, lower == upper
+    # included; tobytes compares sign bits, so -0.0 and 0.0 differ
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan, -np.nan])
+    bounds = [0.0, -0.0, 1.0, -1.0, 0.5]
+    for lower, upper in itertools.product(bounds, repeat=2):
+        if lower > upper:
+            continue
+        box = Box(np.full(values.size, lower), np.full(values.size, upper))
+        assert box._project(values).tobytes() == np.clip(values, box.lower, box.upper).tobytes()
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 8, 17, 64):
+        for _ in range(50):
+            lower = rng.choice(bounds, n)
+            upper = np.maximum(lower, rng.choice(bounds, n))
+            box = Box(lower, upper)
+            x = rng.choice(values, n)
+            assert box._project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
 
 
 class TestSetValidation:
@@ -332,8 +354,12 @@ class TestProjectPolyhedron:
             project_polyhedron(np.array([0.0]), G, h)
 
     def test_rejects_zero_rows(self):
+        # given row norms are taken unchecked; without them every row is checked
         with pytest.raises(ValueError, match="zero rows"):
             project_polyhedron(np.zeros(2), np.zeros((1, 2)), np.zeros(1))
+        G = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="zero rows"):
+            project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet())
 
     def test_no_rows_returns_point(self):
         r, active = project_polyhedron(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))

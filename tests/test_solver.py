@@ -20,6 +20,7 @@ from splitep.sets import (
 )
 from splitep.solver import (
     ConfigError,
+    IterateRecord,
     SolveStatus,
     SolverConfig,
     StrongState,
@@ -33,7 +34,7 @@ from splitep.solver import (
     weak_step,
 )
 
-from oracles import quadratic_bifunction
+from oracles import quadratic_bifunction, reference_core_step
 
 
 def flat_bifunction(dim, c=0.5):
@@ -333,6 +334,22 @@ class TestStrongIteration:
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations <= 2
 
+    def test_stored_rows_are_never_zero(self):
+        # project_polyhedron takes the stored norms unchecked, so no stored
+        # row may be zero: whole-space cuts, and with them zero rows, are dropped
+        problem = sp.generate_planted(5, 5, seed=4)
+        config = default_config(problem, mode="strong", max_iter=40)
+        state = StrongState(problem)
+        x = problem.x1
+        for k in range(40):
+            count = state.count
+            state.add_cut(x, x.copy())
+            assert state.count == count
+            x = strong_step(problem, config, state, x, k).next_x
+        G, _, norms = state.rows()
+        assert len(norms) > 2 * 20
+        assert np.all(norms > 0.0) and np.all(np.any(G != 0.0, axis=1))
+
     def test_planted_run_invariants(self):
         problem = sp.generate_planted(2, 3, seed=31)
         report = strong_solve(problem)
@@ -566,6 +583,31 @@ class TestExactResolventPath:
         report = weak_solve(problem)
         assert report.status is SolveStatus.CONVERGED
         assert len(calls) == report.iterations + 1
+
+
+def same_bits(a, b) -> bool:
+    """Same type, and for numbers and arrays the same dtype, shape and bytes (sign bits and NaNs included)."""
+    if type(a) is not type(b):
+        return False
+    if a is None:
+        return True
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed, n, m", [(1, 2, 2), (5, 10, 10), (8, 20, 20)])
+def test_weak_steps_match_the_reference_step_bit_for_bit(seed, n, m):
+    # the reference computes each record with np.linalg.norm, np.clip, a dict
+    # of residual parts and the resolvent's full active-set loop
+    problem = sp.generate_planted(n, m, seed=seed)
+    config = default_config(problem)
+    x = problem.x1
+    for k in range(50):
+        record = weak_step(problem, config, x, k)
+        reference = reference_core_step(problem, config, x, k)
+        for field in dataclasses.fields(IterateRecord):
+            assert same_bits(getattr(record, field.name), getattr(reference, field.name)), (k, field.name)
+        x = record.next_x
 
 
 def stride_runs(mode, exit_path, stride):
