@@ -55,12 +55,11 @@ def inner(u, v) -> float:
 
 def norm(u) -> float:
     """Norm induced by :func:`inner`."""
-    v = np.asarray(u, dtype=float)
-    return _norm(v) if v.ndim == 1 and v.flags.c_contiguous else float(np.linalg.norm(v))
+    return float(np.linalg.norm(np.asarray(u, dtype=float)))
 
 
 def _norm(v: np.ndarray) -> float:
-    """:func:`norm` of a contiguous 1-D float array, unchecked.
+    """:func:`norm` of a contiguous 1-D float array, unchecked, for the solve loop.
 
     Bit-equal to ``np.linalg.norm``, which takes ``sqrt(v.dot(v))`` of a
     contiguous copy; a strided view's dot product may round differently.

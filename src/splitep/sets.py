@@ -414,16 +414,14 @@ def project_polyhedron(
     held at that point to the same tolerance, which depends on ``x0`` alone.
     For any other ``x0`` it re-derives multipliers for the stored working
     rows, shedding those no longer binding. Given ``row_norms`` must be the
-    norms of the rows of ``G``, none of them zero, and are taken unchecked:
-    :class:`~splitep.solver.StrongState` passes the norms it stored with its
-    rows, and it never stores a zero row. Unlike Dykstra's scheme this is
-    insensitive to nearly parallel rows, but it needs the explicit
-    inequality description.
+    norms of the rows of ``G``. Unlike Dykstra's scheme this is insensitive
+    to nearly parallel rows, but it needs the explicit inequality
+    description.
 
     Raises
     ------
     ValueError
-        If ``row_norms`` is not given and a row of ``G`` is zero.
+        If a row of ``G``, or a given row norm, is zero.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     DykstraError
@@ -435,12 +433,9 @@ def project_polyhedron(
     k = G.shape[0]
     if k == 0:
         return x0.copy(), ()
-    if row_norms is None:
-        row_scale = np.linalg.norm(G, axis=1)
-        if np.any(row_scale == 0.0):
-            raise ValueError("zero rows must be filtered out before projection")
-    else:
-        row_scale = np.asarray(row_norms, dtype=float)
+    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
+    if np.any(row_scale == 0.0):
+        raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 

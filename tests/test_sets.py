@@ -354,12 +354,14 @@ class TestProjectPolyhedron:
             project_polyhedron(np.array([0.0]), G, h)
 
     def test_rejects_zero_rows(self):
-        # given row norms are taken unchecked; without them every row is checked
         with pytest.raises(ValueError, match="zero rows"):
             project_polyhedron(np.zeros(2), np.zeros((1, 2)), np.zeros(1))
         G = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="zero rows"):
             project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet())
+        # given row norms are checked too, not taken on trust
+        with pytest.raises(ValueError, match="zero rows"):
+            project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet(), row_norms=np.array([1.0, 0.0, 1.0]))
 
     def test_no_rows_returns_point(self):
         r, active = project_polyhedron(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))

@@ -335,8 +335,8 @@ class TestStrongIteration:
         assert report.iterations <= 2
 
     def test_stored_rows_are_never_zero(self):
-        # project_polyhedron takes the stored norms unchecked, so no stored
-        # row may be zero: whole-space cuts, and with them zero rows, are dropped
+        # project_polyhedron rejects a zero row, so none may be stored:
+        # whole-space cuts, and with them zero rows, are dropped
         problem = sp.generate_planted(5, 5, seed=4)
         config = default_config(problem, mode="strong", max_iter=40)
         state = StrongState(problem)
