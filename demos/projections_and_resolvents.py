@@ -13,9 +13,9 @@ import splitep as sp
 box = sp.Box([0.0, 0.0], [1.0, 1.0])
 ball = sp.Ball([0.0, 0.0], 1.0)
 halfspace = sp.Halfspace([1.0, 0.0], 0.0)
-print("project([2,-1] onto unit box)      ->", sp.project(box, [2.0, -1.0]))
-print("project([3, 4] onto unit ball)     ->", sp.project(ball, [3.0, 4.0]))
-print("project([2, 5] onto {x1 <= 0})     ->", sp.project(halfspace, [2.0, 5.0]))
+print("project([2,-1] onto unit box)      ->", box.project([2.0, -1.0]))
+print("project([3, 4] onto unit ball)     ->", ball.project([3.0, 4.0]))
+print("project([2, 5] onto {x1 <= 0})     ->", halfspace.project([2.0, 5.0]))
 
 # intersections via alternating projections with correction terms
 quadrant = [sp.Halfspace([-1.0, 0.0], 0.0), sp.Halfspace([0.0, -1.0], 0.0)]
@@ -27,7 +27,7 @@ print(f"closer-to-0-than-to-2 cut: normal {cut.normal}, offset {cut.offset} (i.e
 
 # nonexpansive mappings: averaging the identity with a ball projection
 S = sp.Averaged(0.5, sp.ProjectionOnto(sp.Ball([0.0], 1.0)))
-print("averaged ball-projection map at 3  ->", sp.map_apply(S, [3.0]))
+print("averaged ball-projection map at 3  ->", S.apply([3.0]))
 
 # resolvent of a monotone bifunction vs the exhaustive grid oracle
 g = sp.AffineVIBifunction.with_default_constants(np.eye(1), np.array([-0.3]))

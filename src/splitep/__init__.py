@@ -13,10 +13,7 @@ Hilbert spaces, f is pseudomonotone, g is monotone and S, T are nonexpansive.
 
 from splitep.linalg import (
     DenseOperator,
-    adjoint_apply,
-    apply,
     as_vector,
-    inner,
     norm,
     operator_norm_sq_upper,
 )
@@ -35,8 +32,6 @@ from splitep.sets import (
     ProjectionOnto,
     WholeSpace,
     halfspace_dominates,
-    map_apply,
-    project,
     project_intersection,
 )
 from splitep.equilibrium import (
@@ -110,20 +105,15 @@ __all__ = [
     "SolverConfig",
     "StrongState",
     "WholeSpace",
-    "adjoint_apply",
-    "apply",
     "as_vector",
     "check_assumptions",
     "default_config",
     "fejer_audit",
     "generate_planted",
     "halfspace_dominates",
-    "inner",
     "load",
-    "map_apply",
     "norm",
     "operator_norm_sq_upper",
-    "project",
     "project_intersection",
     "prox_step",
     "resolvent",

@@ -108,12 +108,10 @@ def _solve(problem: ProblemSpec, args: argparse.Namespace):
         overrides["max_iter"] = args.max_iter
     if args.lam is not None:
         overrides["lambda_schedule"] = constant_schedule(args.lam)
-        overrides["lambda_bounds"] = (args.lam, args.lam)
     if args.alpha is not None:
         overrides["alpha"] = args.alpha
     if args.alpha_k is not None:
         overrides["alpha_k_schedule"] = constant_schedule(args.alpha_k)
-        overrides["alpha_k_lower"] = args.alpha_k
     if args.unsafe_mu is not None:
         overrides.update(mu_fraction=args.unsafe_mu, validate_mu=False)
     strong = args.algorithm.endswith("strong")

@@ -19,10 +19,7 @@ import numpy as np
 
 __all__ = [
     "DenseOperator",
-    "adjoint_apply",
-    "apply",
     "as_vector",
-    "inner",
     "norm",
     "operator_norm_sq_upper",
 ]
@@ -44,17 +41,8 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def inner(u, v) -> float:
-    """Euclidean inner product of two vectors of equal dimension."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(u @ v)
-
-
 def norm(u) -> float:
-    """Norm induced by :func:`inner`."""
+    """Euclidean norm of a vector."""
     return float(np.linalg.norm(np.asarray(u, dtype=float)))
 
 
@@ -108,16 +96,6 @@ class DenseOperator:
 
     def __repr__(self) -> str:
         return f"DenseOperator(shape={self.entries.shape})"
-
-
-def apply(A: DenseOperator, x) -> np.ndarray:
-    """Matrix-vector product ``A x``."""
-    return A.apply(x)
-
-
-def adjoint_apply(A: DenseOperator, y) -> np.ndarray:
-    """Transpose action ``A* y``."""
-    return A.adjoint_apply(y)
 
 
 def operator_norm_sq_upper(A: DenseOperator) -> float:

@@ -34,8 +34,6 @@ __all__ = [
     "WholeSpace",
     "halfspace_dominates",
     "linear_inequality_rows",
-    "map_apply",
-    "project",
     "project_intersection",
     "project_polyhedron",
 ]
@@ -276,11 +274,6 @@ class Intersection(ConvexSet):
 
     def __repr__(self) -> str:
         return f"Intersection(dim={self.dim}, members={len(self.members)})"
-
-
-def project(convex_set: ConvexSet, x) -> np.ndarray:
-    """Metric projection of ``x`` onto ``convex_set``."""
-    return convex_set.project(x)
 
 
 def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_000) -> np.ndarray:
@@ -639,8 +632,3 @@ class Composition(NonexpansiveMap):
 
     def __repr__(self) -> str:
         return f"Composition({self.outer!r}, {self.inner!r})"
-
-
-def map_apply(mapping: NonexpansiveMap, x) -> np.ndarray:
-    """Apply a nonexpansive mapping to a point."""
-    return mapping.apply(x)

@@ -30,6 +30,7 @@ solves may share.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -76,7 +77,7 @@ STRONG = "strong"
 # from invalid problem data (e.g. a bifunction that is not pseudomonotone).
 DIVERGENCE_LIMIT = 1e12
 
-# How many leading schedule values validate() probes against declared bounds.
+# How many leading schedule values validate() probes.
 SCHEDULE_PROBE_COUNT = 50
 
 
@@ -117,14 +118,16 @@ def constant_schedule(value: float) -> Callable[[int], float]:
 class SolverConfig:
     """Parameters of one solve.
 
+    :func:`validate` checks each schedule on its first
+    ``SCHEDULE_PROBE_COUNT`` (50) values only; later values are not checked.
+
     Attributes
     ----------
     lambda_schedule : callable
-        Iteration index -> proximal step size; must stay inside
-        ``lambda_bounds``.
-    lambda_bounds : (float, float)
-        Declared range ``[a, b]``; admissible when
-        ``0 < a <= b < min(1/(2 c1), 1/(2 c2))`` for the constants of ``f``.
+        Iteration index -> proximal step size; admissible when every value
+        lies in ``(0, min(1/(2 c1), 1/(2 c2)))`` for the constants of ``f``.
+        The theorems further ask that all values stay in one closed ``[a, b]``
+        inside that range, which no finite probe can check.
     mu : float
         Dual step; admissible when ``0 < mu < 1 / U`` for the certified bound
         ``U >= ||A||^2`` of :func:`~splitep.linalg.operator_norm_sq_upper`,
@@ -132,8 +135,9 @@ class SolverConfig:
     alpha : float
         Averaging weight for ``S``; admissible in ``(0, 1)``.
     alpha_k_schedule : callable
-        Iteration index -> resolvent parameter; must stay at or above
-        ``alpha_k_lower > 0``.
+        Iteration index -> resolvent parameter; admissible when every value
+        is positive and finite. The theorems further ask that the values stay
+        bounded away from 0, which no finite probe can check.
     tol : float
         Outer stopping tolerance on the residual (max over residual parts).
     max_iter : int
@@ -151,11 +155,9 @@ class SolverConfig:
     """
 
     lambda_schedule: Callable[[int], float]
-    lambda_bounds: tuple[float, float]
     mu: float
     alpha: float = 0.5
     alpha_k_schedule: Callable[[int], float] = constant_schedule(1.0)
-    alpha_k_lower: float = 1.0
     tol: float = 1e-6
     max_iter: int = 50_000
     mode: str = WEAK
@@ -167,10 +169,10 @@ class SolverConfig:
             raise ValueError(f"mode must be 'weak' or 'strong', got {self.mode!r}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.history_stride < 1:
-            raise ValueError("history_stride must be >= 1")
+        for name in ("max_iter", "history_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _lambda_bound(f) -> float:
@@ -194,7 +196,6 @@ def default_config(problem, mode: str = WEAK, **overrides) -> SolverConfig:
     U = operator_norm_sq_upper(problem.A)
     defaults = dict(
         lambda_schedule=constant_schedule(lam),
-        lambda_bounds=(lam, lam),
         mu=mu_fraction / U,
         mode=mode,
     )
@@ -208,26 +209,11 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
     Returns all violations at once (empty list when admissible).
     """
     violations = []
-    a, b = config.lambda_bounds
     lam_bound = _lambda_bound(problem.f)
-    if not (0.0 < a <= b < lam_bound):
-        violations.append(
-            ConfigViolation(
-                "LambdaOutOfRange",
-                f"lambda bounds [{a}, {b}] must satisfy 0 < a <= b < {lam_bound} "
-                "= min(1/(2 c1), 1/(2 c2))",
-            )
-        )
-    else:
-        probed = [config.lambda_schedule(k) for k in range(SCHEDULE_PROBE_COUNT)]
-        slack = 1e-12 * (1.0 + abs(b))
-        if any(not (a - slack <= v <= b + slack) for v in probed):
-            violations.append(
-                ConfigViolation(
-                    "LambdaScheduleOutsideBounds",
-                    f"lambda schedule leaves the declared range [{a}, {b}]",
-                )
-            )
+    _probe_schedule(
+        violations, config.lambda_schedule, "lambda_schedule", lambda v: 0.0 < v < lam_bound,
+        "LambdaOutOfRange", f"in (0, {lam_bound}) = (0, min(1/(2 c1), 1/(2 c2)))",
+    )
     if not (0.0 < config.alpha < 1.0):
         violations.append(
             ConfigViolation("AlphaOutOfRange", f"alpha = {config.alpha} must lie in (0, 1)")
@@ -246,26 +232,20 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
                     "squared-operator-norm bound U",
                 )
             )
-    if not (0.0 < config.alpha_k_lower < math.inf):
-        violations.append(
-            ConfigViolation(
-                "AlphaKNotPositive",
-                f"declared resolvent-parameter lower bound {config.alpha_k_lower} must be "
-                "positive and finite",
-            )
-        )
-    else:
-        probed = [config.alpha_k_schedule(k) for k in range(SCHEDULE_PROBE_COUNT)]
-        slack = 1e-12 * (1.0 + abs(config.alpha_k_lower))
-        if any(not (config.alpha_k_lower - slack <= v < math.inf) for v in probed):
-            violations.append(
-                ConfigViolation(
-                    "AlphaKBelowDeclaredBound",
-                    "resolvent-parameter schedule drops below its declared lower bound "
-                    f"{config.alpha_k_lower} or is not finite",
-                )
-            )
+    _probe_schedule(
+        violations, config.alpha_k_schedule, "alpha_k_schedule", lambda v: 0.0 < v < math.inf,
+        "AlphaKNotPositive", "positive and finite",
+    )
     return violations
+
+
+def _probe_schedule(violations, schedule, label, admissible, name, requirement) -> None:
+    """Append violation ``name`` for the first probed ``schedule(k)`` not ``admissible``."""
+    for k in range(SCHEDULE_PROBE_COUNT):
+        value = schedule(k)
+        if not admissible(value):
+            violations.append(ConfigViolation(name, f"{label}({k}) = {value} must be {requirement}"))
+            return
 
 
 def _require_valid(config: SolverConfig, problem) -> None:
@@ -551,9 +531,10 @@ def fejer_audit(history: list[IterateRecord], x_star) -> float:
     must hold; the return value is the largest amount by which any link
     fails, and 0.0 for histories with fewer than two records. Raises
     ``ValueError`` when two neighbouring records are not consecutive
-    iterations, as in a history thinned by ``history_stride > 1``.
+    iterations, as in a history thinned by ``history_stride > 1``, and when
+    ``x_star`` does not have the records' dimension.
     """
-    x_star = as_vector(x_star)
+    x_star = as_vector(x_star, history[0].x.size if history else None)
     worst = 0.0
     for prev, nxt in zip(history, history[1:]):
         if nxt.k != prev.k + 1:

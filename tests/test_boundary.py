@@ -7,6 +7,8 @@ and that user subclasses overriding only the public methods still solve.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -92,6 +94,11 @@ class TestPublicBoundary:
     def test_rejects_bad_vectors(self, name, bad, match):
         with pytest.raises(ValueError, match=match):
             ENTRY_POINTS[name](np.array(bad))
+
+    def test_every_exported_name_resolves(self):
+        modules = [sp] + [importlib.import_module(f"splitep.{info.name}") for info in pkgutil.iter_modules(sp.__path__)]
+        stale = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+        assert stale == []
 
     def test_prox_step_rejects_anchor_outside_the_set(self):
         planted = sp.generate_planted(2, 2, seed=1)

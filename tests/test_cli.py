@@ -113,7 +113,10 @@ class TestSolve:
     def test_invalid_override_rejected_with_named_violation(self, outdir, capsys):
         path = generate(outdir, seed=4, n=2, m=2)
         assert run_cli("solve", "--problem", path, "--lambda", 50.0) == 2
-        assert "LambdaOutOfRange" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "LambdaOutOfRange" in err and "lambda_schedule(0) = 50.0" in err
+        assert run_cli("solve", "--problem", path, "--alpha-k", 0) == 2
+        assert "AlphaKNotPositive: alpha_k_schedule(0) = 0.0" in capsys.readouterr().err
 
     def test_missing_problem_file(self, outdir, capsys):
         assert run_cli("solve", "--problem", outdir / "nope.json") == 3

@@ -18,8 +18,6 @@ from splitep.sets import (
     WholeSpace,
     halfspace_dominates,
     linear_inequality_rows,
-    map_apply,
-    project,
     project_intersection,
     project_polyhedron,
 )
@@ -37,18 +35,18 @@ def sample_sets(rng):
 class TestClosedFormProjections:
     def test_box_clamp(self):
         box = Box([0.0, 0.0], [1.0, 1.0])
-        assert np.array_equal(project(box, [2.0, -1.0]), [1.0, 0.0])
+        assert np.array_equal(box.project([2.0, -1.0]), [1.0, 0.0])
 
     def test_ball_radial_scaling(self):
         ball = Ball([0.0, 0.0], 1.0)
-        assert np.allclose(project(ball, [3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+        assert np.allclose(ball.project([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
 
     def test_halfspace(self):
         hs = Halfspace([1.0, 0.0], 0.0)
-        assert np.allclose(project(hs, [2.0, 5.0]), [0.0, 5.0], atol=1e-15)
+        assert np.allclose(hs.project([2.0, 5.0]), [0.0, 5.0], atol=1e-15)
 
     def test_whole_space(self):
-        assert np.array_equal(project(WholeSpace(2), [7.0, -1.0]), [7.0, -1.0])
+        assert np.array_equal(WholeSpace(2).project([7.0, -1.0]), [7.0, -1.0])
 
     def test_interior_points_fixed(self):
         rng = np.random.default_rng(0)
@@ -230,19 +228,19 @@ class TestHalfspaceDominates:
 
 class TestNonexpansiveMaps:
     def test_identity(self):
-        assert np.array_equal(map_apply(Identity(2), [1.0, 2.0]), [1.0, 2.0])
+        assert np.array_equal(Identity(2).apply([1.0, 2.0]), [1.0, 2.0])
 
     def test_projection_onto_ball(self):
         S = ProjectionOnto(Ball([0.0], 1.0))
-        assert np.array_equal(map_apply(S, [3.0]), [1.0])
+        assert np.array_equal(S.apply([3.0]), [1.0])
 
     def test_averaged(self):
         S = Averaged(0.5, ProjectionOnto(Ball([0.0], 1.0)))
-        assert np.array_equal(map_apply(S, [3.0]), [2.0])
+        assert np.array_equal(S.apply([3.0]), [2.0])
 
     def test_composition(self):
         S = Composition(ProjectionOnto(Box([0.0], [10.0])), ProjectionOnto(Ball([0.0], 2.0)))
-        assert np.array_equal(map_apply(S, [-5.0]), [0.0])
+        assert np.array_equal(S.apply([-5.0]), [0.0])
 
     def test_theta_range(self):
         with pytest.raises(ValueError):
@@ -256,7 +254,7 @@ class TestNonexpansiveMaps:
         S = ProjectionOnto(ball)
         for _ in range(50):
             member = ball.project(rng.standard_normal(3) * 3.0)
-            assert np.allclose(map_apply(S, member), member, atol=1e-12)
+            assert np.allclose(S.apply(member), member, atol=1e-12)
 
     def test_sampled_nonexpansiveness(self):
         rng = np.random.default_rng(9)
@@ -271,7 +269,7 @@ class TestNonexpansiveMaps:
             for _ in range(100):
                 x = 3.0 * rng.standard_normal(3)
                 y = 3.0 * rng.standard_normal(3)
-                lhs = np.linalg.norm(map_apply(S, x) - map_apply(S, y))
+                lhs = np.linalg.norm(S.apply(x) - S.apply(y))
                 assert lhs <= np.linalg.norm(x - y) + 1e-10
 
 

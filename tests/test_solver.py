@@ -106,7 +106,6 @@ class NaNFromFourthCall(NonexpansiveMap):
 def simple_config(problem, **overrides):
     defaults = dict(
         lambda_schedule=constant_schedule(0.4),
-        lambda_bounds=(0.4, 0.4),
         mu=0.9 / sp.operator_norm_sq_upper(problem.A),
     )
     defaults.update(overrides)
@@ -120,9 +119,32 @@ class TestValidate:
 
     def test_lambda_out_of_range(self):
         problem = degenerate_problem()
-        config = simple_config(problem, lambda_schedule=constant_schedule(1.5), lambda_bounds=(1.5, 1.5))
+        config = simple_config(problem, lambda_schedule=constant_schedule(1.5))
         names = [v.name for v in validate(config, problem)]
         assert names == ["LambdaOutOfRange"]
+
+    def test_lambda_at_the_bound_is_rejected(self):
+        # the admissible range (0, min(1/(2 c1), 1/(2 c2))) is open
+        problem = degenerate_problem()
+        bound = min(1.0 / (2.0 * problem.f.c1), 1.0 / (2.0 * problem.f.c2))
+        config = simple_config(problem, lambda_schedule=constant_schedule(bound))
+        assert [v.name for v in validate(config, problem)] == ["LambdaOutOfRange"]
+        just_inside = simple_config(problem, lambda_schedule=constant_schedule(np.nextafter(bound, 0.0)))
+        assert validate(just_inside, problem) == []
+
+    @pytest.mark.parametrize(
+        "field, schedule, name, first",
+        [
+            ("lambda_schedule", lambda k: 0.4 if k < 7 else -1.0, "LambdaOutOfRange", "lambda_schedule(7) = -1.0"),
+            ("alpha_k_schedule", lambda k: 1.0 if k < 12 else 0.0, "AlphaKNotPositive", "alpha_k_schedule(12) = 0.0"),
+        ],
+        ids=["lambda", "alpha_k"],
+    )
+    def test_message_names_first_offending_index(self, field, schedule, name, first):
+        problem = degenerate_problem()
+        (violation,) = validate(simple_config(problem, **{field: schedule}), problem)
+        assert violation.name == name
+        assert f"{first} must be" in violation.message
 
     def test_mu_too_large(self):
         problem = degenerate_problem()
@@ -142,19 +164,18 @@ class TestValidate:
         config = simple_config(
             problem,
             lambda_schedule=constant_schedule(1.5),
-            lambda_bounds=(1.5, 1.5),
             mu=-1.0,
             alpha=1.0,
-            alpha_k_lower=0.0,
+            alpha_k_schedule=constant_schedule(0.0),
         )
         names = {v.name for v in validate(config, problem)}
         assert names == {"LambdaOutOfRange", "MuNotPositive", "AlphaOutOfRange", "AlphaKNotPositive"}
 
-    def test_schedule_leaving_declared_bounds(self):
+    def test_schedule_leaving_admissible_range(self):
         problem = degenerate_problem()
         config = simple_config(problem, lambda_schedule=lambda k: 0.4 + 0.1 * k)
         names = [v.name for v in validate(config, problem)]
-        assert names == ["LambdaScheduleOutsideBounds"]
+        assert names == ["LambdaOutOfRange"]
 
     def test_solves_reject_invalid_configs(self):
         problem = degenerate_problem()
@@ -164,20 +185,29 @@ class TestValidate:
 
     def test_config_field_validation(self):
         with pytest.raises(ValueError, match="mode"):
-            SolverConfig(constant_schedule(0.4), (0.4, 0.4), mu=0.5, mode="fast")
+            SolverConfig(constant_schedule(0.4), 0.5, mode="fast")
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
-                SolverConfig(constant_schedule(0.4), (0.4, 0.4), mu=0.5, tol=tol)
+                SolverConfig(constant_schedule(0.4), 0.5, tol=tol)
+
+    @pytest.mark.parametrize("field", ["max_iter", "history_stride"])
+    @pytest.mark.parametrize("value", [1e3, 2.5, True, "10"])
+    def test_counts_must_be_positive_integers(self, field, value):
+        problem = degenerate_problem()
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            default_config(problem, **{field: value})
 
     @pytest.mark.parametrize(
         "overrides, name",
         [
             (dict(mu=math.nan), "MuNotPositive"),
             (dict(mu=math.inf, validate_mu=False), "MuNotPositive"),
-            (dict(alpha_k_lower=math.nan), "AlphaKNotPositive"),
-            (dict(alpha_k_lower=math.inf), "AlphaKNotPositive"),
-            (dict(alpha_k_schedule=constant_schedule(math.nan)), "AlphaKBelowDeclaredBound"),
-            (dict(alpha_k_schedule=constant_schedule(math.inf)), "AlphaKBelowDeclaredBound"),
+            # schedules that turn non-finite only after k = 0: the probe walks on
+            (dict(alpha_k_schedule=lambda k: 1.0 if k < 10 else math.nan), "AlphaKNotPositive"),
+            (dict(alpha_k_schedule=lambda k: 1.0 if k < 10 else -math.inf), "AlphaKNotPositive"),
+            (dict(alpha_k_schedule=constant_schedule(math.nan)), "AlphaKNotPositive"),
+            (dict(alpha_k_schedule=constant_schedule(math.inf)), "AlphaKNotPositive"),
+            (dict(lambda_schedule=constant_schedule(math.nan)), "LambdaOutOfRange"),
         ],
     )
     def test_non_finite_values_are_named_violations(self, overrides, name):
@@ -660,9 +690,7 @@ class TestVariableSchedules:
                 problem,
                 mode=mode,
                 lambda_schedule=lam,
-                lambda_bounds=(a, b),
                 alpha_k_schedule=resolvent_parameter,
-                alpha_k_lower=1.0,
             )
             report = solve(problem, config)
             assert report.status is SolveStatus.CONVERGED
@@ -685,6 +713,13 @@ class TestFejerAudit:
         thinned = weak_solve(problem, default_config(problem, history_stride=25))
         with pytest.raises(ValueError, match="consecutive"):
             fejer_audit(thinned.history, problem.planted_solution)
+
+    def test_wrong_dimension_solution_is_rejected(self):
+        # a length-1 x_star would broadcast against the 3-vectors of the records
+        problem = sp.generate_planted(3, 3, seed=1)
+        report = weak_solve(problem, default_config(problem))
+        with pytest.raises(ValueError, match="dimension 3"):
+            fejer_audit(report.history, [0.0])
 
     def test_single_record_history_is_empty_chain(self):
         problem = sp.generate_planted(2, 2, seed=51)
