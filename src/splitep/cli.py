@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from splitep.equilibrium import check_assumptions
@@ -182,14 +183,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     exit_code = EXIT_OK
     for seed in args.seeds:
-        problem, _, report = _solve(generate_planted(args.n, args.m, seed), args)
+        planted = generate_planted(args.n, args.m, seed)
+        started = time.perf_counter()
+        problem, _, report = _solve(planted, args)
+        wall = time.perf_counter() - started
         dist = norm(report.final_x - problem.planted_solution)
-        rows.append((seed, report.status.value, report.iterations, report.final_residual, dist))
+        rows.append((seed, report.status.value, report.iterations, report.final_residual, dist, wall))
         if report.status is SolveStatus.INNER_FAILURE:
             exit_code = EXIT_INNER_FAILURE
-    print(f"{'seed':>6s} {'status':>16s} {'iterations':>10s} {'residual':>12s} {'dist_xstar':>12s}")
-    for seed, status, iterations, residual, dist in rows:
-        print(f"{seed:6d} {status:>16s} {iterations:10d} {residual:12.3e} {dist:12.3e}")
+    print(f"{'seed':>6s} {'status':>16s} {'iterations':>10s} {'residual':>12s} {'dist_xstar':>12s} {'wall_s':>10s}")
+    for seed, status, iterations, residual, dist, wall in rows:
+        print(f"{seed:6d} {status:>16s} {iterations:10d} {residual:12.3e} {dist:12.3e} {wall:10.3e}")
     return exit_code
 
 

@@ -246,14 +246,20 @@ def prox_step(
     if violation > 1e-9:
         raise ValueError(f"prox anchor lies outside the constraint set (violation {violation:.3e})")
     at = x if at is None else as_vector(at, C.dim)
-    return _prox_step(f, C, x, lam, at, tol, max_inner)
-
-
-def _prox_step(f, C, x: np.ndarray, lam: float, at: np.ndarray, tol=1e-10, max_inner=20_000) -> ProxResult:
-    """:func:`prox_step` unchecked: ``lam > 0``, ``x`` in ``C``, and ``x``, ``at`` finite float vectors."""
     if isinstance(f, AffineVIBifunction):
-        y = C._project(x - lam * f.operator(at))
-        return ProxResult(minimizer=y, inner_iterations=0, inner_residual=0.0)
+        return ProxResult(minimizer=_prox_step(f, C, x, lam, at), inner_iterations=0, inner_residual=0.0)
+    return _prox_fbf(f, C, x, lam, at, tol, max_inner)
+
+
+def _prox_step(f, C, x: np.ndarray, lam: float, at: np.ndarray) -> np.ndarray:
+    """:func:`prox_step`'s minimizer, unchecked: ``lam > 0``, ``x`` in ``C``, and ``x``, ``at`` finite float vectors."""
+    if isinstance(f, AffineVIBifunction):
+        return C._project(x - lam * (f.matrix @ at + f.offset))
+    return _prox_fbf(f, C, x, lam, at).minimizer
+
+
+def _prox_fbf(f, C, x: np.ndarray, lam: float, at: np.ndarray, tol=1e-10, max_inner=20_000) -> ProxResult:
+    """The iterative prox step of a bifunction without an exact one, unchecked."""
     return _fbf(lambda y: lam * f.subgradient_y(at, y) + (y - x), C, x, tol, max_inner, "prox step")
 
 

@@ -414,7 +414,8 @@ def project_polyhedron(
     Raises
     ------
     ValueError
-        If a row of ``G``, or a given row norm, is zero.
+        If a row of ``G``, or a given row norm, is zero; a resumed call
+        checks only the added rows, as the record's call checked the others.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     DykstraError
@@ -427,7 +428,11 @@ def project_polyhedron(
     if k == 0:
         return x0.copy(), ()
     row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
-    if np.any(row_scale == 0.0):
+    start = ActiveSet() if start is None else start
+    key = x0.tobytes()
+    resume = start.key == key and start.checked <= k
+    # a resumed call's record has checked its leading rows, which are unchanged
+    if (row_scale[start.checked if resume else 0:] == 0.0).any():
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
@@ -435,13 +440,12 @@ def project_polyhedron(
     working: list[int] = []
     multipliers: list[float] = []
 
+    # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
     def solve_working(rows):
-        Gw = G[rows]
-        return np.linalg.solve(Gw @ Gw.T, Gw @ x0 - h[rows])
+        Gw = G.take(rows, 0)
+        return np.linalg.solve(Gw @ Gw.T, Gw @ x0 - h.take(rows))
 
-    start = ActiveSet() if start is None else start
-    key = x0.tobytes()
-    if start.key == key and start.checked <= k:
+    if resume:
         working, multipliers, r = list(start.rows), list(start.multipliers), start.point
         # The first scan starts at the added rows, or at the last row when none
         # were added, so that it is never empty.
@@ -456,28 +460,33 @@ def project_polyhedron(
             except np.linalg.LinAlgError:
                 warm = []
                 break
-            if np.min(lam) >= 0.0:
+            if lam.min() >= 0.0:
                 working = warm
-                multipliers = [float(v) for v in lam]
+                multipliers = lam.tolist()
                 break
-            del warm[int(np.argmin(lam))]
-        r = x0 - G[working].T @ np.asarray(multipliers) if working else x0.copy()
+            del warm[int(lam.argmin())]
+        r = x0 - G.take(working, 0).T @ np.asarray(multipliers) if working else x0.copy()
         fresh = 0
 
     for _ in range(max_pivots):
-        violations = (G[fresh:] @ r - h[fresh:]) / row_scale[fresh:]
-        p = fresh + int(np.argmax(violations))
-        if violations[p - fresh] <= feas_scale:
+        # each row's violation scaled by its norm, in place on the product
+        violations = G[fresh:] @ r
+        violations -= h[fresh:]
+        violations /= row_scale[fresh:]
+        worst = violations.argmax()
+        if violations[worst] <= feas_scale:
             start.rows, start.multipliers, start.point, start.key, start.checked = (
                 tuple(working), multipliers, r, key, k
             )
             return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
+        p = fresh + int(worst)
         fresh = 0
-        a_p = G[p]
+        a_p, h_p = G[p], float(h[p])
+        dependent_sq = (1e-12 * float(row_scale[p])) ** 2
         lam_p = 0.0
         for _ in range(len(working) + 1):
             if working:
-                Gw = G[working]
+                Gw = G.take(working, 0)
                 try:
                     d = np.linalg.solve(Gw @ Gw.T, Gw @ a_p)
                 except np.linalg.LinAlgError:
@@ -488,7 +497,7 @@ def project_polyhedron(
                 d = []
                 z = a_p.copy()
             z_sq = float(z @ z)
-            dependent = z_sq <= (1e-12 * row_scale[p]) ** 2
+            dependent = z_sq <= dependent_sq
             # Longest multiplier-feasible dual step along the exchange
             # direction; the blocking row's multiplier hits zero first.
             t_dual = np.inf
@@ -504,7 +513,7 @@ def project_polyhedron(
                     )
                 t, full_step = t_dual, False
             else:
-                t_primal = float(a_p @ r - h[p]) / z_sq
+                t_primal = (float(a_p @ r) - h_p) / z_sq
                 full_step = t_primal <= t_dual
                 t = t_primal if full_step else t_dual
             r = r - t * z

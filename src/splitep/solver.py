@@ -37,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-# bench/spans.py looks up and wraps the checked prox_step, resolvent and halfspace_dominates here
+# bench/spans.py getattrs prox_step, resolvent and halfspace_dominates here to wrap them, and
+# raises without them, though the loop calls only their unchecked kernels
 from splitep.equilibrium import InnerSolveError, _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
 from splitep.linalg import _norm, as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
@@ -119,7 +120,10 @@ class SolverConfig:
     """Parameters of one solve.
 
     :func:`validate` checks each schedule on its first
-    ``SCHEDULE_PROBE_COUNT`` (50) values only; later values are not checked.
+    ``SCHEDULE_PROBE_COUNT`` (50) values. A solve checks every value again
+    before the step that uses it, and a value outside its admissible range
+    ends the run with the ``InnerFailure`` status; each schedule must be a
+    pure function of the iteration index, as it is read more than once.
 
     Attributes
     ----------
@@ -209,11 +213,8 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
     Returns all violations at once (empty list when admissible).
     """
     violations = []
-    lam_bound = _lambda_bound(problem.f)
-    _probe_schedule(
-        violations, config.lambda_schedule, "lambda_schedule", lambda v: 0.0 < v < lam_bound,
-        "LambdaOutOfRange", f"in (0, {lam_bound}) = (0, min(1/(2 c1), 1/(2 c2)))",
-    )
+    lambda_rule, alpha_k_rule = _schedule_rules(problem)
+    _probe_schedule(violations, config, lambda_rule)
     if not (0.0 < config.alpha < 1.0):
         violations.append(
             ConfigViolation("AlphaOutOfRange", f"alpha = {config.alpha} must lie in (0, 1)")
@@ -232,19 +233,34 @@ def validate(config: SolverConfig, problem) -> list[ConfigViolation]:
                     "squared-operator-norm bound U",
                 )
             )
-    _probe_schedule(
-        violations, config.alpha_k_schedule, "alpha_k_schedule", lambda v: 0.0 < v < math.inf,
-        "AlphaKNotPositive", "positive and finite",
-    )
+    _probe_schedule(violations, config, alpha_k_rule)
     return violations
 
 
-def _probe_schedule(violations, schedule, label, admissible, name, requirement) -> None:
-    """Append violation ``name`` for the first probed ``schedule(k)`` not ``admissible``."""
+def _schedule_rules(problem) -> tuple[tuple[str, float, str, str], ...]:
+    """Per schedule: its field, the end ``b`` of its admissible range ``(0, b)``, its violation and requirement."""
+    lam_bound = _lambda_bound(problem.f)
+    return (
+        ("lambda_schedule", lam_bound, "LambdaOutOfRange", f"in (0, {lam_bound}) = (0, min(1/(2 c1), 1/(2 c2)))"),
+        ("alpha_k_schedule", math.inf, "AlphaKNotPositive", "positive and finite"),
+    )
+
+
+def _schedule_violation(config: SolverConfig, rule, k: int) -> ConfigViolation | None:
+    """The violation of a :func:`_schedule_rules` rule by the schedule's value at ``k``, if any."""
+    label, upper, name, requirement = rule
+    value = getattr(config, label)(k)
+    if 0.0 < value < upper:
+        return None
+    return ConfigViolation(name, f"{label}({k}) = {value} must be {requirement}")
+
+
+def _probe_schedule(violations, config: SolverConfig, rule) -> None:
+    """Append the violation of ``rule`` by the first probed schedule value that breaks it."""
     for k in range(SCHEDULE_PROBE_COUNT):
-        value = schedule(k)
-        if not admissible(value):
-            violations.append(ConfigViolation(name, f"{label}({k}) = {value} must be {requirement}"))
+        violation = _schedule_violation(config, rule, k)
+        if violation is not None:
+            violations.append(violation)
             return
 
 
@@ -369,8 +385,8 @@ def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int) -> IterateR
     lam = config.lambda_schedule(k)
     alpha_k = config.alpha_k_schedule(k)
 
-    y = _prox_step(problem.f, problem.C, x, lam, at=x).minimizer
-    z = _prox_step(problem.f, problem.C, x, lam, at=y).minimizer
+    y = _prox_step(problem.f, problem.C, x, lam, x)
+    z = _prox_step(problem.f, problem.C, x, lam, y)
     Sz = problem.S._apply(z)
     t = (1.0 - config.alpha) * z + config.alpha * Sz
     At = problem.A.entries @ t
@@ -443,18 +459,25 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
 
     Stops at the first record whose residual is at most ``config.tol``,
     after ``config.max_iter + 1`` records, or on the first failure: iterates
-    beyond ``DIVERGENCE_LIMIT``, an inner solver giving up, an empty
-    shrinking set, or a non-finite residual. Record ``k`` enters the history
-    when ``k`` is a multiple of ``config.history_stride``; the last record
-    always does.
+    beyond ``DIVERGENCE_LIMIT``, a schedule value outside its admissible
+    range (:func:`validate` probes only the first ``SCHEDULE_PROBE_COUNT``,
+    so each step's ``lambda_k`` and ``alpha_k`` are checked before it runs),
+    an inner solver giving up, an empty shrinking set, or a non-finite
+    residual. Record ``k`` enters the history when ``k`` is a multiple of
+    ``config.history_stride``; the last record always does.
     """
     _require_valid(config, problem)
+    lambda_rule, alpha_k_rule = _schedule_rules(problem)
     history: list[IterateRecord] = []
     last = failure = None
     x = as_vector(problem.x1, problem.C.dim)
     for k in range(config.max_iter + 1):
         if _norm(x) > DIVERGENCE_LIMIT:
             failure = "iterates diverged; check the problem data"
+            break
+        violation = _schedule_violation(config, lambda_rule, k) or _schedule_violation(config, alpha_k_rule, k)
+        if violation is not None:
+            failure = str(violation)
             break
         try:
             last = step(x, k)

@@ -3,7 +3,18 @@
 import numpy as np
 
 from splitep.equilibrium import AffineVIBifunction, CallableBifunction
-from splitep.sets import Averaged, Ball, Box, Halfspace, Identity, ProjectionOnto, WholeSpace
+from splitep.sets import (
+    ActiveSet,
+    Averaged,
+    Ball,
+    Box,
+    DykstraError,
+    EmptySetError,
+    Halfspace,
+    Identity,
+    ProjectionOnto,
+    WholeSpace,
+)
 from splitep.solver import IterateRecord
 
 
@@ -211,4 +222,127 @@ def reference_core_step(problem, config, x, k):
         step=step,
         residual=max(step, *parts.values()),
         **parts,
+    )
+
+
+def reference_project_polyhedron(
+    x0,
+    G: np.ndarray,
+    h: np.ndarray,
+    start: ActiveSet | None = None,
+    row_norms=None,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`splitep.sets.project_polyhedron` as it stood before its per-pivot numpy calls were cut.
+
+    Kept verbatim, fancy indexing, ``np.argmax`` and all, so that tests can
+    demand bit-equal points, active rows and ``ActiveSet`` records from the
+    library's version on the same calls.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    G = np.asarray(G, dtype=float)
+    h = np.asarray(h, dtype=float)
+    k = G.shape[0]
+    if k == 0:
+        return x0.copy(), ()
+    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
+    if np.any(row_scale == 0.0):
+        raise ValueError("zero rows must be filtered out before projection")
+    max_pivots = 200 + 10 * G.shape[1] + 2 * k
+    feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+
+    working: list[int] = []
+    multipliers: list[float] = []
+
+    def solve_working(rows):
+        Gw = G[rows]
+        return np.linalg.solve(Gw @ Gw.T, Gw @ x0 - h[rows])
+
+    start = ActiveSet() if start is None else start
+    key = x0.tobytes()
+    if start.key == key and start.checked <= k:
+        working, multipliers, r = list(start.rows), list(start.multipliers), start.point
+        # The first scan starts at the added rows, or at the last row when none
+        # were added, so that it is never empty.
+        fresh = min(start.checked, k - 1)
+    else:
+        # Re-derive warm-start multipliers, shedding rows that are no longer
+        # binding; rows carried over from a previous call stay independent.
+        warm = [i for i in start.rows if 0 <= i < k]
+        while warm:
+            try:
+                lam = solve_working(warm)
+            except np.linalg.LinAlgError:
+                warm = []
+                break
+            if np.min(lam) >= 0.0:
+                working = warm
+                multipliers = [float(v) for v in lam]
+                break
+            del warm[int(np.argmin(lam))]
+        r = x0 - G[working].T @ np.asarray(multipliers) if working else x0.copy()
+        fresh = 0
+
+    for _ in range(max_pivots):
+        violations = (G[fresh:] @ r - h[fresh:]) / row_scale[fresh:]
+        p = fresh + int(np.argmax(violations))
+        if violations[p - fresh] <= feas_scale:
+            start.rows, start.multipliers, start.point, start.key, start.checked = (
+                tuple(working), multipliers, r, key, k
+            )
+            return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
+        fresh = 0
+        a_p = G[p]
+        lam_p = 0.0
+        for _ in range(len(working) + 1):
+            if working:
+                Gw = G[working]
+                try:
+                    d = np.linalg.solve(Gw @ Gw.T, Gw @ a_p)
+                except np.linalg.LinAlgError:
+                    d = np.linalg.lstsq(Gw @ Gw.T, Gw @ a_p, rcond=None)[0]
+                z = a_p - Gw.T @ d
+                d = d.tolist()
+            else:
+                d = []
+                z = a_p.copy()
+            z_sq = float(z @ z)
+            dependent = z_sq <= (1e-12 * row_scale[p]) ** 2
+            # Longest multiplier-feasible dual step along the exchange
+            # direction; the blocking row's multiplier hits zero first.
+            t_dual = np.inf
+            blocking = -1
+            for idx, (lam_i, d_i) in enumerate(zip(multipliers, d)):
+                if d_i > 1e-14 and max(lam_i, 0.0) / d_i < t_dual:
+                    t_dual = max(lam_i, 0.0) / d_i
+                    blocking = idx
+            if dependent:
+                if blocking < 0:
+                    raise EmptySetError(
+                        "inequality rows are infeasible; no point satisfies them all"
+                    )
+                t, full_step = t_dual, False
+            else:
+                t_primal = float(a_p @ r - h[p]) / z_sq
+                full_step = t_primal <= t_dual
+                t = t_primal if full_step else t_dual
+            r = r - t * z
+            multipliers = [lam_i - t * d_i for lam_i, d_i in zip(multipliers, d)]
+            lam_p += t
+            if full_step:
+                working.append(p)
+                multipliers.append(lam_p)
+                break
+            del working[blocking]
+            del multipliers[blocking]
+    raise DykstraError(float(np.max((G @ r - h) / row_scale)), max_pivots, pivots=True)
+
+
+def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
+    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows and point, bit for bit."""
+    return (
+        start.rows == reference.rows
+        and np.asarray(start.multipliers).tobytes() == np.asarray(reference.multipliers).tobytes()
+        and start.checked == reference.checked
+        and start.key == reference.key
+        and start.point.tobytes() == reference.point.tobytes()
     )

@@ -281,9 +281,16 @@ class TestBench:
             problem = sp.generate_planted(2, 3, seed).with_identity_maps()
             report = sp.strong_solve(problem, sp.default_config(problem, mode="strong", max_iter=50))
             dist = np.linalg.norm(report.final_x - problem.planted_solution)
-            assert row.split()[2:] == [
+            assert row.split()[2:5] == [
                 str(report.iterations), f"{report.final_residual:.3e}", f"{dist:.3e}"
             ]
+
+    def test_wall_time_column(self, outdir, capsys):
+        assert run_cli("bench", "--seeds", "1,2", "--n", 2, "--m", 2) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[-1] == "wall_s"
+        assert len(rows) == 2
+        assert all(float(row.split()[-1]) > 0.0 for row in rows)
 
 
 class TestUnsafeMu:

@@ -142,7 +142,12 @@ class TestSetValidation:
             Intersection([])
 
 
-from oracles import random_two_halfspaces, two_halfspace_projection_oracle  # noqa: E402
+from oracles import (  # noqa: E402
+    random_two_halfspaces,
+    reference_project_polyhedron,
+    same_record,
+    two_halfspace_projection_oracle,
+)
 
 
 class TestProjectIntersection:
@@ -365,6 +370,50 @@ class TestProjectPolyhedron:
         r, active = project_polyhedron(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))
         assert np.array_equal(r, [1.0, 2.0])
         assert active == ()
+
+
+class TestProjectPolyhedronMatchesReference:
+    """Edge cases of the resumed call, against the version kept in oracles.py."""
+
+    @staticmethod
+    def both(x, G, h, starts, row_norms=None):
+        """Project with the library and the reference, each on its own record, and demand the same bits."""
+        start, reference_start = starts
+        point, active = project_polyhedron(x, G, h, start=start, row_norms=row_norms)
+        want, want_active = reference_project_polyhedron(x, G, h, start=reference_start, row_norms=row_norms)
+        assert point.tobytes() == want.tobytes()
+        assert active == want_active
+        assert same_record(start, reference_start)
+
+    def test_resume_with_no_appended_rows(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            G, h = TestProjectPolyhedron.box_and_cuts(rng, 4, 8)
+            x = 3.0 * rng.standard_normal(4)
+            starts = ActiveSet(), ActiveSet()
+            for rows in (6, 12, 12, 12):
+                self.both(x, G[:rows], h[:rows], starts, row_norms=np.linalg.norm(G[:rows], axis=1))
+
+    @pytest.mark.parametrize("given_norms", [False, True], ids=["computed", "given"])
+    def test_zero_row_appended_before_a_resume_still_raises(self, given_norms):
+        rng = np.random.default_rng(17)
+        G, h = TestProjectPolyhedron.box_and_cuts(rng, 3, 3)
+        x = np.array([2.0, -3.0, 0.5])
+        starts = ActiveSet(), ActiveSet()
+        self.both(x, G, h, starts)
+        G2, h2 = np.vstack([G, np.zeros((1, 3)), np.ones((1, 3))]), np.concatenate([h, [1.0, 1.0]])
+        norms = np.linalg.norm(G2, axis=1) if given_norms else None
+        for project, start in zip((project_polyhedron, reference_project_polyhedron), starts):
+            assert start.key == x.tobytes()  # the call would resume
+            with pytest.raises(ValueError, match="zero rows"):
+                project(x, G2, h2, start=start, row_norms=norms)
+
+    @pytest.mark.parametrize("start", [None, ActiveSet(rows=(0, 1))], ids=["no-record", "warm-rows"])
+    def test_zero_row_on_a_cold_call_still_raises(self, start):
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        for project in (project_polyhedron, reference_project_polyhedron):
+            with pytest.raises(ValueError, match="zero rows"):
+                project(np.array([2.0, 2.0]), G, np.ones(3), start=start)
 
 
 class TestRowDescriptions:

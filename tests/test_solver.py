@@ -9,6 +9,7 @@ import splitep as sp
 from splitep.equilibrium import AffineVIBifunction, CallableBifunction
 from splitep.problems import ProblemSpec
 from splitep.sets import (
+    ActiveSet,
     Ball,
     Box,
     DykstraError,
@@ -17,6 +18,7 @@ from splitep.sets import (
     NonexpansiveMap,
     ProjectionOnto,
     WholeSpace,
+    linear_inequality_rows,
 )
 from splitep.solver import (
     ConfigError,
@@ -34,7 +36,7 @@ from splitep.solver import (
     weak_step,
 )
 
-from oracles import quadratic_bifunction, reference_core_step
+from oracles import quadratic_bifunction, reference_core_step, reference_project_polyhedron, same_record
 
 
 def flat_bifunction(dim, c=0.5):
@@ -494,6 +496,63 @@ class TestStrongIteration:
         assert (len(points) > 1) == ball
 
 
+@pytest.mark.parametrize("seed, n, m", [(3, 5, 2), (7, 20, 10), (8, 20, 20)])
+def test_projections_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch, seed, n, m):
+    # every call of the run is replayed through the version kept in oracles.py,
+    # which carries its own record from call to call
+    problem = sp.generate_planted(n, m, seed=seed)
+    original = sp.solver.project_polyhedron
+    reference_start = ActiveSet()
+    resumed = []
+
+    def compared(x0, G, h, start=None, row_norms=None):
+        resumed.append(start.key == x0.tobytes())
+        point, active = original(x0, G, h, start=start, row_norms=row_norms)
+        want, want_active = reference_project_polyhedron(x0, G, h, start=reference_start, row_norms=row_norms)
+        assert point.tobytes() == want.tobytes()
+        assert active == want_active
+        assert same_record(start, reference_start)
+        return point, active
+
+    monkeypatch.setattr("splitep.solver.project_polyhedron", compared)
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
+    assert report.status is SolveStatus.MAX_ITER_REACHED
+    assert len(resumed) == report.iterations + 1
+    assert sum(resumed) == report.iterations  # every call after the first resumes
+
+
+def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monkeypatch):
+    # bench/spans.py times the shrinking-set projection by replacing these two
+    # names in splitep.solver, and reads the rows' offsets h as the third
+    # positional argument of project_polyhedron; a loop that went around the
+    # names would leave those layers reading 0. spans.installed also looks up
+    # prox_step, resolvent and halfspace_dominates there and would raise
+    # without them, so solver.py keeps importing those three although the
+    # loop calls their unchecked kernels.
+    for name in ("prox_step", "resolvent", "halfspace_dominates"):
+        assert hasattr(sp.solver, name)
+    problem = sp.generate_planted(5, 5, seed=4)
+    calls = {"project_polyhedron": [], "project_intersection": []}
+
+    def counted(name):
+        original = getattr(sp.solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sp.solver, name, counted(name))
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=40))
+    assert report.status is SolveStatus.MAX_ITER_REACHED
+    assert len(calls["project_intersection"]) == len(calls["project_polyhedron"]) == report.iterations + 1
+    h_of_C = linear_inequality_rows(problem.C)[1]
+    final_h = calls["project_polyhedron"][-1][2]
+    assert np.array_equal(final_h, np.concatenate([h_of_C, [cut.offset for cut in report.cuts]]))
+
+
 @pytest.mark.parametrize("seed", [34, 1])
 @pytest.mark.parametrize(
     "C",
@@ -572,6 +631,32 @@ class TestFailureRouting:
         assert report.status is SolveStatus.INNER_FAILURE
         assert report.iterations == 3
         assert "non-finite residual" in report.message
+
+    @pytest.mark.parametrize("mode", SOLVERS)
+    @pytest.mark.parametrize(
+        "field, late, name",
+        [
+            ("lambda_schedule", 1.5, "LambdaOutOfRange"),
+            ("lambda_schedule", 50.0, "LambdaOutOfRange"),
+            ("lambda_schedule", -0.5, "LambdaOutOfRange"),
+            ("alpha_k_schedule", math.nan, "AlphaKNotPositive"),
+        ],
+        ids=["lambda-1.5x", "lambda-50x", "lambda-negative", "alpha_k-nan"],
+    )
+    def test_schedule_leaving_its_range_after_the_probe_is_an_inner_failure(self, mode, field, late, name):
+        # validate probes the first 50 values only; the loop checks each value
+        # it reads, so a schedule that turns inadmissible at k = 50 stops there
+        # instead of running the whole budget on inadmissible steps
+        problem = sp.generate_planted(5, 5, seed=4)
+        bound = min(1.0 / (2.0 * problem.f.c1), 1.0 / (2.0 * problem.f.c2))
+        early, value = (0.9 * bound, late * bound) if field == "lambda_schedule" else (1.0, late)
+        config = default_config(problem, mode=mode, **{field: lambda k: early if k < 50 else value})
+        assert validate(config, problem) == []
+        report = SOLVERS[mode](problem, config)
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert f"{name}: {field}(50) = {value} must be" in report.message
+        assert report.iterations == 49
+        assert [record.k for record in report.history] == list(range(50))
 
     def test_empty_shrinking_set_is_an_inner_failure(self):
         # the fixed points of S miss C, so the cuts and C have no common point
