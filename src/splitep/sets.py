@@ -365,13 +365,12 @@ class ActiveSet:
 
     ``rows`` and ``multipliers`` are the working rows and their multipliers,
     ``point`` the projection of the point whose bytes are ``key``, and
-    ``checked`` how many leading rows that projection satisfies. A fresh
-    record, or one holding only ``rows``, warm-starts from those rows. The
-    record shares ``point`` with the caller, who must not modify it in place.
+    ``checked`` how many leading rows that projection satisfies. The record
+    shares ``point`` with the caller, who must not modify it in place.
     """
 
-    def __init__(self, rows=()):
-        self.rows: tuple[int, ...] = tuple(rows)
+    def __init__(self):
+        self.rows: tuple[int, ...] = ()
         self.multipliers: list[float] = []
         self.point: np.ndarray | None = None
         self.key = b""
@@ -405,8 +404,7 @@ def project_polyhedron(
     the record projected, the iteration resumes from the stored point and
     multipliers, and its first scan reads only the added rows: the others
     held at that point to the same tolerance, which depends on ``x0`` alone.
-    For any other ``x0`` it re-derives multipliers for the stored working
-    rows, shedding those no longer binding. Given ``row_norms`` must be the
+    A call for any other ``x0`` starts cold. Given ``row_norms`` must be the
     norms of the rows of ``G``. Unlike Dykstra's scheme this is insensitive
     to nearly parallel rows, but it needs the explicit inequality
     description.
@@ -437,36 +435,13 @@ def project_polyhedron(
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 
-    working: list[int] = []
-    multipliers: list[float] = []
-
-    # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
-    def solve_working(rows):
-        Gw = G.take(rows, 0)
-        return np.linalg.solve(Gw @ Gw.T, Gw @ x0 - h.take(rows))
-
     if resume:
         working, multipliers, r = list(start.rows), list(start.multipliers), start.point
         # The first scan starts at the added rows, or at the last row when none
         # were added, so that it is never empty.
         fresh = min(start.checked, k - 1)
     else:
-        # Re-derive warm-start multipliers, shedding rows that are no longer
-        # binding; rows carried over from a previous call stay independent.
-        warm = [i for i in start.rows if 0 <= i < k]
-        while warm:
-            try:
-                lam = solve_working(warm)
-            except np.linalg.LinAlgError:
-                warm = []
-                break
-            if lam.min() >= 0.0:
-                working = warm
-                multipliers = lam.tolist()
-                break
-            del warm[int(lam.argmin())]
-        r = x0 - G.take(working, 0).T @ np.asarray(multipliers) if working else x0.copy()
-        fresh = 0
+        working, multipliers, r, fresh = [], [], x0.copy(), 0
 
     for _ in range(max_pivots):
         # each row's violation scaled by its norm, in place on the product
@@ -486,6 +461,7 @@ def project_polyhedron(
         lam_p = 0.0
         for _ in range(len(working) + 1):
             if working:
+                # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
                 Gw = G.take(working, 0)
                 try:
                     d = np.linalg.solve(Gw @ Gw.T, Gw @ a_p)

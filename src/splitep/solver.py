@@ -81,6 +81,9 @@ DIVERGENCE_LIMIT = 1e12
 # How many leading schedule values validate() probes.
 SCHEDULE_PROBE_COUNT = 50
 
+# How many projections onto its rows one shrinking-set projection may make.
+SUPPORT_ROUNDS = 100
+
 
 class SolveStatus(str, Enum):
     CONVERGED = "Converged"
@@ -299,40 +302,55 @@ class IterateRecord:
 
 
 class StrongState(ConvexSet):
-    """Anchor, and the convex set ``{r : G r <= h}`` of the shrinking-set iteration's rows.
+    """Anchor, and the shrinking set: ``C`` intersected with the rows ``G r <= h``.
 
     The rows are those of ``C`` when :func:`linear_inequality_rows` gives
-    them (``rows_include_C``), followed by every cut that constrains
-    something, in the order made; whole-space cuts are not stored. Rows are
-    never dropped: the nesting of the constraint sets, which the convergence
-    argument relies on, would break otherwise. Row indices are stable and
-    stored rows never change, so the end state of each exact projection
-    (:func:`project_polyhedron`), kept in ``active_set``, stays valid after
-    appending: the next projection of the same point resumes from it, and one
-    of another point warm-starts from its working rows. Each row's norm is
-    kept with it.
+    them, then every cut that constrains something and every supporting
+    halfspace of ``C`` that a projection added, in the order made; whole-space
+    cuts are not stored. A supporting row holds all of ``C``, so it leaves the
+    shrinking set as it was. Rows are never dropped: the nesting of the
+    constraint sets, which the convergence argument relies on, would break
+    otherwise. Row indices are stable and stored rows never change, so the
+    end state of each exact projection (:func:`project_polyhedron`), kept in
+    ``active_set``, stays valid after appending, and the next projection of
+    the same point resumes from it. Each row's norm is kept with it.
     """
 
     def __init__(self, problem):
+        self.C = problem.C
         self.dim = dim = problem.C.dim
         self.anchor = as_vector(problem.x1, dim)
         base = linear_inequality_rows(problem.C)
-        self.rows_include_C = base is not None
         G0, h0 = base if base is not None else (np.zeros((0, dim)), np.zeros(0))
-        self.first_cut = self.count = len(h0)
+        self.count = len(h0)
+        self.cut_rows: list[int] = []
         self._G = np.vstack([G0, np.zeros((max(64, self.count), dim))])
         self._h = np.concatenate([h0, np.zeros(max(64, self.count))])
         self._norms = np.linalg.norm(self._G, axis=1)
         self.active_set = ActiveSet()
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        G, h, norms = self.rows()
-        return project_polyhedron(x, G, h, start=self.active_set, row_norms=norms)[0]
+        """Projection ``r`` of ``x`` onto the rows, once it lies in ``C``.
 
-    def membership_violation(self, x) -> float:
-        """Largest row violation, scaled by the row's norm; 0 inside."""
-        G, h, norms = self.rows()
-        return float(np.max((G @ as_vector(x, self.dim) - h) / norms, initial=0.0))
+        While ``r`` lies farther than ``1e-12 (1 + ||x||)`` from
+        ``p = P_C(r)``, the halfspace ``<r - p, y> <= <r - p, p>`` supporting
+        ``C`` at ``p``, which ``r`` violates by that distance, becomes a row
+        and the projection resumes. Raises ``InnerSolveError`` after
+        ``SUPPORT_ROUNDS`` projections.
+        """
+        tol = 1e-12 * (1.0 + _norm(x))
+        for _ in range(SUPPORT_ROUNDS):
+            G, h, norms = self.rows()
+            r = project_polyhedron(x, G, h, start=self.active_set, row_norms=norms)[0]
+            p = self.C._project(r)
+            normal = r - p
+            gap = _norm(normal)
+            if gap <= tol:
+                return r
+            self._append(normal, float(normal @ p), gap)
+        raise InnerSolveError(
+            f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap
+        )
 
     def add_cut(self, a: np.ndarray, b: np.ndarray) -> None:
         """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space.
@@ -341,13 +359,16 @@ class StrongState(ConvexSet):
         is computed once and stored with it.
         """
         row = _dominating_row(a, b)
-        if row is None:
-            return
+        if row is not None:
+            self.cut_rows.append(self.count)
+            self._append(*row)
+
+    def _append(self, normal: np.ndarray, offset: float, size: float) -> None:
         if self.count == len(self._h):
             self._G = np.concatenate([self._G, np.zeros_like(self._G)])
             self._h = np.concatenate([self._h, np.zeros_like(self._h)])
             self._norms = np.concatenate([self._norms, np.zeros_like(self._norms)])
-        self._G[self.count], self._h[self.count], self._norms[self.count] = row
+        self._G[self.count], self._h[self.count], self._norms[self.count] = normal, offset, size
         self.count += 1
 
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,7 +377,7 @@ class StrongState(ConvexSet):
 
     def cuts(self) -> list[Halfspace]:
         """The stored cuts, in order, as halfspaces, not checked again."""
-        return [Halfspace._from_row(self._G[i], self._h[i]) for i in range(self.first_cut, self.count)]
+        return [Halfspace._from_row(self._G[i], self._h[i]) for i in self.cut_rows]
 
 
 @dataclass
@@ -431,11 +452,9 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     Stores the two new cuts (points at least as close to the corrected point
     ``s`` as to ``t``, and to ``t`` as to ``x``) as rows of ``state``, which
     it mutates in place, unless a cut is the whole space, and projects the
-    anchor onto ``state``, or, when its rows omit ``C``, onto ``state`` and
-    then ``C`` (last, so the sweep iterate is exactly feasible for it). The
-    record's ``next_x`` is that projection; ``s`` holds the corrected point.
-    A record with a non-finite residual is returned without cuts, for the
-    driver to stop on. The caller is responsible for ``x`` being a finite
+    anchor onto ``state``. The record's ``next_x`` is that projection; ``s``
+    holds the corrected point. A record with a non-finite residual is
+    returned without cuts, for the driver to stop on. The caller is responsible for ``x`` being a finite
     float vector in ``C`` and for ``config`` having passed :func:`validate`.
     """
     record = _core_step(problem, config, x, k)
@@ -445,8 +464,7 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     state.add_cut(record.t, record.x)
     record.s = record.next_x
     record.res_sx = record.step
-    members = [state] if state.rows_include_C else [state, problem.C]
-    record.next_x = project_intersection(members, state.anchor)
+    record.next_x = project_intersection([state], state.anchor)
     record.step = _norm(record.next_x - record.x)
     record.res_tx = _norm(record.t - record.x)
     # the plain residual already covers res_sx and the five residual parts

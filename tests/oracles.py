@@ -1,8 +1,11 @@
 """Independent brute-force oracles, and the test problems they solve, shared by the suites."""
 
+import dataclasses
+
 import numpy as np
 
 from splitep.equilibrium import AffineVIBifunction, CallableBifunction
+from splitep.problems import generate_planted
 from splitep.sets import (
     ActiveSet,
     Averaged,
@@ -346,3 +349,59 @@ def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
         and start.key == reference.key
         and start.point.tobytes() == reference.point.tobytes()
     )
+
+
+def tangential_ball_problem(stretch: float = 1.0):
+    """Planted seed 34 (n = m = 2) with ``C`` a ball through ``x1`` that passes close by ``x*``.
+
+    The center is the midpoint of ``x1`` and ``x*`` moved 2 units to one side
+    of the segment between them, and the radius is ``stretch`` times the
+    center's distance to ``x1``; at ``stretch = 1`` the ball passes through
+    ``x1`` and ``x*`` both. ``x*`` stays a solution, since the problem's
+    operator vanishes there. The iterates reach the ball's boundary, where the
+    cut rows meet it nearly tangentially.
+    """
+    problem = generate_planted(2, 2, seed=34)
+    x1, x_star = problem.x1, problem.planted_solution
+    side = np.array([x_star[1] - x1[1], x1[0] - x_star[0]]) / np.linalg.norm(x_star - x1)
+    center = (x1 + x_star) / 2.0 + 2.0 * side
+    return dataclasses.replace(problem, C=Ball(center, stretch * np.linalg.norm(x1 - center)))
+
+
+def reference_project_rows_and_ball(x, G, h, ball: Ball) -> np.ndarray:
+    """Projection of ``x`` onto ``{r : G r <= h}`` intersected with ``ball``, by bisection on the ball's multiplier.
+
+    For a multiplier ``nu >= 0`` on ``||r - c||^2 <= rho^2`` the minimizer of
+    ``||r - x||^2 + nu ||r - c||^2`` over the rows is
+    ``P_rows((x + nu c) / (1 + nu))``, whose distance to ``c`` does not grow
+    with ``nu``. The projection is the minimizer at ``nu = 0`` when that lies
+    in the ball, else the one at the ``nu`` where the distance equals
+    ``rho``; each ``P_rows`` is a cold :func:`reference_project_polyhedron`.
+    Raises ``EmptySetError`` when no multiplier brings the minimizer into the
+    ball.
+    """
+    c, rho = ball.center, ball.radius
+
+    def minimizer(nu):
+        return reference_project_polyhedron((x + nu * c) / (1.0 + nu), G, h)[0]
+
+    def inside(r):
+        return np.linalg.norm(r - c) <= rho
+
+    point = minimizer(0.0)
+    if inside(point):
+        return point
+    low, high = 0.0, 1.0
+    while not inside(minimizer(high)):
+        low, high = high, 2.0 * high
+        if high > 1e30:
+            raise EmptySetError("the rows and the ball have no common point")
+    for _ in range(200):
+        middle = 0.5 * (low + high)
+        if middle in (low, high):
+            break
+        if inside(minimizer(middle)):
+            high = middle
+        else:
+            low = middle
+    return minimizer(high)

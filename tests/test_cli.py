@@ -13,6 +13,8 @@ from splitep.cli import TRACE_HEADER, main
 from splitep.problems import problem_to_dict
 from splitep.sets import Ball, ProjectionOnto
 
+from oracles import tangential_ball_problem
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -84,9 +86,15 @@ class TestSolve:
         assert payload["status"] == "Converged"
         assert payload["distance_to_planted"] <= 1e-4
 
-    def test_strong_solve_with_ball_constraint(self, outdir):
-        # a ball has no inequality rows, so the cut rows and C are swept together
-        problem = dataclasses.replace(sp.generate_planted(2, 2, seed=34), C=Ball([0.0, 0.0], 8.0))
+    @pytest.mark.parametrize("tangential", [False, True], ids=["ball", "tangential-ball"])
+    def test_strong_solve_with_ball_constraint(self, outdir, tangential):
+        # a ball has no inequality rows, so the projection adds its supporting
+        # halfspaces to the cut rows; on the tangential ball alternating
+        # projections between the rows and C once ran out of sweeps (exit 4)
+        if tangential:
+            problem = tangential_ball_problem()
+        else:
+            problem = dataclasses.replace(sp.generate_planted(2, 2, seed=34), C=Ball([0.0, 0.0], 8.0))
         path = outdir / "ball.json"
         path.write_text(json.dumps(problem_to_dict(problem)))
         report = outdir / "ball-report.json"

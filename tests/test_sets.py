@@ -293,19 +293,6 @@ class TestProjectPolyhedron:
             sweep = project_intersection(members, x, tol=1e-12, max_sweeps=100_000)
             assert np.linalg.norm(exact - sweep) <= 1e-8
 
-    def test_warm_start_indices_survive_row_growth(self):
-        rng = np.random.default_rng(11)
-        box = Box(-np.ones(3), np.ones(3))
-        G, h = linear_inequality_rows(box)
-        x = np.array([2.0, 2.0, 2.0])
-        r1, active = project_polyhedron(x, G, h)
-        hs = Halfspace(rng.standard_normal(3), -0.5)
-        G2 = np.vstack([G, hs.normal])
-        h2 = np.concatenate([h, [hs.offset]])
-        r2, _ = project_polyhedron(x, G2, h2, start=ActiveSet(rows=active))
-        cold, _ = project_polyhedron(x, G2, h2)
-        assert np.linalg.norm(r2 - cold) <= 1e-12
-
     @staticmethod
     def box_and_cuts(rng, dim, cuts):
         G, h = linear_inequality_rows(Box(-np.ones(dim), np.ones(dim)))
@@ -408,12 +395,11 @@ class TestProjectPolyhedronMatchesReference:
             with pytest.raises(ValueError, match="zero rows"):
                 project(x, G2, h2, start=start, row_norms=norms)
 
-    @pytest.mark.parametrize("start", [None, ActiveSet(rows=(0, 1))], ids=["no-record", "warm-rows"])
-    def test_zero_row_on_a_cold_call_still_raises(self, start):
+    def test_zero_row_on_a_cold_call_still_raises(self):
         G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         for project in (project_polyhedron, reference_project_polyhedron):
             with pytest.raises(ValueError, match="zero rows"):
-                project(np.array([2.0, 2.0]), G, np.ones(3), start=start)
+                project(np.array([2.0, 2.0]), G, np.ones(3))
 
 
 class TestRowDescriptions:

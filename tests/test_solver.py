@@ -36,7 +36,14 @@ from splitep.solver import (
     weak_step,
 )
 
-from oracles import quadratic_bifunction, reference_core_step, reference_project_polyhedron, same_record
+from oracles import (
+    quadratic_bifunction,
+    reference_core_step,
+    reference_project_polyhedron,
+    reference_project_rows_and_ball,
+    same_record,
+    tangential_ball_problem,
+)
 
 
 def flat_bifunction(dim, c=0.5):
@@ -425,8 +432,9 @@ class TestStrongIteration:
         assert all(record.s is not None for record in report.history)
 
     def test_ball_constraint_projects_onto_cut_rows_then_C(self):
-        # a constraint set without inequality rows is swept with the cut rows
-        # as one member; a handful of iterations checks every projection
+        # a constraint set without inequality rows is reached through its
+        # supporting halfspaces, added as rows; a handful of iterations checks
+        # every projection
         problem = sp.generate_planted(2, 2, seed=34)
         ball_C = sp.Ball(np.zeros(2), 8.0)
         moved = ProblemSpec(
@@ -442,7 +450,7 @@ class TestStrongIteration:
         assert distances[-1] <= distances[0]
         for record in report.history:
             assert ball_C.membership_violation(record.x) <= 1e-8
-        # the per-cut Dykstra sweep at a tight tolerance is the reference
+        # Dykstra's sweep over every cut and C at a tight tolerance is the reference
         assert len(report.cuts) == 2 * len(report.history)
         for record in report.history:
             cuts_so_far = report.cuts[: 2 * record.k + 2]
@@ -468,17 +476,11 @@ class TestStrongIteration:
         ids=["rows-5x5", "rows-20x10", "ball"],
     )
     def test_every_projection_matches_a_cold_one(self, monkeypatch, n, m, seed, ball):
-        # each call resumes from, or warm-starts at, where the last one
-        # stopped; a cold call on the same rows is the reference. Rows for C
-        # mean one point, the anchor, in every call. The ball passes near x1
-        # and x* with the segment between them close to its boundary, so the
-        # iterates reach it and Dykstra's sweeps change the point within a step.
-        problem = sp.generate_planted(n, m, seed=seed)
-        if ball:
-            x1, x_star = problem.x1, problem.planted_solution
-            side = np.array([x_star[1] - x1[1], x1[0] - x_star[0]]) / np.linalg.norm(x_star - x1)
-            center = (x1 + x_star) / 2.0 + 2.0 * side
-            problem = dataclasses.replace(problem, C=Ball(center, 1.02 * np.linalg.norm(x1 - center)))
+        # each call resumes from where the last one stopped; a cold call on
+        # the same rows is the reference. Every call projects one point, the
+        # anchor, also for a ball, which the iterates reach, so that some steps
+        # add supporting rows and project again.
+        problem = tangential_ball_problem(1.02) if ball else sp.generate_planted(n, m, seed=seed)
         original = sp.solver.project_polyhedron
         points, gaps = set(), []
 
@@ -493,7 +495,7 @@ class TestStrongIteration:
         assert report.status is (SolveStatus.CONVERGED if ball else SolveStatus.MAX_ITER_REACHED)
         assert len(gaps) >= report.iterations
         assert max(gaps) <= 1e-10
-        assert (len(points) > 1) == ball
+        assert len(points) == 1
 
 
 @pytest.mark.parametrize("seed, n, m", [(3, 5, 2), (7, 20, 10), (8, 20, 20)])
@@ -560,13 +562,43 @@ def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monk
     ids=["ball", "box-and-ball"],
 )
 def test_strong_solve_converges_without_rows_for_C(seed, C):
-    # C has no inequality rows, so each projection sweeps the cut rows and C;
-    # before, a per-cut sweep failed here after some 60 iterations
+    # C has no inequality rows, so each projection adds C's supporting
+    # halfspaces to the cut rows as needed; a per-cut Dykstra sweep once
+    # failed here after some 60 iterations
     planted = sp.generate_planted(2, 2, seed=seed)
     problem = dataclasses.replace(planted, C=C)
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=200))
     assert report.status is SolveStatus.CONVERGED
     assert np.linalg.norm(report.final_x - planted.planted_solution) <= 1e-5
+
+
+def test_strong_solve_converges_where_the_cuts_meet_a_ball_tangentially():
+    # x* lies on the ball's boundary and the cut rows close in on it nearly
+    # tangentially to the ball; alternating projections between the rows and
+    # the ball ran out of sweeps here at iteration 29
+    problem = tangential_ball_problem()
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=500))
+    assert report.status is SolveStatus.CONVERGED
+    x_star = problem.planted_solution
+    assert np.linalg.norm(report.final_x - x_star) <= 1e-5
+    assert max(cut.membership_violation(x_star) for cut in report.cuts) <= 1e-8
+    normals, offsets = [], []
+    for record in report.history:
+        for cut in (sp.halfspace_dominates(record.s, record.t), sp.halfspace_dominates(record.t, record.x)):
+            if not cut.is_whole_space:
+                normals.append(cut.normal)
+                offsets.append(cut.offset)
+        want = reference_project_rows_and_ball(problem.x1, np.array(normals), np.array(offsets), problem.C)
+        assert np.linalg.norm(record.next_x - want) <= 1e-9
+
+
+def test_supporting_rows_running_out_is_an_inner_failure(monkeypatch):
+    # on this instance some steps need more than one projection onto the rows
+    monkeypatch.setattr("splitep.solver.SUPPORT_ROUNDS", 1)
+    problem = tangential_ball_problem()
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=500))
+    assert report.status is SolveStatus.INNER_FAILURE
+    assert "supporting-halfspace loop of the shrinking-set projection used up its 1 rounds" in report.message
 
 
 SOLVERS = {"weak": weak_solve, "strong": strong_solve}
@@ -658,12 +690,18 @@ class TestFailureRouting:
         assert report.iterations == 49
         assert [record.k for record in report.history] == list(range(50))
 
-    def test_empty_shrinking_set_is_an_inner_failure(self):
-        # the fixed points of S miss C, so the cuts and C have no common point
+    @pytest.mark.parametrize("ball", [False, True], ids=["box", "ball"])
+    def test_empty_shrinking_set_is_an_inner_failure(self, ball):
+        # the fixed points of S miss C, so the cuts and C have no common point;
+        # for a ball the supporting rows added to the cut rows are infeasible
+        # together, which the active-set projection detects exactly
         planted = sp.generate_planted(2, 2, seed=1)
         problem = dataclasses.replace(planted, S=ProjectionOnto(Ball([20.0, 20.0], 1.0)))
+        if ball:
+            problem = dataclasses.replace(problem, C=Ball(np.zeros(2), 8.0))
         report = strong_solve(problem)
         assert report.status is SolveStatus.INNER_FAILURE
+        assert report.iterations == 0
         assert "shrinking set is empty" in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
