@@ -29,6 +29,7 @@ from splitep.sets import (
     Identity,
     Intersection,
     NonexpansiveMap,
+    PivotBudgetError,
     ProjectionOnto,
     WholeSpace,
     halfspace_dominates,
@@ -96,6 +97,7 @@ __all__ = [
     "IterateRecord",
     "NonexpansiveMap",
     "ParseError",
+    "PivotBudgetError",
     "PlantedReport",
     "ProblemSpec",
     "ProjectionOnto",

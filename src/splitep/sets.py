@@ -14,6 +14,7 @@ are pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from splitep.linalg import _norm, as_vector
 
@@ -30,6 +31,7 @@ __all__ = [
     "Identity",
     "Intersection",
     "NonexpansiveMap",
+    "PivotBudgetError",
     "ProjectionOnto",
     "WholeSpace",
     "halfspace_dominates",
@@ -48,19 +50,26 @@ class EmptySetError(ValueError):
 
 
 class DykstraError(RuntimeError):
-    """A projection onto an intersection stopped without reaching feasibility.
+    """Dykstra's scheme used up its ``sweeps`` without reaching feasibility (the intersection may be empty)."""
 
-    Dykstra's scheme used up its ``sweeps`` (the intersection may be empty),
-    or, with ``pivots``, :func:`project_polyhedron` used up that many pivots.
-    """
-
-    def __init__(self, worst_violation: float, sweeps: int, pivots: bool = False):
+    def __init__(self, worst_violation: float, sweeps: int):
         self.worst_violation = worst_violation
         self.sweeps = sweeps
         super().__init__(
-            (f"the active-set projection used up its budget of {sweeps} pivots" if pivots else
-             f"alternating projections did not converge after {sweeps} sweeps")
-            + f"; worst membership violation {worst_violation:.3e} (the intersection may be empty)"
+            f"alternating projections did not converge after {sweeps} sweeps; worst membership "
+            f"violation {worst_violation:.3e} (the intersection may be empty)"
+        )
+
+
+class PivotBudgetError(RuntimeError):
+    """:func:`project_polyhedron` used up its ``pivots`` without reaching feasibility."""
+
+    def __init__(self, worst_violation: float, pivots: int):
+        self.worst_violation = worst_violation
+        self.pivots = pivots
+        super().__init__(
+            f"the active-set projection used up its budget of {pivots} pivots; worst membership "
+            f"violation {worst_violation:.3e} (the intersection may be empty)"
         )
 
 
@@ -416,7 +425,7 @@ def project_polyhedron(
         checks only the added rows, as the record's call checked the others.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
-    DykstraError
+    PivotBudgetError
         If the pivot budget is exhausted.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -443,65 +452,72 @@ def project_polyhedron(
     else:
         working, multipliers, r, fresh = [], [], x0.copy(), 0
 
-    for _ in range(max_pivots):
-        # each row's violation scaled by its norm, in place on the product
-        violations = G[fresh:] @ r
-        violations -= h[fresh:]
-        violations /= row_scale[fresh:]
-        worst = violations.argmax()
-        if violations[worst] <= feas_scale:
-            start.rows, start.multipliers, start.point, start.key, start.checked = (
-                tuple(working), multipliers, r, key, k
-            )
-            return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
-        p = fresh + int(worst)
-        fresh = 0
-        a_p, h_p = G[p], float(h[p])
-        dependent_sq = (1e-12 * float(row_scale[p])) ** 2
-        lam_p = 0.0
-        for _ in range(len(working) + 1):
-            if working:
-                # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
-                Gw = G.take(working, 0)
-                try:
-                    d = np.linalg.solve(Gw @ Gw.T, Gw @ a_p)
-                except np.linalg.LinAlgError:
-                    d = np.linalg.lstsq(Gw @ Gw.T, Gw @ a_p, rcond=None)[0]
-                z = a_p - Gw.T @ d
-                d = d.tolist()
-            else:
-                d = []
-                z = a_p.copy()
-            z_sq = float(z @ z)
-            dependent = z_sq <= dependent_sq
-            # Longest multiplier-feasible dual step along the exchange
-            # direction; the blocking row's multiplier hits zero first.
-            t_dual = np.inf
-            blocking = -1
-            for idx, (lam_i, d_i) in enumerate(zip(multipliers, d)):
-                if d_i > 1e-14 and max(lam_i, 0.0) / d_i < t_dual:
-                    t_dual = max(lam_i, 0.0) / d_i
-                    blocking = idx
-            if dependent:
-                if blocking < 0:
-                    raise EmptySetError(
-                        "inequality rows are infeasible; no point satisfies them all"
-                    )
-                t, full_step = t_dual, False
-            else:
-                t_primal = (float(a_p @ r) - h_p) / z_sq
-                full_step = t_primal <= t_dual
-                t = t_primal if full_step else t_dual
-            r = r - t * z
-            multipliers = [lam_i - t * d_i for lam_i, d_i in zip(multipliers, d)]
-            lam_p += t
-            if full_step:
-                working.append(p)
-                multipliers.append(lam_p)
-                break
-            del working[blocking]
-            del multipliers[blocking]
-    raise DykstraError(float(np.max((G @ r - h) / row_scale)), max_pivots, pivots=True)
+    # The gufunc under np.linalg.solve, without its costly wrapper, flags a
+    # singular Gram matrix as invalid; raised, that takes the lstsq fallback.
+    # Nothing else here sets the flag while the products stay finite: the scans
+    # divide by nonzero norms, t is finite, and the ratio test is Python floats.
+    with np.errstate(invalid="raise"):
+        for _ in range(max_pivots):
+            # each row's violation scaled by its norm, in place on the product
+            violations = G[fresh:] @ r
+            violations -= h[fresh:]
+            violations /= row_scale[fresh:]
+            worst = violations.argmax()
+            if violations[worst] <= feas_scale:
+                start.rows, start.multipliers, start.point, start.key, start.checked = (
+                    tuple(working), multipliers, r, key, k
+                )
+                return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
+            p = fresh + int(worst)
+            fresh = 0
+            a_p, h_p = G[p], float(h[p])
+            dependent_sq = (1e-12 * float(row_scale[p])) ** 2
+            lam_p = 0.0
+            for _ in range(len(working) + 1):
+                if working:
+                    # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
+                    Gw = G.take(working, 0)
+                    gram, rhs = Gw @ Gw.T, Gw @ a_p
+                    try:
+                        d = _umath_linalg.solve1(gram, rhs, signature="dd->d")
+                    except FloatingPointError:
+                        d = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+                    z = a_p - Gw.T @ d
+                    d = d.tolist()
+                else:
+                    d = []
+                    z = a_p.copy()
+                z_sq = float(z @ z)
+                dependent = z_sq <= dependent_sq
+                # Longest multiplier-feasible dual step along the exchange
+                # direction; the blocking row's multiplier hits zero first.
+                t_dual = np.inf
+                blocking = -1
+                for idx, d_i in enumerate(d):
+                    if d_i > 1e-14:
+                        ratio = max(multipliers[idx], 0.0) / d_i
+                        if ratio < t_dual:
+                            t_dual, blocking = ratio, idx
+                if dependent:
+                    if blocking < 0:
+                        raise EmptySetError(
+                            "inequality rows are infeasible; no point satisfies them all"
+                        )
+                    t, full_step = t_dual, False
+                else:
+                    t_primal = (float(a_p @ r) - h_p) / z_sq
+                    full_step = t_primal <= t_dual
+                    t = t_primal if full_step else t_dual
+                r = r - t * z
+                multipliers = [lam_i - t * d_i for lam_i, d_i in zip(multipliers, d)]
+                lam_p += t
+                if full_step:
+                    working.append(p)
+                    multipliers.append(lam_p)
+                    break
+                del working[blocking]
+                del multipliers[blocking]
+    raise PivotBudgetError(float(np.max((G @ r - h) / row_scale)), max_pivots)
 
 
 def halfspace_dominates(a, b) -> Halfspace:

@@ -47,6 +47,7 @@ from splitep.sets import (
     DykstraError,
     EmptySetError,
     Halfspace,
+    PivotBudgetError,
     _dominating_row,
     halfspace_dominates,  # noqa: F401
     linear_inequality_rows,
@@ -499,7 +500,7 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
             break
         try:
             last = step(x, k)
-        except (InnerSolveError, DykstraError) as exc:
+        except (InnerSolveError, DykstraError, PivotBudgetError) as exc:
             failure = str(exc)
             break
         except EmptySetError as exc:

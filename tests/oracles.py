@@ -11,10 +11,10 @@ from splitep.sets import (
     Averaged,
     Ball,
     Box,
-    DykstraError,
     EmptySetError,
     Halfspace,
     Identity,
+    PivotBudgetError,
     ProjectionOnto,
     WholeSpace,
 )
@@ -337,7 +337,7 @@ def reference_project_polyhedron(
                 break
             del working[blocking]
             del multipliers[blocking]
-    raise DykstraError(float(np.max((G @ r - h) / row_scale)), max_pivots, pivots=True)
+    raise PivotBudgetError(float(np.max((G @ r - h) / row_scale)), max_pivots)
 
 
 def same_record(start: ActiveSet, reference: ActiveSet) -> bool:

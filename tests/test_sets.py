@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from splitep.sets import (
     ActiveSet,
@@ -358,6 +359,17 @@ class TestProjectPolyhedron:
         assert np.array_equal(r, [1.0, 2.0])
         assert active == ()
 
+    def test_direction_gufunc_matches_numpy_solve(self):
+        # project_polyhedron calls numpy's private solve gufunc; a numpy that changes it fails here
+        rng = np.random.default_rng(18)
+        for q in range(1, 21):
+            rows = rng.standard_normal((q, 20))
+            gram, rhs = rows @ rows.T, rows @ rng.standard_normal(20)
+            got = _umath_linalg.solve1(gram, rhs, signature="dd->d")
+            assert got.tobytes() == np.linalg.solve(gram, rhs).tobytes()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _umath_linalg.solve1(np.ones((2, 2)), np.zeros(2), signature="dd->d")
+
 
 class TestProjectPolyhedronMatchesReference:
     """Edge cases of the resumed call, against the version kept in oracles.py."""
@@ -394,6 +406,30 @@ class TestProjectPolyhedronMatchesReference:
             assert start.key == x.tobytes()  # the call would resume
             with pytest.raises(ValueError, match="zero rows"):
                 project(x, G2, h2, start=start, row_norms=norms)
+
+    def test_singular_working_rows_fall_back_to_least_squares(self, monkeypatch):
+        # a record whose working rows are duplicates makes the first direction solve exactly singular
+        G = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        h = np.array([1.0, 1.0, 1.0, 1.5])
+        x = np.array([3.0, 3.0])
+        starts = ActiveSet(), ActiveSet()
+        for start in starts:
+            start.rows, start.multipliers, start.point, start.key, start.checked = (
+                (0, 1), [1.0, 1.0], np.array([1.0, 3.0]), x.tobytes(), 2
+            )
+        fallbacks = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))
+        before = np.geterr()
+        point, active = project_polyhedron(x, G, h, start=starts[0])
+        assert fallbacks and np.geterr() == before
+        want, want_active = reference_project_polyhedron(x, G, h, start=starts[1])
+        assert point.tobytes() == want.tobytes()
+        assert active == want_active
+        assert same_record(*starts)
+        with pytest.raises(EmptySetError):
+            project_polyhedron(np.array([0.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+        assert np.geterr() == before
 
     def test_zero_row_on_a_cold_call_still_raises(self):
         G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])

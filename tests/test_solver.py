@@ -12,10 +12,10 @@ from splitep.sets import (
     ActiveSet,
     Ball,
     Box,
-    DykstraError,
     Halfspace,
     Identity,
     NonexpansiveMap,
+    PivotBudgetError,
     ProjectionOnto,
     WholeSpace,
     linear_inequality_rows,
@@ -462,7 +462,7 @@ class TestStrongIteration:
         config = default_config(problem, mode="strong", max_iter=8)
 
         def out_of_pivots(*args, **kwargs):
-            raise DykstraError(1.0, 0, pivots=True)
+            raise PivotBudgetError(1.0, 0)
 
         monkeypatch.setattr("splitep.solver.project_polyhedron", out_of_pivots)
         report = strong_solve(problem, config)
