@@ -88,8 +88,8 @@ def _check_metadata(monotonicity: str, c1: float, c2: float) -> tuple[str, float
     if monotonicity not in (MONOTONE, PSEUDOMONOTONE):
         raise ValueError(f"unknown monotonicity class: {monotonicity!r}")
     c1, c2 = float(c1), float(c2)
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("Lipschitz-type constants must be positive")
+    if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+        raise ValueError(f"Lipschitz-type constants must be positive and finite, got c1={c1}, c2={c2}")
     return monotonicity, c1, c2
 
 

@@ -8,7 +8,9 @@ operator, both bifunctions, both nonexpansive mappings and a start point.
 
 The file format is a single JSON document with top-level keys
 ``C, Q, A, f, g, S, T, x1, planted_solution``; sets, bifunctions and maps
-are tagged by a ``type`` field. Only affine bifunctions are serializable.
+are tagged by a ``type`` field. One table, ``_FORMAT``, declares each tagged
+variant's keys for both :func:`save` and :func:`load`. Only affine
+bifunctions are serializable.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from splitep.sets import (
     Box,
     Composition,
     ConvexSet,
-    EmptySetError,
     Halfspace,
     Identity,
     Intersection,
@@ -235,53 +236,52 @@ def verify_planted(problem: ProblemSpec, samples: int = 100, seed: int = 0) -> P
 # Serialization
 
 
-def _vector_to_list(v: np.ndarray) -> list[float]:
-    return [float(c) for c in v]
+# The file form of each tagged family: type tag -> (class, fields), in file
+# order. A field is (file key, constructor keyword and attribute, kind). Kind
+# None passes the value to the constructor, which checks it; a callable
+# converts it first, and its errors name the key; a family name reads a nested
+# entry, and [family] a nonempty list of them.
+_FORMAT = {
+    "set": {
+        "whole": (WholeSpace, [("dim", "dim", None)]),
+        "box": (Box, [("lower", "lower", as_vector), ("upper", "upper", as_vector)]),
+        "ball": (Ball, [("center", "center", as_vector), ("radius", "radius", None)]),
+        "halfspace": (Halfspace, [("normal", "normal", as_vector), ("offset", "offset", None)]),
+        "intersection": (Intersection, [("members", "members", ["set"])]),
+    },
+    "mapping": {
+        "identity": (Identity, [("dim", "dim", None)]),
+        "projection": (ProjectionOnto, [("set", "target", "set")]),
+        "averaged": (Averaged, [("theta", "theta", None), ("base", "base", "mapping")]),
+        "composition": (Composition, [("outer", "outer", "mapping"), ("inner", "inner", "mapping")]),
+    },
+    "bifunction": {
+        "vi_affine": (AffineVIBifunction, [
+            ("M", "matrix", None), ("q", "offset", as_vector), ("c1", "c1", None), ("c2", "c2", None),
+            ("monotonicity", "monotonicity", str),
+        ]),
+    },
+}
 
 
-def _set_to_dict(s: ConvexSet) -> dict:
-    if isinstance(s, WholeSpace):
-        return {"type": "whole", "dim": s.dim}
-    if isinstance(s, Box):
-        return {"type": "box", "lower": _vector_to_list(s.lower), "upper": _vector_to_list(s.upper)}
-    if isinstance(s, Ball):
-        return {"type": "ball", "center": _vector_to_list(s.center), "radius": s.radius}
-    if isinstance(s, Halfspace):
-        return {"type": "halfspace", "normal": _vector_to_list(s.normal), "offset": s.offset}
-    if isinstance(s, Intersection):
-        return {"type": "intersection", "members": [_set_to_dict(member) for member in s.members]}
-    raise ValueError(f"cannot serialize set {s!r}")
-
-
-def _map_to_dict(mapping: NonexpansiveMap) -> dict:
-    if isinstance(mapping, Identity):
-        return {"type": "identity", "dim": mapping.dim}
-    if isinstance(mapping, ProjectionOnto):
-        return {"type": "projection", "set": _set_to_dict(mapping.target)}
-    if isinstance(mapping, Averaged):
-        return {"type": "averaged", "theta": mapping.theta, "base": _map_to_dict(mapping.base)}
-    if isinstance(mapping, Composition):
-        return {
-            "type": "composition",
-            "outer": _map_to_dict(mapping.outer),
-            "inner": _map_to_dict(mapping.inner),
-        }
-    raise ValueError(f"cannot serialize mapping {mapping!r}")
-
-
-def _bifunction_to_dict(f: Bifunction) -> dict:
-    if isinstance(f, AffineVIBifunction):
-        return {
-            "type": "vi_affine",
-            "M": [[float(e) for e in row] for row in f.matrix],
-            "q": _vector_to_list(f.offset),
-            "c1": f.c1,
-            "c2": f.c2,
-            "monotonicity": f.monotonicity,
-        }
-    raise ValueError(
-        "only affine bifunctions are serializable; callable bifunctions have no file form"
-    )
+def _encode(value, family: str) -> dict:
+    """The file entry of a set, mapping or bifunction of one of ``family``'s variants."""
+    for tag, (cls, fields) in _FORMAT[family].items():
+        if isinstance(value, cls):
+            break
+    else:
+        raise ValueError(f"cannot serialize {family} {value!r}; serializable variants: {', '.join(_FORMAT[family])}")
+    entry = {"type": tag}
+    for key, attribute, kind in fields:
+        item = getattr(value, attribute)
+        if isinstance(kind, list):
+            item = [_encode(member, kind[0]) for member in item]
+        elif kind in _FORMAT:
+            item = _encode(item, kind)
+        elif isinstance(item, np.ndarray):
+            item = item.tolist()
+        entry[key] = item
+    return entry
 
 
 def _require(entry: dict, key: str, location: str):
@@ -292,102 +292,50 @@ def _require(entry: dict, key: str, location: str):
     return entry[key]
 
 
-def _parse_vector(data, location: str) -> np.ndarray:
+def _convert(convert, value, location: str):
     try:
-        return as_vector(data)
+        return convert(value)
     except (ValueError, TypeError) as exc:
         raise ParseError(location, str(exc)) from None
 
 
-def _parse_set(entry, location: str) -> ConvexSet:
-    kind = _require(entry, "type", location)
+def _decode(entry, location: str, family: str):
+    """Read the entry at ``location`` as one of ``family``'s variants."""
+    tag = _require(entry, "type", location)
+    # a list or object tag is unhashable, and unknown all the same
+    variant = _FORMAT[family].get(tag) if isinstance(tag, str) else None
+    if variant is None:
+        raise ParseError(location, f"unknown {family} variant {tag!r}")
+    cls, fields = variant
+    arguments = {}
+    for key, attribute, kind in fields:
+        item, item_location = _require(entry, key, location), f"{location}.{key}"
+        if isinstance(kind, list):
+            if not isinstance(item, list) or not item:
+                raise ParseError(item_location, "expected a nonempty list")
+            item = [_decode(member, f"{item_location}[{i}]", kind[0]) for i, member in enumerate(item)]
+        elif kind in _FORMAT:
+            item = _decode(item, item_location, kind)
+        elif kind is not None:
+            item = _convert(kind, item, item_location)
+        arguments[attribute] = item
     try:
-        if kind == "whole":
-            return WholeSpace(int(_require(entry, "dim", location)))
-        if kind == "box":
-            return Box(
-                _parse_vector(_require(entry, "lower", location), f"{location}.lower"),
-                _parse_vector(_require(entry, "upper", location), f"{location}.upper"),
-            )
-        if kind == "ball":
-            return Ball(
-                _parse_vector(_require(entry, "center", location), f"{location}.center"),
-                float(_require(entry, "radius", location)),
-            )
-        if kind == "halfspace":
-            return Halfspace(
-                _parse_vector(_require(entry, "normal", location), f"{location}.normal"),
-                float(_require(entry, "offset", location)),
-            )
-        if kind == "intersection":
-            members = _require(entry, "members", location)
-            if not isinstance(members, list) or not members:
-                raise ParseError(f"{location}.members", "expected a nonempty list")
-            return Intersection(
-                [_parse_set(member, f"{location}.members[{i}]") for i, member in enumerate(members)]
-            )
-    except (EmptySetError, ValueError, TypeError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(location, str(exc)) from None
-    raise ParseError(location, f"unknown set variant {kind!r}")
-
-
-def _parse_map(entry, location: str) -> NonexpansiveMap:
-    kind = _require(entry, "type", location)
-    try:
-        if kind == "identity":
-            return Identity(int(_require(entry, "dim", location)))
-        if kind == "projection":
-            return ProjectionOnto(_parse_set(_require(entry, "set", location), f"{location}.set"))
-        if kind == "averaged":
-            return Averaged(
-                float(_require(entry, "theta", location)),
-                _parse_map(_require(entry, "base", location), f"{location}.base"),
-            )
-        if kind == "composition":
-            return Composition(
-                _parse_map(_require(entry, "outer", location), f"{location}.outer"),
-                _parse_map(_require(entry, "inner", location), f"{location}.inner"),
-            )
+        return cls(**arguments)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(location, str(exc)) from None
-    raise ParseError(location, f"unknown mapping variant {kind!r}")
-
-
-def _parse_bifunction(entry, location: str) -> Bifunction:
-    kind = _require(entry, "type", location)
-    if kind != "vi_affine":
-        raise ParseError(location, f"unknown bifunction variant {kind!r}")
-    try:
-        return AffineVIBifunction(
-            _require(entry, "M", location),
-            _parse_vector(_require(entry, "q", location), f"{location}.q"),
-            str(_require(entry, "monotonicity", location)),
-            float(_require(entry, "c1", location)),
-            float(_require(entry, "c2", location)),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(location, str(exc)) from None
 
 
 def problem_to_dict(problem: ProblemSpec) -> dict:
     return {
-        "C": _set_to_dict(problem.C),
-        "Q": _set_to_dict(problem.Q),
-        "A": [[float(e) for e in row] for row in problem.A.entries],
-        "f": _bifunction_to_dict(problem.f),
-        "g": _bifunction_to_dict(problem.g),
-        "S": _map_to_dict(problem.S),
-        "T": _map_to_dict(problem.T),
-        "x1": _vector_to_list(problem.x1),
-        "planted_solution": (
-            None if problem.planted_solution is None else _vector_to_list(problem.planted_solution)
-        ),
+        "C": _encode(problem.C, "set"),
+        "Q": _encode(problem.Q, "set"),
+        "A": problem.A.entries.tolist(),
+        "f": _encode(problem.f, "bifunction"),
+        "g": _encode(problem.g, "bifunction"),
+        "S": _encode(problem.S, "mapping"),
+        "T": _encode(problem.T, "mapping"),
+        "x1": problem.x1.tolist(),
+        "planted_solution": None if problem.planted_solution is None else problem.planted_solution.tolist(),
     }
 
 
@@ -397,26 +345,21 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     for key in ("C", "Q", "A", "f", "g", "S", "T", "x1"):
         if key not in data:
             raise ParseError("$", f"missing required key {key!r}")
-    try:
-        A = DenseOperator(np.asarray(data["A"], dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise ParseError("A", str(exc)) from None
     planted = data.get("planted_solution")
+    parts = dict(
+        C=_decode(data["C"], "C", "set"),
+        Q=_decode(data["Q"], "Q", "set"),
+        A=_convert(DenseOperator, data["A"], "A"),
+        f=_decode(data["f"], "f", "bifunction"),
+        g=_decode(data["g"], "g", "bifunction"),
+        S=_decode(data["S"], "S", "mapping"),
+        T=_decode(data["T"], "T", "mapping"),
+        x1=_convert(as_vector, data["x1"], "x1"),
+        planted_solution=None if planted is None else _convert(as_vector, planted, "planted_solution"),
+    )
     try:
-        return ProblemSpec(
-            C=_parse_set(data["C"], "C"),
-            Q=_parse_set(data["Q"], "Q"),
-            A=A,
-            f=_parse_bifunction(data["f"], "f"),
-            g=_parse_bifunction(data["g"], "g"),
-            S=_parse_map(data["S"], "S"),
-            T=_parse_map(data["T"], "T"),
-            x1=_parse_vector(data["x1"], "x1"),
-            planted_solution=None if planted is None else _parse_vector(planted, "planted_solution"),
-        )
+        return ProblemSpec(**parts)
     except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError("$", str(exc)) from None
 
 

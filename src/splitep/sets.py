@@ -13,6 +13,8 @@ are pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.linalg import _umath_linalg
 
@@ -43,6 +45,12 @@ __all__ = [
 # Below this norm a halfspace normal is considered exactly zero, encoding the
 # whole space (offset >= -TINY_NORMAL) or the empty set (offset < -TINY_NORMAL).
 TINY_NORMAL = 1e-14
+
+
+def _dimension(dim) -> int:
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
+    return int(dim)
 
 
 class EmptySetError(ValueError):
@@ -104,9 +112,7 @@ class WholeSpace(ConvexSet):
     """All of R^dim."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x
@@ -563,9 +569,7 @@ class NonexpansiveMap:
 
 class Identity(NonexpansiveMap):
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return x

@@ -143,6 +143,14 @@ class TestSolve:
         path.write_text(json.dumps(data))
         assert run_cli("solve", "--problem", path) == 3
 
+    def test_non_finite_constant_in_file(self, outdir, capsys):
+        path = outdir / "nan_c1.json"
+        data = problem_to_dict(sp.generate_planted(2, 2, seed=1))
+        data["f"]["c1"] = float("nan")
+        path.write_text(json.dumps(data))
+        assert run_cli("solve", "--problem", path) == 3
+        assert "f: Lipschitz-type constants" in capsys.readouterr().err
+
     def test_inner_failure_exit_code(self, outdir, capsys):
         # a bifunction declared monotone but actually expansive diverges
         path = outdir / "divergent.json"

@@ -85,6 +85,13 @@ class TestBifunctionBasics:
         with pytest.raises(ValueError, match="square"):
             AffineVIBifunction(np.ones((2, 3)), np.zeros(2), "monotone", 1.0, 1.0)
 
+    @pytest.mark.parametrize("c1, c2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
+    def test_non_finite_lipschitz_constants_rejected(self, c1, c2):
+        with pytest.raises(ValueError, match="finite"):
+            AffineVIBifunction(np.eye(2), np.zeros(2), "monotone", c1, c2)
+        with pytest.raises(ValueError, match="finite"):
+            CallableBifunction(lambda x, y: 0.0, lambda x, y: np.zeros(2), "monotone", c1, c2)
+
     def test_default_constants_satisfy_lipschitz_bound(self):
         rng = np.random.default_rng(2)
         box = Box(-2.0 * np.ones(3), 2.0 * np.ones(3))

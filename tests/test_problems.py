@@ -1,11 +1,16 @@
+import copy
+import functools
 import json
+import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import splitep as sp
-from splitep.equilibrium import CallableBifunction, check_assumptions
-from splitep.problems import ParseError, ProblemSpec, problem_from_dict, problem_to_dict
+from splitep.equilibrium import AffineVIBifunction, CallableBifunction, check_assumptions
+from splitep.problems import _FORMAT, ParseError, ProblemSpec, problem_from_dict, problem_to_dict
 from splitep.sets import Ball, Box, Identity, ProjectionOnto, WholeSpace
 from splitep.solver import default_config, weak_step
 
@@ -209,6 +214,29 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="line"):
             sp.load(path)
 
+    @pytest.mark.parametrize("key", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lipschitz_constant(self, tmp_path, key, value):
+        data = self.base_payload()
+        data["f"][key] = value
+        with pytest.raises(ParseError, match="finite") as excinfo:
+            sp.load(self.write(tmp_path, data))
+        assert excinfo.value.location == "f"
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, float("inf")])
+    def test_non_integer_dimension(self, tmp_path, value):
+        data = self.base_payload()
+        data["Q"] = {"type": "whole", "dim": value}
+        data["S"] = {"type": "identity", "dim": 2}
+        with pytest.raises(ParseError, match="integer") as excinfo:
+            sp.load(self.write(tmp_path, data))
+        assert excinfo.value.location == "Q"
+        data["Q"]["dim"] = 2
+        data["S"]["dim"] = value
+        with pytest.raises(ParseError, match="integer") as excinfo:
+            sp.load(self.write(tmp_path, data))
+        assert excinfo.value.location == "S"
+
     def test_nested_member_location(self, tmp_path):
         data = self.base_payload()
         data["C"] = {
@@ -224,3 +252,97 @@ class TestParseErrors:
     def test_problem_from_dict_requires_object(self):
         with pytest.raises(ParseError, match="top level"):
             problem_from_dict([1, 2, 3])
+
+
+EVERY_VARIANT_FILE = Path(__file__).parent / "every_variant_problem.json"
+
+
+def every_variant_problem():
+    """A problem holding every set and mapping variant, a zero-normal halfspace included."""
+    return ProblemSpec(
+        C=sp.Intersection([
+            Box([-5.0, -5.0], [5.0, 5.0]),
+            sp.Intersection([Ball([0.0, 0.0], 8.0), sp.Halfspace([1.0, 0.0], 4.0)]),
+            sp.Halfspace([0.0, 0.0], 1.0),
+        ]),
+        Q=WholeSpace(2),
+        A=sp.DenseOperator([[1.0, -0.5], [0.25, 2.0]]),
+        f=AffineVIBifunction([[2.0, 0.5], [-0.5, 1.0]], [0.25, -1.0], "pseudomonotone", 1.5, 1.5),
+        g=AffineVIBifunction([[1.0, 0.0], [0.0, 0.5]], [0.0, 0.5], "monotone", 0.5, 0.5),
+        S=sp.Composition(Identity(2), sp.Averaged(0.25, ProjectionOnto(Ball([0.5, -0.5], 2.0)))),
+        T=sp.Averaged(0.5, ProjectionOnto(Box([-1.0, -2.0], [1.0, 2.0]))),
+        x1=[0.5, 0.5],
+        planted_solution=[1.0, -1.0],
+    )
+
+
+def value_paths(data, keys=()):
+    """Yield the key path of every value in an object and of every object in a list."""
+    if isinstance(data, dict):
+        children = data.items()
+    elif isinstance(data, list) and data and isinstance(data[0], dict):
+        children = enumerate(data)
+    else:
+        return
+    for key, value in children:
+        yield keys + (key,)
+        yield from value_paths(value, keys + (key,))
+
+
+def location_of(keys):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
+
+
+def on_one_path(a, b):
+    """Whether one of two entry locations lies inside the other."""
+    shorter, longer = sorted((a, b), key=len)
+    return longer == shorter or longer.startswith((shorter + ".", shorter + "["))
+
+
+class TestFileFormat:
+    def test_every_variant_file_is_unchanged(self, tmp_path):
+        path = tmp_path / "every.json"
+        sp.save(every_variant_problem(), path)
+        assert path.read_bytes() == EVERY_VARIANT_FILE.read_bytes()
+        assert sp.load(path) == every_variant_problem()
+
+    def test_single_faults_load_or_raise_parse_error_on_their_path(self, tmp_path):
+        base = json.loads(EVERY_VARIANT_FILE.read_text())
+        path = tmp_path / "mutated.json"
+        replacements = ["x", None, [], {}, float("nan"), float("inf"), [0.0, 0.0, 0.0], 2.5]
+        delete = object()
+        wrong, count = [], 0
+        for keys in value_paths(base):
+            for fault in ([delete] if isinstance(keys[-1], str) else []) + replacements:
+                data = copy.deepcopy(base)
+                container = functools.reduce(operator.getitem, keys[:-1], data)
+                if fault is delete:
+                    del container[keys[-1]]
+                else:
+                    container[keys[-1]] = copy.deepcopy(fault)
+                path.write_text(json.dumps(data))
+                count += 1
+                try:
+                    sp.load(path)
+                except ParseError as exc:
+                    if exc.location != "$" and not on_one_path(exc.location, location_of(keys)):
+                        wrong.append((location_of(keys), fault, str(exc)))
+                except Exception as exc:
+                    # any other exception type is the failure under test
+                    wrong.append((location_of(keys), fault, repr(exc)))
+        assert count == 580
+        assert not wrong
+
+    def test_readme_lists_every_variant_with_its_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Problem file format", 1)[1].split("\n## ", 1)[0]
+        listed = {
+            tag: re.findall(r'"(\w+)":', rest)
+            for tag, rest in re.findall(r'^\{"type": "(\w+)"(.*)\}$', section, flags=re.MULTILINE)
+        }
+        declared = {
+            tag: [key for key, _, _ in fields]
+            for variants in _FORMAT.values()
+            for tag, (_, fields) in variants.items()
+        }
+        assert listed == declared

@@ -138,6 +138,15 @@ class TestSetValidation:
         with pytest.raises(ValueError, match="dimension"):
             Intersection([WholeSpace(2), WholeSpace(3)])
 
+    @pytest.mark.parametrize("variant", [WholeSpace, Identity])
+    @pytest.mark.parametrize("dim", [2.9, 2.0, True, "2", 0, np.inf])
+    def test_dimension_must_be_an_integer(self, variant, dim):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            variant(dim)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert WholeSpace(np.int64(3)).dim == 3 and type(Identity(np.int64(3)).dim) is int
+
     def test_intersection_nonempty_members(self):
         with pytest.raises(ValueError, match="at least one"):
             Intersection([])
