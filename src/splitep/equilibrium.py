@@ -121,8 +121,7 @@ class AffineVIBifunction(Bifunction):
         """
         bf = cls(matrix, offset, monotonicity, 1.0, 1.0)
         c = max(bf.operator_norm_upper / 2.0, MIN_LIPSCHITZ_CONSTANT)
-        bf.c1 = c
-        bf.c2 = c
+        _, bf.c1, bf.c2 = _check_metadata(monotonicity, c, c)  # an overflowing bound makes c inf
         return bf
 
     @property
@@ -254,7 +253,7 @@ def prox_step(
 def _prox_step(f, C, x: np.ndarray, lam: float, at: np.ndarray) -> np.ndarray:
     """:func:`prox_step`'s minimizer, unchecked: ``lam > 0``, ``x`` in ``C``, and ``x``, ``at`` finite float vectors."""
     if isinstance(f, AffineVIBifunction):
-        return C._project(x - lam * (f.matrix @ at + f.offset))
+        return C._project(x - lam * (f.matrix.dot(at) + f.offset))
     return _prox_fbf(f, C, x, lam, at).minimizer
 
 
@@ -288,7 +287,7 @@ def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps
     inverse = g._resolvent_inverse(alpha)
     if inverse is None:
         return None
-    free = inverse @ (u - alpha * g.offset)
+    free = inverse.dot(u - alpha * g.offset)
     if isinstance(Q, WholeSpace):
         return free
     w = Q._project(free)

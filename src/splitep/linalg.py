@@ -3,7 +3,9 @@
 Points are plain 1-D ``numpy`` arrays of ``float64``; :func:`as_vector` is the
 validating constructor used at API boundaries. Linear operators between the
 two spaces are dense matrices wrapped in :class:`DenseOperator`, whose adjoint
-is exactly the transpose action.
+is exactly the transpose action. The solve loop's products, like :func:`_norm`,
+call ``ndarray.dot`` rather than ``@``: for float64 operands it makes the same
+BLAS call with less dispatch, so the bits agree, and a test pins them.
 
 An operator's entries never change after construction. Its one mutable slot
 is the lazily filled squared-norm bound of :func:`operator_norm_sq_upper`,
@@ -34,7 +36,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got array of shape {v.shape}")
     if v.size < 1:
         raise ValueError("vectors must have dimension >= 1")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector components must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
@@ -105,12 +107,15 @@ def operator_norm_sq_upper(A: DenseOperator) -> float:
     ``A A^T`` or ``A^T A``, from a symmetric eigensolver, so step sizes below
     ``1 / U`` stay below ``1 / ||A||^2``; the factor absorbs the solver's
     rounding. A zero operator gets the floor ``1.01 * tiny`` for the smallest
-    positive normal float, so that ``1 / U`` remains finite. The bound is
-    computed once per operator and cached on it.
+    positive normal float, so that ``1 / U`` remains finite. A Gram matrix
+    that overflows gives ``U = inf``, a true bound: every Gram entry, and
+    every partial sum of one, is at most ``||A||^2`` in magnitude. The bound
+    is computed once per operator and cached on it.
     """
     if A._norm_sq_upper is None:
         entries = A.entries
-        gram = entries @ entries.T if A.m <= A.n else entries.T @ entries
-        top = float(np.linalg.eigvalsh(gram)[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = entries @ entries.T if A.m <= A.n else entries.T @ entries
+        top = float(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
         A._norm_sq_upper = 1.01 * max(top, float(np.finfo(float).tiny))
     return A._norm_sq_upper

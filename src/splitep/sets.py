@@ -210,7 +210,10 @@ class Halfspace(ConvexSet):
         if not np.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
         self.dim = self.normal.size
-        self._normal_sq = float(self.normal @ self.normal)
+        with np.errstate(over="ignore"):
+            self._normal_sq = float(self.normal @ self.normal)
+        if not np.isfinite(self._normal_sq):
+            raise ValueError("halfspace normal is too large: its squared norm overflows")
         self.is_whole_space = np.sqrt(self._normal_sq) < TINY_NORMAL
         if self.is_whole_space and self.offset < -TINY_NORMAL:
             raise EmptySetError("halfspace with zero normal and negative offset is empty")
@@ -220,7 +223,7 @@ class Halfspace(ConvexSet):
         """Halfspace of a finite row whose normal has norm ``>= TINY_NORMAL``, unchecked."""
         cut = cls.__new__(cls)
         cut.normal, cut.offset, cut.dim, cut.is_whole_space = normal, float(offset), normal.size, False
-        cut._normal_sq = float(normal @ normal)
+        cut._normal_sq = float(normal.dot(normal))
         return cut
 
     def _project(self, x: np.ndarray) -> np.ndarray:
@@ -445,7 +448,7 @@ def project_polyhedron(
     key = x0.tobytes()
     resume = start.key == key and start.checked <= k
     # a resumed call's record has checked its leading rows, which are unchanged
-    if (row_scale[start.checked if resume else 0:] == 0.0).any():
+    if not row_scale[start.checked if resume else 0:].all():
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
@@ -465,7 +468,7 @@ def project_polyhedron(
     with np.errstate(invalid="raise"):
         for _ in range(max_pivots):
             # each row's violation scaled by its norm, in place on the product
-            violations = G[fresh:] @ r
+            violations = G[fresh:].dot(r)
             violations -= h[fresh:]
             violations /= row_scale[fresh:]
             worst = violations.argmax()
@@ -483,17 +486,17 @@ def project_polyhedron(
                 if working:
                     # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
                     Gw = G.take(working, 0)
-                    gram, rhs = Gw @ Gw.T, Gw @ a_p
+                    gram, rhs = Gw.dot(Gw.T), Gw.dot(a_p)
                     try:
                         d = _umath_linalg.solve1(gram, rhs, signature="dd->d")
                     except FloatingPointError:
                         d = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-                    z = a_p - Gw.T @ d
+                    z = a_p - Gw.T.dot(d)
                     d = d.tolist()
                 else:
                     d = []
                     z = a_p.copy()
-                z_sq = float(z @ z)
+                z_sq = float(z.dot(z))
                 dependent = z_sq <= dependent_sq
                 # Longest multiplier-feasible dual step along the exchange
                 # direction; the blocking row's multiplier hits zero first.
@@ -511,7 +514,7 @@ def project_polyhedron(
                         )
                     t, full_step = t_dual, False
                 else:
-                    t_primal = (float(a_p @ r) - h_p) / z_sq
+                    t_primal = (float(a_p.dot(r)) - h_p) / z_sq
                     full_step = t_primal <= t_dual
                     t = t_primal if full_step else t_dual
                 r = r - t * z
@@ -548,7 +551,7 @@ def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, fl
     difference = b - a
     normal = 2.0 * difference
     size = _norm(normal)
-    return None if size < TINY_NORMAL else (normal, float(difference @ (a + b)), size)
+    return None if size < TINY_NORMAL else (normal, float(difference.dot(a + b)), size)
 
 
 class NonexpansiveMap:

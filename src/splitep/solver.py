@@ -348,7 +348,7 @@ class StrongState(ConvexSet):
             gap = _norm(normal)
             if gap <= tol:
                 return r
-            self._append(normal, float(normal @ p), gap)
+            self._append(normal, float(normal.dot(p)), gap)
         raise InnerSolveError(
             f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap
         )
@@ -411,10 +411,10 @@ def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int) -> IterateR
     z = _prox_step(problem.f, problem.C, x, lam, y)
     Sz = problem.S._apply(z)
     t = (1.0 - config.alpha) * z + config.alpha * Sz
-    At = problem.A.entries @ t
+    At = problem.A.entries.dot(t)
     u = _resolvent(problem.g, problem.Q, alpha_k, At)
     Tu = problem.T._apply(u)
-    s = problem.C._project(t + config.mu * (problem.A.entries.T @ (Tu - At)))
+    s = problem.C._project(t + config.mu * problem.A.entries.T.dot(Tu - At))
     res_xy, res_yz, res_Sz = _norm(x - y), _norm(y - z), _norm(Sz - z)
     res_uAt, res_Tu, step = _norm(u - At), _norm(Tu - u), _norm(s - x)
     return IterateRecord(

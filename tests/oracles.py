@@ -351,6 +351,16 @@ def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
     )
 
 
+def reference_cut_row(a, b) -> tuple[np.ndarray, float]:
+    """Normal ``2 (b - a)`` and offset ``(b - a) @ (a + b)`` of the cut ``halfspace_dominates(a, b)``.
+
+    Written with ``@``, so that tests can demand bit-equal rows from the
+    solver's own products.
+    """
+    difference = b - a
+    return 2.0 * difference, float(difference @ (a + b))
+
+
 def tangential_ball_problem(stretch: float = 1.0):
     """Planted seed 34 (n = m = 2) with ``C`` a ball through ``x1`` that passes close by ``x*``.
 

@@ -92,6 +92,12 @@ class TestBifunctionBasics:
         with pytest.raises(ValueError, match="finite"):
             CallableBifunction(lambda x, y: 0.0, lambda x, y: np.zeros(2), "monotone", c1, c2)
 
+    @pytest.mark.parametrize("entry", [1e160, 1e200])
+    def test_default_constants_of_an_overflowing_matrix_rejected(self, entry):
+        # the derived constants pass the constructor's check too
+        with pytest.raises(ValueError, match="finite"):
+            AffineVIBifunction.with_default_constants(np.full((2, 2), entry), np.zeros(2))
+
     def test_default_constants_satisfy_lipschitz_bound(self):
         rng = np.random.default_rng(2)
         box = Box(-2.0 * np.ones(3), 2.0 * np.ones(3))

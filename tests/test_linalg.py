@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,12 @@ class TestOperatorNormBound:
         entries = np.linalg.cholesky(np.array([[2.0, -1.0], [-1.0, 2.0]])).T
         U = operator_norm_sq_upper(DenseOperator(entries))
         assert U == pytest.approx(1.01 * 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("entry", [1e160, 1e200, -1e200])
+    def test_overflowing_gram_gives_an_infinite_bound(self, entry):
+        # every Gram entry, and every partial sum of one, is at most ||A||^2,
+        # so an overflowing product bounds it by inf: not NaN, and no warning
+        assert operator_norm_sq_upper(DenseOperator(np.full((2, 2), entry))) == math.inf
+        assert operator_norm_sq_upper(DenseOperator(np.full((2, 3), entry))) == math.inf
+        # off the diagonal inf - inf is NaN
+        assert operator_norm_sq_upper(DenseOperator(entry * np.array([[1.0, 1.0], [1.0, -1.0]]))) == math.inf

@@ -237,6 +237,13 @@ class TestParseErrors:
             sp.load(self.write(tmp_path, data))
         assert excinfo.value.location == "S"
 
+    def test_halfspace_whose_normal_overflows(self, tmp_path):
+        data = self.base_payload()
+        data["C"] = {"type": "halfspace", "normal": [1e160, 0.0], "offset": 0.0}
+        with pytest.raises(ParseError, match="normal") as excinfo:
+            sp.load(self.write(tmp_path, data))
+        assert excinfo.value.location == "C"
+
     def test_nested_member_location(self, tmp_path):
         data = self.base_payload()
         data["C"] = {

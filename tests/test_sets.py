@@ -134,6 +134,12 @@ class TestSetValidation:
         assert np.array_equal(hs.project([5.0, -3.0]), [5.0, -3.0])
         assert hs.membership_violation([5.0, -3.0]) == 0.0
 
+    @pytest.mark.parametrize("normal", [[1e160, 0.0], [0.0, -1e200], [1e154, 1e154]])
+    def test_halfspace_whose_normal_overflows_rejected(self, normal):
+        # its squared norm would be inf, and every point would then project to itself
+        with pytest.raises(ValueError, match="normal"):
+            Halfspace(normal, 0.0)
+
     def test_intersection_dimension_agreement(self):
         with pytest.raises(ValueError, match="dimension"):
             Intersection([WholeSpace(2), WholeSpace(3)])
@@ -378,6 +384,23 @@ class TestProjectPolyhedron:
             assert got.tobytes() == np.linalg.solve(gram, rhs).tobytes()
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             _umath_linalg.solve1(np.ones((2, 2)), np.zeros(2), signature="dd->d")
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 1000])
+    def test_dot_gives_the_bytes_of_matmul(self, n):
+        # the solve loop calls ndarray.dot where the reference wrote @, for the
+        # same BLAS call with less dispatch; a numpy that routes them apart fails here
+        rng = np.random.default_rng(19)
+        rows = 2048 if n <= 20 else 64
+        G, r = rng.standard_normal((rows, n)), rng.standard_normal(n)
+        for a in (0, 1, 37, rows // 2, rows - 1):
+            assert G[a:].dot(r).tobytes() == (G[a:] @ r).tobytes()
+        for q in range(1, 21):
+            Gw, d = G.take(rng.choice(rows, q, replace=False), 0), rng.standard_normal(q)
+            assert Gw.dot(Gw.T).tobytes() == (Gw @ Gw.T).tobytes()
+            assert Gw.dot(r).tobytes() == (Gw @ r).tobytes()
+            assert Gw.T.dot(d).tobytes() == (Gw.T @ d).tobytes()
+            assert G[q].dot(r).tobytes() == (G[q] @ r).tobytes()
+        assert r.dot(r).tobytes() == (r @ r).tobytes()
 
 
 class TestProjectPolyhedronMatchesReference:

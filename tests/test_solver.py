@@ -39,6 +39,7 @@ from splitep.solver import (
 from oracles import (
     quadratic_bifunction,
     reference_core_step,
+    reference_cut_row,
     reference_project_polyhedron,
     reference_project_rows_and_ball,
     same_record,
@@ -189,6 +190,15 @@ class TestValidate:
     def test_solves_reject_invalid_configs(self):
         problem = degenerate_problem()
         config = simple_config(problem, mu=-1.0)
+        with pytest.raises(ConfigError, match="MuNotPositive"):
+            weak_solve(problem, config)
+
+    @pytest.mark.parametrize("entry", [1e160, 1e200])
+    def test_overflowing_operator_fails_as_mu_not_positive(self, entry):
+        # its norm bound is inf, so the default mu is 0; no overflow warning on the way
+        problem = dataclasses.replace(sp.generate_planted(2, 2, seed=1), A=sp.DenseOperator(np.full((2, 2), entry)))
+        config = default_config(problem)
+        assert config.mu == 0.0
         with pytest.raises(ConfigError, match="MuNotPositive"):
             weak_solve(problem, config)
 
@@ -521,6 +531,29 @@ def test_projections_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch
     assert report.status is SolveStatus.MAX_ITER_REACHED
     assert len(resumed) == report.iterations + 1
     assert sum(resumed) == report.iterations  # every call after the first resumes
+
+
+def test_cut_rows_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch):
+    # the replay above hands both projections the same rows, so it cannot see
+    # a change in how the rows themselves are computed
+    problem = sp.generate_planted(20, 10, seed=7)
+    original = StrongState.add_cut
+    stored = []
+
+    def compared(state, a, b):
+        before = state.count
+        original(state, a, b)
+        assert state.count == before + 1  # no cut of this run is the whole space
+        normal, offset = reference_cut_row(a, b)
+        assert state._G[before].tobytes() == normal.tobytes()
+        assert state._h[before].tobytes() == np.float64(offset).tobytes()
+        assert state._norms[before].tobytes() == np.linalg.norm(normal).tobytes()
+        stored.append(before)
+
+    monkeypatch.setattr(StrongState, "add_cut", compared)
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
+    assert report.status is SolveStatus.MAX_ITER_REACHED
+    assert len(stored) == len(report.cuts) == 2 * (report.iterations + 1)  # records 0 to max_iter
 
 
 def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monkeypatch):
