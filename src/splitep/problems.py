@@ -34,6 +34,7 @@ from splitep.sets import (
     NonexpansiveMap,
     ProjectionOnto,
     WholeSpace,
+    _dimension,
 )
 
 __all__ = [
@@ -147,8 +148,7 @@ def generate_planted(n: int, m: int, seed: int) -> ProblemSpec:
     point is ``x*`` pushed a distance 2 in a random direction and projected
     back onto ``C``.
     """
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be >= 1")
+    n, m = _dimension(n), _dimension(m)
     rng = np.random.default_rng(seed)
 
     x_star = rng.uniform(-4.0, 4.0, size=n)

@@ -37,7 +37,6 @@ __all__ = [
     "ProjectionOnto",
     "WholeSpace",
     "halfspace_dominates",
-    "linear_inequality_rows",
     "project_intersection",
     "project_polyhedron",
 ]
@@ -176,6 +175,9 @@ class Ball(ConvexSet):
         dist = _norm(offset)
         if dist <= self.radius:
             return x
+        if dist == np.inf:  # the squared norm overflowed, not the offset
+            offset = offset / np.abs(offset).max()
+            dist = _norm(offset)
         return self.center + (self.radius / dist) * offset
 
     def membership_violation(self, x) -> float:
@@ -350,32 +352,6 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
     if worst > 10.0 * tol:
         raise DykstraError(worst, sweeps)
     return current
-
-
-def linear_inequality_rows(convex_set: ConvexSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """Describe a polyhedral set as stacked rows ``G r <= h``, else None.
-
-    Whole-space descriptions contribute no rows; balls (and intersections
-    containing one) have no finite row description and yield None.
-    """
-    if isinstance(convex_set, WholeSpace):
-        return np.zeros((0, convex_set.dim)), np.zeros(0)
-    if isinstance(convex_set, Halfspace):
-        if convex_set.is_whole_space:
-            return np.zeros((0, convex_set.dim)), np.zeros(0)
-        return convex_set.normal[None, :], np.array([convex_set.offset])
-    if isinstance(convex_set, Box):
-        eye = np.eye(convex_set.dim)
-        return np.vstack([eye, -eye]), np.concatenate([convex_set.upper, -convex_set.lower])
-    if isinstance(convex_set, Intersection):
-        rows = [linear_inequality_rows(member) for member in convex_set.members]
-        if any(r is None for r in rows):
-            return None
-        return (
-            np.vstack([G for G, _ in rows]),
-            np.concatenate([h for _, h in rows]),
-        )
-    return None
 
 
 class ActiveSet:

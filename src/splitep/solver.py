@@ -50,7 +50,6 @@ from splitep.sets import (
     PivotBudgetError,
     _dominating_row,
     halfspace_dominates,  # noqa: F401
-    linear_inequality_rows,
     project_intersection,
     project_polyhedron,
 )
@@ -305,29 +304,25 @@ class IterateRecord:
 class StrongState(ConvexSet):
     """Anchor, and the shrinking set: ``C`` intersected with the rows ``G r <= h``.
 
-    The rows are those of ``C`` when :func:`linear_inequality_rows` gives
-    them, then every cut that constrains something and every supporting
-    halfspace of ``C`` that a projection added, in the order made; whole-space
-    cuts are not stored. A supporting row holds all of ``C``, so it leaves the
-    shrinking set as it was. Rows are never dropped: the nesting of the
-    constraint sets, which the convergence argument relies on, would break
-    otherwise. Row indices are stable and stored rows never change, so the
-    end state of each exact projection (:func:`project_polyhedron`), kept in
-    ``active_set``, stays valid after appending, and the next projection of
-    the same point resumes from it. Each row's norm is kept with it.
+    ``C`` is reached only through its projection. The rows are every cut that
+    constrains something and every supporting halfspace of ``C`` that a
+    projection added, in the order made; whole-space cuts are not stored. A
+    supporting row holds all of ``C``, so it leaves the shrinking set as it
+    was. Rows are never dropped: the nesting of the constraint sets, which
+    the convergence argument relies on, would break otherwise. Row indices
+    are stable and stored rows never change, so the end state of each exact
+    projection (:func:`project_polyhedron`), kept in ``active_set``, stays
+    valid after appending, and the next projection of the same point resumes
+    from it. Each row's norm is kept with it.
     """
 
     def __init__(self, problem):
         self.C = problem.C
         self.dim = dim = problem.C.dim
         self.anchor = as_vector(problem.x1, dim)
-        base = linear_inequality_rows(problem.C)
-        G0, h0 = base if base is not None else (np.zeros((0, dim)), np.zeros(0))
-        self.count = len(h0)
+        self.count = 0
         self.cut_rows: list[int] = []
-        self._G = np.vstack([G0, np.zeros((max(64, self.count), dim))])
-        self._h = np.concatenate([h0, np.zeros(max(64, self.count))])
-        self._norms = np.linalg.norm(self._G, axis=1)
+        self._G, self._h, self._norms = np.zeros((64, dim)), np.zeros(64), np.zeros(64)
         self.active_set = ActiveSet()
 
     def _project(self, x: np.ndarray) -> np.ndarray:

@@ -59,6 +59,20 @@ def random_two_halfspaces(rng, dim=3):
     return Halfspace(a1, b1), Halfspace(a2, b2)
 
 
+def inequality_rows(*members) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked rows ``G r <= h`` of boxes (upper faces, then lower ones) and halfspaces."""
+    G, h = [], []
+    for member in members:
+        if isinstance(member, Box):
+            eye = np.eye(member.dim)
+            G += [eye, -eye]
+            h += [member.upper, -member.lower]
+        else:
+            G.append(member.normal[None, :])
+            h.append([member.offset])
+    return np.vstack(G), np.concatenate(h)
+
+
 def contracting_resolvent(g, Q, alpha, u, tol=1e-13, max_steps=10**6):
     """Resolvent of an affine ``g`` by a projected fixed point that always contracts.
 

@@ -359,6 +359,13 @@ class TestExactResolvent:
             expected = np.linalg.solve(np.eye(2) + alpha * N, u - alpha * q)
             assert np.allclose(w, expected, rtol=0.0, atol=1e-12)
 
+    def test_overflowing_whole_space_resolvent_is_an_inner_failure(self):
+        # u - alpha q overflows, so inv(K) b holds NaN; the whole space has no
+        # active-set steps, and the iterative loop reports the overflow
+        g = AffineVIBifunction(np.eye(2), np.array([10.0, 10.0]), "monotone", 0.5, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InnerSolveError, match="diverged"):
+            resolvent(g, WholeSpace(2), 1e308, [0.0, 0.0])
+
     def test_skew_box_matches_grid_oracle(self):
         box = Box(-np.ones(2), np.ones(2))
         g = AffineVIBifunction(np.array([[0.0, 3.0], [-3.0, 0.0]]), np.array([1.0, -0.5]), "monotone", 1.5, 1.5)

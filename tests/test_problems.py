@@ -36,8 +36,9 @@ class TestGeneratePlanted:
         assert np.allclose(problem.S.apply(x_star), x_star, atol=1e-12)
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            sp.generate_planted(0, 3, seed=0)
+        for n, m in ((0, 3), (3, 0), (2.5, 2), ("3", 2), (2, True)):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                sp.generate_planted(n, m, seed=1)
 
     def test_certificates_across_seeds(self):
         for seed in range(5):

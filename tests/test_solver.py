@@ -18,7 +18,6 @@ from splitep.sets import (
     PivotBudgetError,
     ProjectionOnto,
     WholeSpace,
-    linear_inequality_rows,
 )
 from splitep.solver import (
     ConfigError,
@@ -37,6 +36,7 @@ from splitep.solver import (
 )
 
 from oracles import (
+    inequality_rows,
     quadratic_bifunction,
     reference_core_step,
     reference_cut_row,
@@ -583,26 +583,63 @@ def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monk
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=40))
     assert report.status is SolveStatus.MAX_ITER_REACHED
     assert len(calls["project_intersection"]) == len(calls["project_polyhedron"]) == report.iterations + 1
-    h_of_C = linear_inequality_rows(problem.C)[1]
     final_h = calls["project_polyhedron"][-1][2]
-    assert np.array_equal(final_h, np.concatenate([h_of_C, [cut.offset for cut in report.cuts]]))
+    assert np.array_equal(final_h, [cut.offset for cut in report.cuts])
 
 
 @pytest.mark.parametrize("seed", [34, 1])
 @pytest.mark.parametrize(
-    "C",
-    [Ball(np.zeros(2), 8.0), sp.Intersection([Box(-5.0 * np.ones(2), 5.0 * np.ones(2)), Ball(np.zeros(2), 8.0)])],
-    ids=["ball", "box-and-ball"],
+    "make_C",
+    [
+        lambda x_star: Ball(np.zeros(2), 8.0),
+        lambda x_star: sp.Intersection([Box(-5.0 * np.ones(2), 5.0 * np.ones(2)), Ball(np.zeros(2), 8.0)]),
+        lambda x_star: sp.Intersection([Box(-5.0 * np.ones(2), 5.0 * np.ones(2)), Halfspace([1.0, 1.0], x_star.sum())]),
+    ],
+    ids=["ball", "box-and-ball", "box-and-halfspace"],
 )
-def test_strong_solve_converges_without_rows_for_C(seed, C):
-    # C has no inequality rows, so each projection adds C's supporting
-    # halfspaces to the cut rows as needed; a per-cut Dykstra sweep once
-    # failed here after some 60 iterations
+def test_strong_solve_converges_without_rows_for_C(seed, make_C):
+    # the shrinking-set projection reaches C only through C's projection and
+    # adds C's supporting halfspaces to the cut rows as needed; a per-cut
+    # Dykstra sweep once failed here after some 60 iterations. The halfspace
+    # passes through x*, so the solution lies on C's boundary.
     planted = sp.generate_planted(2, 2, seed=seed)
-    problem = dataclasses.replace(planted, C=C)
+    C = make_C(planted.planted_solution)
+    problem = dataclasses.replace(planted, C=C, x1=C.project(planted.x1))
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=200))
     assert report.status is SolveStatus.CONVERGED
     assert np.linalg.norm(report.final_x - planted.planted_solution) <= 1e-5
+
+
+def test_box_faces_through_the_solution_give_the_projection_onto_its_rows(monkeypatch):
+    # every other upper face of C passes through x*, so some projections onto
+    # the cuts land outside C and the step adds C's supporting rows; each
+    # next_x must still be the projection onto the box's rows and the cuts
+    planted = sp.generate_planted(5, 5, seed=4)
+    C = Box(-5.0 * np.ones(5), np.where(np.arange(5) % 2 == 0, planted.planted_solution, 5.0))
+    problem = dataclasses.replace(planted, C=C, x1=C.project(planted.x1))
+    G_of_C, h_of_C = inequality_rows(C)
+    project_polyhedron, project_intersection = sp.solver.project_polyhedron, sp.solver.project_intersection
+    rounds, errors = [], []
+
+    def counted(*args, **kwargs):
+        rounds[-1] += 1
+        return project_polyhedron(*args, **kwargs)
+
+    def compared(members, anchor):
+        rounds.append(0)
+        point = project_intersection(members, anchor)
+        (state,) = members
+        G = np.vstack([G_of_C, state._G[state.cut_rows]])
+        h = np.concatenate([h_of_C, state._h[state.cut_rows]])
+        errors.append(np.abs(point - reference_project_polyhedron(anchor, G, h)[0]).max())
+        return point
+
+    monkeypatch.setattr(sp.solver, "project_polyhedron", counted)
+    monkeypatch.setattr(sp.solver, "project_intersection", compared)
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
+    assert report.status is SolveStatus.MAX_ITER_REACHED
+    assert len(rounds) == report.iterations + 1 and max(rounds) > 1
+    assert max(errors) <= 1e-10
 
 
 def test_strong_solve_converges_where_the_cuts_meet_a_ball_tangentially():
