@@ -36,7 +36,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got array of shape {v.shape}")
     if v.size < 1:
         raise ValueError("vectors must have dimension >= 1")
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise ValueError("vector components must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")

@@ -13,10 +13,16 @@ are pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 from splitep.linalg import _norm, as_vector
 
@@ -138,8 +144,8 @@ class Box(ConvexSet):
         self.dim = self.lower.size
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        # np.clip's own result, bit for bit, without its wrapper's overhead
-        return np.minimum(np.maximum(x, self.lower), self.upper)
+        # the ufunc np.clip runs, without its Python wrappers
+        return _clip(x, self.lower, self.upper)
 
     def membership_violation(self, x) -> float:
         x = as_vector(x, self.dim)
@@ -181,8 +187,11 @@ class Ball(ConvexSet):
         return self.center + (self.radius / dist) * offset
 
     def membership_violation(self, x) -> float:
-        x = as_vector(x, self.dim)
-        return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
+        offset = as_vector(x, self.dim) - self.center
+        dist = _norm(offset)
+        if dist == math.inf:  # the squared norm overflowed; hypot scales the offset first
+            dist = math.hypot(*offset)
+        return max(0.0, dist - self.radius)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -358,8 +367,9 @@ class ActiveSet:
     """Where :func:`project_polyhedron` stopped; it reads the record and refreshes it.
 
     ``rows`` and ``multipliers`` are the working rows and their multipliers,
-    ``point`` the projection of the point whose bytes are ``key``, and
-    ``checked`` how many leading rows that projection satisfies. The record
+    ``point`` the projection of the point whose bytes are ``key``, ``checked``
+    how many leading rows that projection satisfies, and ``tol`` the
+    feasibility tolerance of that point (None: not recorded). The record
     shares ``point`` with the caller, who must not modify it in place.
     """
 
@@ -369,6 +379,7 @@ class ActiveSet:
         self.point: np.ndarray | None = None
         self.key = b""
         self.checked = 0
+        self.tol: float | None = None
 
 
 def project_polyhedron(
@@ -397,11 +408,11 @@ def project_polyhedron(
     must leave those unchanged. When ``x0`` is bit-equal to the last point
     the record projected, the iteration resumes from the stored point and
     multipliers, and its first scan reads only the added rows: the others
-    held at that point to the same tolerance, which depends on ``x0`` alone.
-    A call for any other ``x0`` starts cold. Given ``row_norms`` must be the
-    norms of the rows of ``G``. Unlike Dykstra's scheme this is insensitive
-    to nearly parallel rows, but it needs the explicit inequality
-    description.
+    held at that point to the same tolerance, which depends on ``x0`` alone
+    and is read from the record. A call for any other ``x0`` starts cold.
+    Given ``row_norms`` must be the norms of the rows of ``G``. Unlike
+    Dykstra's scheme this is insensitive to nearly parallel rows, but it
+    needs the explicit inequality description.
 
     Raises
     ------
@@ -424,10 +435,12 @@ def project_polyhedron(
     key = x0.tobytes()
     resume = start.key == key and start.checked <= k
     # a resumed call's record has checked its leading rows, which are unchanged
-    if not row_scale[start.checked if resume else 0:].all():
+    unchecked = row_scale[start.checked if resume else 0:]
+    if np.count_nonzero(unchecked) != unchecked.size:
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
-    feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+    # the tolerance depends on x0 alone, so a resumed call reuses the record's
+    feas_scale = start.tol if resume and start.tol is not None else 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 
     if resume:
         working, multipliers, r = list(start.rows), list(start.multipliers), start.point
@@ -449,8 +462,8 @@ def project_polyhedron(
             violations /= row_scale[fresh:]
             worst = violations.argmax()
             if violations[worst] <= feas_scale:
-                start.rows, start.multipliers, start.point, start.key, start.checked = (
-                    tuple(working), multipliers, r, key, k
+                start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (
+                    tuple(working), multipliers, r, key, k, feas_scale
                 )
                 return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
             p = fresh + int(worst)

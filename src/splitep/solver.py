@@ -320,6 +320,7 @@ class StrongState(ConvexSet):
         self.C = problem.C
         self.dim = dim = problem.C.dim
         self.anchor = as_vector(problem.x1, dim)
+        self._anchor_tol = 1e-12 * (1.0 + _norm(self.anchor))
         self.count = 0
         self.cut_rows: list[int] = []
         self._G, self._h, self._norms = np.zeros((64, dim)), np.zeros(64), np.zeros(64)
@@ -333,8 +334,14 @@ class StrongState(ConvexSet):
         ``C`` at ``p``, which ``r`` violates by that distance, becomes a row
         and the projection resumes. Raises ``InnerSolveError`` after
         ``SUPPORT_ROUNDS`` projections.
+
+        A normal ``r - p`` from a gap below ``push = 1e-4 (1 + ||p||)`` is
+        mostly rounding, and its row can cut into ``C``. The row is then
+        taken at ``P_C(q)`` with normal ``q - P_C(q)``, for the point ``q``
+        that lies ``push`` from ``p`` along ``r - p``; ``P_C(q)`` is ``p`` in
+        exact arithmetic.
         """
-        tol = 1e-12 * (1.0 + _norm(x))
+        tol = self._anchor_tol if x is self.anchor else 1e-12 * (1.0 + _norm(x))
         for _ in range(SUPPORT_ROUNDS):
             G, h, norms = self.rows()
             r = project_polyhedron(x, G, h, start=self.active_set, row_norms=norms)[0]
@@ -343,7 +350,12 @@ class StrongState(ConvexSet):
             gap = _norm(normal)
             if gap <= tol:
                 return r
-            self._append(normal, float(normal.dot(p)), gap)
+            push = 1e-4 * (1.0 + _norm(p))
+            if gap < push:
+                q = p + (push / gap) * normal
+                p = self.C._project(q)
+                normal = q - p
+            self._append(normal, float(normal.dot(p)), _norm(normal))
         raise InnerSolveError(
             f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap
         )

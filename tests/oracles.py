@@ -375,11 +375,11 @@ def reference_cut_row(a, b) -> tuple[np.ndarray, float]:
     return 2.0 * difference, float(difference @ (a + b))
 
 
-def tangential_ball_problem(stretch: float = 1.0):
+def tangential_ball_problem(stretch: float = 1.0, shift: float = 2.0):
     """Planted seed 34 (n = m = 2) with ``C`` a ball through ``x1`` that passes close by ``x*``.
 
-    The center is the midpoint of ``x1`` and ``x*`` moved 2 units to one side
-    of the segment between them, and the radius is ``stretch`` times the
+    The center is the midpoint of ``x1`` and ``x*`` moved ``shift`` units to
+    one side of the segment between them, and the radius is ``stretch`` times the
     center's distance to ``x1``; at ``stretch = 1`` the ball passes through
     ``x1`` and ``x*`` both. ``x*`` stays a solution, since the problem's
     operator vanishes there. The iterates reach the ball's boundary, where the
@@ -388,7 +388,7 @@ def tangential_ball_problem(stretch: float = 1.0):
     problem = generate_planted(2, 2, seed=34)
     x1, x_star = problem.x1, problem.planted_solution
     side = np.array([x_star[1] - x1[1], x1[0] - x_star[0]]) / np.linalg.norm(x_star - x1)
-    center = (x1 + x_star) / 2.0 + 2.0 * side
+    center = (x1 + x_star) / 2.0 + shift * side
     return dataclasses.replace(problem, C=Ball(center, stretch * np.linalg.norm(x1 - center)))
 
 

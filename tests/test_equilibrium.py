@@ -366,6 +366,18 @@ class TestExactResolvent:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InnerSolveError, match="diverged"):
             resolvent(g, WholeSpace(2), 1e308, [0.0, 0.0])
 
+    def test_overflowing_box_resolvent_is_an_inner_failure_or_a_point_of_the_box(self):
+        # the same overflow on a box once ran the active-set steps on NaN and
+        # returned [nan, nan]
+        g = AffineVIBifunction(np.eye(2), np.array([10.0, 10.0]), "monotone", 0.5, 0.5)
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                w = resolvent(g, box, 1e308, [0.0, 0.0])
+            except InnerSolveError:
+                return
+        assert np.isfinite(w).all() and box.contains(w, tol=0.0)
+
     def test_skew_box_matches_grid_oracle(self):
         box = Box(-np.ones(2), np.ones(2))
         g = AffineVIBifunction(np.array([[0.0, 3.0], [-3.0, 0.0]]), np.array([1.0, -0.5]), "monotone", 1.5, 1.5)

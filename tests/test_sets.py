@@ -45,6 +45,20 @@ class TestClosedFormProjections:
         with np.errstate(over="ignore"):
             assert np.array_equal(Ball([0.0, 0.0], 1.0).project([1e160, 0.0]), [1.0, 0.0])
 
+    def test_ball_membership_of_a_point_whose_squared_distance_overflows(self):
+        with np.errstate(over="ignore"):
+            violation = Ball([0.0, 0.0], 1.0).membership_violation([1e160, 0.0])
+        assert abs(violation - 1e160) <= 1e-12 * 1e160
+
+    def test_ball_membership_of_ordinary_points_keeps_its_bytes(self):
+        # only a squared norm that overflows takes the scaled path
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            ball = Ball(rng.standard_normal(4), rng.uniform(0.0, 2.0))
+            x = 3.0 * rng.standard_normal(4)
+            want = max(0.0, float(np.linalg.norm(x - ball.center)) - ball.radius)
+            assert np.float64(ball.membership_violation(x)).tobytes() == np.float64(want).tobytes()
+
     def test_halfspace(self):
         hs = Halfspace([1.0, 0.0], 0.0)
         assert np.allclose(hs.project([2.0, 5.0]), [0.0, 5.0], atol=1e-15)
@@ -115,6 +129,13 @@ def test_box_projection_is_bit_equal_to_clip():
             upper = np.maximum(lower, rng.choice(bounds, n))
             box = Box(lower, upper)
             x = rng.choice(values, n)
+            assert box._project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
+    # points inside and outside boxes of random finite bounds
+    for n in (1, 3, 8, 17, 64):
+        for _ in range(50):
+            lower = rng.uniform(-2.0, 0.0, n)
+            box = Box(lower, lower + rng.uniform(0.0, 2.0, n))
+            x = 2.0 * rng.standard_normal(n)
             assert box._project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
 
 
@@ -341,6 +362,22 @@ class TestProjectPolyhedron:
             cold, _ = project_polyhedron(y, G, h)
             assert np.linalg.norm(point - cold) <= 1e-12
 
+    def test_record_for_another_point_computes_its_own_tolerance(self):
+        # a record keyed to x with a tolerance no point could miss: a call for
+        # y must start cold and compute y's tolerance, not take the record's
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            G, h = self.box_and_cuts(rng, 4, 6)
+            x, y = 3.0 * rng.standard_normal(4), 3.0 * rng.standard_normal(4)
+            start = ActiveSet()
+            project_polyhedron(x, G, h, start=start)
+            assert start.key == x.tobytes() and start.tol == 1e-12 * (1.0 + np.linalg.norm(x))
+            start.tol = 1e300
+            point, active = project_polyhedron(y, G, h, start=start)
+            cold, cold_active = project_polyhedron(y, G, h)
+            assert point.tobytes() == cold.tobytes() and active == cold_active
+            assert start.key == y.tobytes() and start.tol == 1e-12 * (1.0 + np.linalg.norm(y))
+
     def test_resumed_call_detects_rows_that_empty_the_set(self):
         rng = np.random.default_rng(15)
         G, h = self.box_and_cuts(rng, 3, 2)
@@ -440,6 +477,22 @@ class TestProjectPolyhedronMatchesReference:
             assert start.key == x.tobytes()  # the call would resume
             with pytest.raises(ValueError, match="zero rows"):
                 project(x, G2, h2, start=start, row_norms=norms)
+
+    @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
+    def test_zero_row_check_reads_minus_zero_as_zero_and_nan_as_nonzero(self, resumed):
+        # given norms of 0.0 and -0.0 both raise; NaN passes the check, as in
+        # the reference, and the pivot that picks the row then fails
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        h = np.array([1.0, 1.0, 1.5])
+        x = np.array([3.0, 3.0])
+        for last, error in ((0.0, ValueError), (-0.0, ValueError), (np.nan, ZeroDivisionError)):
+            norms = np.array([1.0, 1.0, last])
+            for project in (project_polyhedron, reference_project_polyhedron):
+                start = ActiveSet()
+                if resumed:
+                    project(x, G[:2], h[:2], start=start)
+                with pytest.raises(error):
+                    project(x, G, h, start=start, row_norms=norms)
 
     def test_singular_working_rows_fall_back_to_least_squares(self, monkeypatch):
         # a record whose working rows are duplicates makes the first direction solve exactly singular

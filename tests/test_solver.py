@@ -662,6 +662,38 @@ def test_strong_solve_converges_where_the_cuts_meet_a_ball_tangentially():
         assert np.linalg.norm(record.next_x - want) <= 1e-9
 
 
+def supporting_rows_of_a_run(monkeypatch, problem, max_iter=500):
+    """The run's report, and the rows its shrinking-set projection added as supporting halfspaces of ``C``."""
+    states = []
+    monkeypatch.setattr(sp.solver, "StrongState", lambda problem: states.append(StrongState(problem)) or states[-1])
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=max_iter))
+    (state,) = states
+    G, h, norms = state.rows()
+    support = np.setdiff1d(np.arange(state.count), state.cut_rows)
+    return report, G[support], h[support], norms[support]
+
+
+def test_supporting_rows_do_not_cut_into_a_tangential_ball(monkeypatch):
+    # a normal r - P_C(r) from a gap of 1e-12 is mostly rounding; rows built
+    # from such normals once cut 2.9e-10 into the ball
+    problem = tangential_ball_problem(1.0)
+    report, G, h, norms = supporting_rows_of_a_run(monkeypatch, problem)
+    assert report.status is SolveStatus.CONVERGED and len(h) > 0
+    ball = problem.C
+    # how far the ball reaches past each row's boundary
+    assert ((G @ ball.center + ball.radius * norms - h) / norms).max() <= 1e-14
+
+
+def test_the_solution_satisfies_every_row_with_the_ball_moved_to_one_side(monkeypatch):
+    # with the ball twice as far to the side, x* once violated a supporting
+    # row by 1.7e-11 and fell outside the shrinking set
+    problem = tangential_ball_problem(1.0, shift=4.0)
+    report, G, h, norms = supporting_rows_of_a_run(monkeypatch, problem)
+    assert report.status is SolveStatus.CONVERGED and len(h) > 0
+    assert (G @ problem.planted_solution - h).max() <= 0.0
+    assert max(cut.membership_violation(problem.planted_solution) for cut in report.cuts) <= 0.0
+
+
 def test_supporting_rows_running_out_is_an_inner_failure(monkeypatch):
     # on this instance some steps need more than one projection onto the rows
     monkeypatch.setattr("splitep.solver.SUPPORT_ROUNDS", 1)
