@@ -369,8 +369,10 @@ class ActiveSet:
     ``rows`` and ``multipliers`` are the working rows and their multipliers,
     ``point`` the projection of the point whose bytes are ``key``, ``checked``
     how many leading rows that projection satisfies, and ``tol`` the
-    feasibility tolerance of that point (None: not recorded). The record
-    shares ``point`` with the caller, who must not modify it in place.
+    feasibility tolerance of that point. Whoever writes ``key`` writes
+    ``tol`` for the same point, or None, which makes a resumed call compute
+    it. The record shares ``point`` with the caller, who must not modify it
+    in place.
     """
 
     def __init__(self):
@@ -410,6 +412,7 @@ def project_polyhedron(
     multipliers, and its first scan reads only the added rows: the others
     held at that point to the same tolerance, which depends on ``x0`` alone
     and is read from the record. A call for any other ``x0`` starts cold.
+    Every return writes the record, that of a call with no rows included.
     Given ``row_norms`` must be the norms of the rows of ``G``. Unlike
     Dykstra's scheme this is insensitive to nearly parallel rows, but it
     needs the explicit inequality description.
@@ -428,19 +431,21 @@ def project_polyhedron(
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     k = G.shape[0]
-    if k == 0:
-        return x0.copy(), ()
-    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
     start = ActiveSet() if start is None else start
     key = x0.tobytes()
     resume = start.key == key and start.checked <= k
+    # the tolerance depends on x0 alone, so a resumed call reuses the record's
+    feas_scale = start.tol if resume and start.tol is not None else 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+    if k == 0:
+        r = x0.copy()
+        start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (), [], r, key, 0, feas_scale
+        return r, ()
+    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
     # a resumed call's record has checked its leading rows, which are unchanged
     unchecked = row_scale[start.checked if resume else 0:]
     if np.count_nonzero(unchecked) != unchecked.size:
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
-    # the tolerance depends on x0 alone, so a resumed call reuses the record's
-    feas_scale = start.tol if resume and start.tol is not None else 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 
     if resume:
         working, multipliers, r = list(start.rows), list(start.multipliers), start.point

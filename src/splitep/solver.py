@@ -320,7 +320,6 @@ class StrongState(ConvexSet):
         self.C = problem.C
         self.dim = dim = problem.C.dim
         self.anchor = as_vector(problem.x1, dim)
-        self._anchor_tol = 1e-12 * (1.0 + _norm(self.anchor))
         self.count = 0
         self.cut_rows: list[int] = []
         self._G, self._h, self._norms = np.zeros((64, dim)), np.zeros(64), np.zeros(64)
@@ -339,22 +338,26 @@ class StrongState(ConvexSet):
         mostly rounding, and its row can cut into ``C``. The row is then
         taken at ``P_C(q)`` with normal ``q - P_C(q)``, for the point ``q``
         that lies ``push`` from ``p`` along ``r - p``; ``P_C(q)`` is ``p`` in
-        exact arithmetic.
+        exact arithmetic, so the row cuts ``r``. When it does not, ``r - p``
+        was rounding rather than a normal of ``C`` at ``p``, and ``r`` lies in
+        ``C`` to working precision: it is returned.
         """
-        tol = self._anchor_tol if x is self.anchor else 1e-12 * (1.0 + _norm(x))
         for _ in range(SUPPORT_ROUNDS):
             G, h, norms = self.rows()
             r = project_polyhedron(x, G, h, start=self.active_set, row_norms=norms)[0]
             p = self.C._project(r)
             normal = r - p
             gap = _norm(normal)
-            if gap <= tol:
+            # the call above wrote the record, with the tolerance, for x
+            if gap <= self.active_set.tol:
                 return r
             push = 1e-4 * (1.0 + _norm(p))
             if gap < push:
                 q = p + (push / gap) * normal
                 p = self.C._project(q)
                 normal = q - p
+                if not normal.dot(r) > normal.dot(p):
+                    return r  # the row misses r, so r - p was rounding
             self._append(normal, float(normal.dot(p)), _norm(normal))
         raise InnerSolveError(
             f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap

@@ -253,19 +253,26 @@ def reference_project_polyhedron(
 
     Kept verbatim, fancy indexing, ``np.argmax`` and all, so that tests can
     demand bit-equal points, active rows and ``ActiveSet`` records from the
-    library's version on the same calls.
+    library's version on the same calls. Only the record's contents follow
+    the library: it holds the tolerance, computed afresh here, and a call
+    with no rows writes it too.
     """
     x0 = np.asarray(x0, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     k = G.shape[0]
+    feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+    start = ActiveSet() if start is None else start
     if k == 0:
-        return x0.copy(), ()
+        r = x0.copy()
+        start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (
+            (), [], r, x0.tobytes(), 0, feas_scale
+        )
+        return r, ()
     row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
     if np.any(row_scale == 0.0):
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
-    feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
 
     working: list[int] = []
     multipliers: list[float] = []
@@ -274,7 +281,6 @@ def reference_project_polyhedron(
         Gw = G[rows]
         return np.linalg.solve(Gw @ Gw.T, Gw @ x0 - h[rows])
 
-    start = ActiveSet() if start is None else start
     key = x0.tobytes()
     if start.key == key and start.checked <= k:
         working, multipliers, r = list(start.rows), list(start.multipliers), start.point
@@ -303,8 +309,8 @@ def reference_project_polyhedron(
         violations = (G[fresh:] @ r - h[fresh:]) / row_scale[fresh:]
         p = fresh + int(np.argmax(violations))
         if violations[p - fresh] <= feas_scale:
-            start.rows, start.multipliers, start.point, start.key, start.checked = (
-                tuple(working), multipliers, r, key, k
+            start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (
+                tuple(working), multipliers, r, key, k, feas_scale
             )
             return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
         fresh = 0
@@ -355,13 +361,14 @@ def reference_project_polyhedron(
 
 
 def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
-    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows and point, bit for bit."""
+    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows, point and tolerance, bit for bit."""
     return (
         start.rows == reference.rows
         and np.asarray(start.multipliers).tobytes() == np.asarray(reference.multipliers).tobytes()
         and start.checked == reference.checked
         and start.key == reference.key
         and start.point.tobytes() == reference.point.tobytes()
+        and np.float64(start.tol).tobytes() == np.float64(reference.tol).tobytes()
     )
 
 

@@ -413,6 +413,18 @@ class TestProjectPolyhedron:
         assert np.array_equal(r, [1.0, 2.0])
         assert active == ()
 
+    def test_no_rows_writes_the_record(self):
+        # a caller reads the tolerance from the record after any call
+        x = np.array([1.0, 2.0])
+        start = ActiveSet()
+        r, _ = project_polyhedron(x, np.zeros((0, 2)), np.zeros(0), start=start)
+        assert start.key == x.tobytes() and start.point is r and start.checked == 0
+        assert start.tol == 1e-12 * (1.0 + np.linalg.norm(x))
+        G, h = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5])
+        point, active = project_polyhedron(x, G, h, start=start)
+        cold, cold_active = project_polyhedron(x, G, h)
+        assert point.tobytes() == cold.tobytes() and active == cold_active
+
     def test_direction_gufunc_matches_numpy_solve(self):
         # project_polyhedron calls numpy's private solve gufunc; a numpy that changes it fails here
         rng = np.random.default_rng(18)
@@ -481,18 +493,19 @@ class TestProjectPolyhedronMatchesReference:
     @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
     def test_zero_row_check_reads_minus_zero_as_zero_and_nan_as_nonzero(self, resumed):
         # given norms of 0.0 and -0.0 both raise; NaN passes the check, as in
-        # the reference, and the pivot that picks the row then fails
+        # the reference, and fails later (which error is left open)
         G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         h = np.array([1.0, 1.0, 1.5])
         x = np.array([3.0, 3.0])
-        for last, error in ((0.0, ValueError), (-0.0, ValueError), (np.nan, ZeroDivisionError)):
+        for last in (0.0, -0.0, np.nan):
             norms = np.array([1.0, 1.0, last])
             for project in (project_polyhedron, reference_project_polyhedron):
                 start = ActiveSet()
                 if resumed:
                     project(x, G[:2], h[:2], start=start)
-                with pytest.raises(error):
+                with pytest.raises((ZeroDivisionError, IndexError, ValueError)) as raised:
                     project(x, G, h, start=start, row_norms=norms)
+                assert ("zero rows" in str(raised.value)) is (last == 0.0)
 
     def test_singular_working_rows_fall_back_to_least_squares(self, monkeypatch):
         # a record whose working rows are duplicates makes the first direction solve exactly singular

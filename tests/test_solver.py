@@ -694,6 +694,32 @@ def test_the_solution_satisfies_every_row_with_the_ball_moved_to_one_side(monkey
     assert max(cut.membership_violation(problem.planted_solution) for cut in report.cuts) <= 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 2, 3, 10, 12])
+def test_a_gap_of_rounding_on_a_far_ball_returns_the_point(seed):
+    # x1 = 0 lies in a ball 1e6 away, and one row touches the ball's far side
+    # at t. The projection r of x1 onto the row is t to rounding, whose ulps
+    # of 1.2e-10 exceed the tolerance 1e-12 (1 + ||x1||); the row pushed out
+    # from such a gap missed r, and the loop once used up all its rounds
+    # (with the row at P_C(r) kept instead, seed 3 found the rows empty)
+    rng = np.random.default_rng(seed)
+    center = rng.standard_normal(2)
+    center *= 1e6 / np.linalg.norm(center)
+    direction = rng.standard_normal(2)
+    direction /= np.linalg.norm(direction)
+    assert direction @ center > 0.0
+    ball = Ball(center, 1e6 + 1.0)
+    t = center + ball.radius * direction
+    problem = dataclasses.replace(sp.generate_planted(2, 2, seed=1), C=ball, x1=np.zeros(2))
+    state = StrongState(problem)
+    a = -t / np.linalg.norm(t)
+    state.cut_rows.append(0)
+    state._append(a, float(a @ t), 1.0)
+    r = state._project(state.anchor)
+    assert state.count == 1
+    assert np.linalg.norm(r - t) <= 4 * np.spacing(1e6)
+    assert ball.membership_violation(r) <= 4 * np.spacing(1e6)
+
+
 def test_supporting_rows_running_out_is_an_inner_failure(monkeypatch):
     # on this instance some steps need more than one projection onto the rows
     monkeypatch.setattr("splitep.solver.SUPPORT_ROUNDS", 1)
