@@ -282,21 +282,20 @@ def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps
     opposite bound, and on narrow boxes the steps cycle far more often.
 
     Returns None when ``K`` is singular, when ``inv(K) b`` overflows from a
-    finite ``u`` (or holds NaN on the whole space), when an active set
-    repeats, or after ``max_steps`` steps; the caller then runs its iterative
-    loop.
+    finite ``u``, when an active set repeats, or after ``max_steps`` steps;
+    the caller then runs its iterative loop.
     """
     inverse = g._resolvent_inverse(alpha)
     if inverse is None:
         return None
     free = inverse.dot(u - alpha * g.offset)
     w = Q._project(free)
-    if not np.count_nonzero(w != free):
-        return w  # free lies in Q, so step 0 below keeps the empty active set
-    if not isinstance(Q, Box) or (not np.isfinite(free).all() and np.isfinite(u).all()):
-        # free overflowed; the caller's loop reports it. A NaN in u flows on
-        # into the residual, for the solve loop to stop on.
-        return None
+    if isinstance(Q, Box) and not np.count_nonzero(w != free):
+        return w  # free lies in the box, so is finite; step 0 below keeps the empty active set
+    if np.count_nonzero(np.isfinite(free)) != free.size and np.isfinite(u).all():
+        return None  # free overflowed; the caller's loop reports it
+    if not isinstance(Q, Box):
+        return w  # a NaN in u flows on into the residual, for the solve loop to stop on
     w, nu = free, np.zeros(Q.dim)
     at_upper = at_lower = active = np.zeros(Q.dim, dtype=bool)
     previous = (bytes(Q.dim), bytes(Q.dim))  # the empty active set, solved by free

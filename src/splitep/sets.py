@@ -364,24 +364,23 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
 
 
 class ActiveSet:
-    """Where :func:`project_polyhedron` stopped; it reads the record and refreshes it.
+    """Where :func:`project_polyhedron` stopped projecting the point ``x0`` the record is made for.
 
-    ``rows`` and ``multipliers`` are the working rows and their multipliers,
-    ``point`` the projection of the point whose bytes are ``key``, ``checked``
-    how many leading rows that projection satisfies, and ``tol`` the
-    feasibility tolerance of that point. Whoever writes ``key`` writes
-    ``tol`` for the same point, or None, which makes a resumed call compute
-    it. The record shares ``point`` with the caller, who must not modify it
-    in place.
+    ``key`` and ``tol``, the bytes of ``x0`` and its feasibility tolerance
+    ``1e-12 (1 + ||x0||)``, never change. ``rows``, ``multipliers``,
+    ``point`` and ``checked``, the working rows, their multipliers, the
+    projection so far and how many leading rows it satisfies, start cold:
+    none, ``x0`` and 0. The caller must not modify ``point`` in place.
     """
 
-    def __init__(self):
+    def __init__(self, x0):
+        x0 = np.asarray(x0, dtype=float)
+        self.key = x0.tobytes()
+        self.tol = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+        self.point = x0.copy()
         self.rows: tuple[int, ...] = ()
         self.multipliers: list[float] = []
-        self.point: np.ndarray | None = None
-        self.key = b""
         self.checked = 0
-        self.tol: float | None = None
 
 
 def project_polyhedron(
@@ -405,23 +404,23 @@ def project_polyhedron(
     precision.
 
     Returns the projection together with the active row indices (the working
-    rows with positive multipliers). A ``start`` record carries a call's end
-    state to the next call, whose rows may add rows after the old ones but
-    must leave those unchanged. When ``x0`` is bit-equal to the last point
-    the record projected, the iteration resumes from the stored point and
-    multipliers, and its first scan reads only the added rows: the others
-    held at that point to the same tolerance, which depends on ``x0`` alone
-    and is read from the record. A call for any other ``x0`` starts cold.
-    Every return writes the record, that of a call with no rows included.
-    Given ``row_norms`` must be the norms of the rows of ``G``. Unlike
-    Dykstra's scheme this is insensitive to nearly parallel rows, but it
-    needs the explicit inequality description.
+    rows with positive multipliers). The iteration runs from a ``start``
+    record made for ``x0``, a new one when none is given, and writes its end
+    state back: the next call with the same record may add rows after the
+    old ones but must leave those unchanged. It resumes from the stored
+    point and multipliers, and its first scan reads only the added rows, as
+    the others held at that point to the record's tolerance. A call with no
+    rows returns the record's point and leaves the record as it was. Given
+    ``row_norms`` must be the norms of the rows of ``G``. Unlike Dykstra's
+    scheme this is insensitive to nearly parallel rows, but it needs the
+    explicit inequality description.
 
     Raises
     ------
     ValueError
-        If a row of ``G``, or a given row norm, is zero; a resumed call
-        checks only the added rows, as the record's call checked the others.
+        If ``start`` was made for another point or has checked more rows
+        than ``G`` has, or if a row it has not checked has a zero or
+        non-finite norm or a non-finite offset; the record is left as it was.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     PivotBudgetError
@@ -431,29 +430,23 @@ def project_polyhedron(
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     k = G.shape[0]
-    start = ActiveSet() if start is None else start
-    key = x0.tobytes()
-    resume = start.key == key and start.checked <= k
-    # the tolerance depends on x0 alone, so a resumed call reuses the record's
-    feas_scale = start.tol if resume and start.tol is not None else 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+    start = ActiveSet(x0) if start is None else start
+    if start.key != x0.tobytes() or start.checked > k:
+        raise ValueError("the active-set record was made for another point or for more rows")
     if k == 0:
-        r = x0.copy()
-        start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (), [], r, key, 0, feas_scale
-        return r, ()
+        return start.point, ()
     row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
-    # a resumed call's record has checked its leading rows, which are unchanged
-    unchecked = row_scale[start.checked if resume else 0:]
+    # the record has checked its leading rows, which are unchanged
+    unchecked, offsets = row_scale[start.checked:], h[start.checked:]
     if np.count_nonzero(unchecked) != unchecked.size:
         raise ValueError("zero rows must be filtered out before projection")
+    if np.count_nonzero(np.isfinite(unchecked)) + np.count_nonzero(np.isfinite(offsets)) != 2 * offsets.size:
+        raise ValueError("inequality rows must have finite norms and offsets")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
-
-    if resume:
-        working, multipliers, r = list(start.rows), list(start.multipliers), start.point
-        # The first scan starts at the added rows, or at the last row when none
-        # were added, so that it is never empty.
-        fresh = min(start.checked, k - 1)
-    else:
-        working, multipliers, r, fresh = [], [], x0.copy(), 0
+    working, multipliers, r, feas_scale = list(start.rows), list(start.multipliers), start.point, start.tol
+    # The first scan starts at the added rows, or at the last row when none
+    # were added, so that it is never empty.
+    fresh = min(start.checked, k - 1)
 
     # The gufunc under np.linalg.solve, without its costly wrapper, flags a
     # singular Gram matrix as invalid; raised, that takes the lstsq fallback.
@@ -467,9 +460,7 @@ def project_polyhedron(
             violations /= row_scale[fresh:]
             worst = violations.argmax()
             if violations[worst] <= feas_scale:
-                start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (
-                    tuple(working), multipliers, r, key, k, feas_scale
-                )
+                start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
                 return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
             p = fresh + int(worst)
             fresh = 0

@@ -312,8 +312,9 @@ class StrongState(ConvexSet):
     the convergence argument relies on, would break otherwise. Row indices
     are stable and stored rows never change, so the end state of each exact
     projection (:func:`project_polyhedron`), kept in ``active_set``, stays
-    valid after appending, and the next projection of the same point resumes
-    from it. Each row's norm is kept with it.
+    valid after appending, and the next projection resumes from it. The
+    record is made for the anchor, the only point the set may be
+    projected from. Each row's norm is kept with it.
     """
 
     def __init__(self, problem):
@@ -323,7 +324,7 @@ class StrongState(ConvexSet):
         self.count = 0
         self.cut_rows: list[int] = []
         self._G, self._h, self._norms = np.zeros((64, dim)), np.zeros(64), np.zeros(64)
-        self.active_set = ActiveSet()
+        self.active_set = ActiveSet(self.anchor)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         """Projection ``r`` of ``x`` onto the rows, once it lies in ``C``.
@@ -348,7 +349,7 @@ class StrongState(ConvexSet):
             p = self.C._project(r)
             normal = r - p
             gap = _norm(normal)
-            # the call above wrote the record, with the tolerance, for x
+            # the record's tolerance is x's: the call above refuses any other point
             if gap <= self.active_set.tol:
                 return r
             push = 1e-4 * (1.0 + _norm(p))

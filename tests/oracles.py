@@ -253,65 +253,34 @@ def reference_project_polyhedron(
 
     Kept verbatim, fancy indexing, ``np.argmax`` and all, so that tests can
     demand bit-equal points, active rows and ``ActiveSet`` records from the
-    library's version on the same calls. Only the record's contents follow
-    the library: it holds the tolerance, computed afresh here, and a call
-    with no rows writes it too.
+    library's version on the same calls. Only the record follows the
+    library: it is made for its point, which a call must be for, and it
+    carries the tolerance; a call with no rows returns its point.
     """
     x0 = np.asarray(x0, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     k = G.shape[0]
-    feas_scale = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
-    start = ActiveSet() if start is None else start
+    start = ActiveSet(x0) if start is None else start
+    if start.key != x0.tobytes() or start.checked > k:
+        raise ValueError("the active-set record was made for another point or for more rows")
     if k == 0:
-        r = x0.copy()
-        start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (
-            (), [], r, x0.tobytes(), 0, feas_scale
-        )
-        return r, ()
+        return start.point, ()
     row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
     if np.any(row_scale == 0.0):
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
-
-    working: list[int] = []
-    multipliers: list[float] = []
-
-    def solve_working(rows):
-        Gw = G[rows]
-        return np.linalg.solve(Gw @ Gw.T, Gw @ x0 - h[rows])
-
-    key = x0.tobytes()
-    if start.key == key and start.checked <= k:
-        working, multipliers, r = list(start.rows), list(start.multipliers), start.point
-        # The first scan starts at the added rows, or at the last row when none
-        # were added, so that it is never empty.
-        fresh = min(start.checked, k - 1)
-    else:
-        # Re-derive warm-start multipliers, shedding rows that are no longer
-        # binding; rows carried over from a previous call stay independent.
-        warm = [i for i in start.rows if 0 <= i < k]
-        while warm:
-            try:
-                lam = solve_working(warm)
-            except np.linalg.LinAlgError:
-                warm = []
-                break
-            if np.min(lam) >= 0.0:
-                working = warm
-                multipliers = [float(v) for v in lam]
-                break
-            del warm[int(np.argmin(lam))]
-        r = x0 - G[working].T @ np.asarray(multipliers) if working else x0.copy()
-        fresh = 0
+    feas_scale = start.tol
+    working, multipliers, r = list(start.rows), list(start.multipliers), start.point
+    # The first scan starts at the added rows, or at the last row when none
+    # were added, so that it is never empty.
+    fresh = min(start.checked, k - 1)
 
     for _ in range(max_pivots):
         violations = (G[fresh:] @ r - h[fresh:]) / row_scale[fresh:]
         p = fresh + int(np.argmax(violations))
         if violations[p - fresh] <= feas_scale:
-            start.rows, start.multipliers, start.point, start.key, start.checked, start.tol = (
-                tuple(working), multipliers, r, key, k, feas_scale
-            )
+            start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
             return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
         fresh = 0
         a_p = G[p]

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -343,7 +344,7 @@ class TestProjectPolyhedron:
         for _ in range(30):
             G, h = self.box_and_cuts(rng, 4, 12)
             x = 3.0 * rng.standard_normal(4)
-            start = ActiveSet()
+            start = ActiveSet(x)
             for rows in (8, 9, 12, 12):
                 point, active = project_polyhedron(x, G[:rows], h[:rows], start=start)
                 cold, cold_active = project_polyhedron(x, G[:rows], h[:rows])
@@ -351,38 +352,30 @@ class TestProjectPolyhedron:
                 assert np.linalg.norm(point - cold) <= 1e-12
                 assert set(active) == set(cold_active)
 
-    def test_start_recorded_for_another_point_gives_the_cold_result(self):
+    def test_record_serves_its_own_point_and_rows_only(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
             G, h = self.box_and_cuts(rng, 4, 6)
-            start = ActiveSet()
-            project_polyhedron(3.0 * rng.standard_normal(4), G[:10], h[:10], start=start)
-            y = 3.0 * rng.standard_normal(4)
-            point, _ = project_polyhedron(y, G, h, start=start)
-            cold, _ = project_polyhedron(y, G, h)
-            assert np.linalg.norm(point - cold) <= 1e-12
-
-    def test_record_for_another_point_computes_its_own_tolerance(self):
-        # a record keyed to x with a tolerance no point could miss: a call for
-        # y must start cold and compute y's tolerance, not take the record's
-        rng = np.random.default_rng(18)
-        for _ in range(30):
-            G, h = self.box_and_cuts(rng, 4, 6)
             x, y = 3.0 * rng.standard_normal(4), 3.0 * rng.standard_normal(4)
-            start = ActiveSet()
-            project_polyhedron(x, G, h, start=start)
-            assert start.key == x.tobytes() and start.tol == 1e-12 * (1.0 + np.linalg.norm(x))
-            start.tol = 1e300
-            point, active = project_polyhedron(y, G, h, start=start)
-            cold, cold_active = project_polyhedron(y, G, h)
+            # a new record is the cold start: its first call is a call without one
+            start = ActiveSet(x)
+            assert start.tol == 1e-12 * (1.0 + np.linalg.norm(x)) and start.checked == 0
+            point, active = project_polyhedron(x, G[:10], h[:10], start=start)
+            cold, cold_active = project_polyhedron(x, G[:10], h[:10])
             assert point.tobytes() == cold.tobytes() and active == cold_active
-            assert start.key == y.tobytes() and start.tol == 1e-12 * (1.0 + np.linalg.norm(y))
+            # another point, or fewer rows than the record has checked, is refused
+            before = copy.deepcopy(start)
+            for project in (project_polyhedron, reference_project_polyhedron):
+                for z, rows in ((y, 10), (x, 9), (np.nextafter(x, np.inf), 10)):
+                    with pytest.raises(ValueError, match="another point or for more rows"):
+                        project(z, G[:rows], h[:rows], start=start)
+                    assert same_record(start, before)
 
     def test_resumed_call_detects_rows_that_empty_the_set(self):
         rng = np.random.default_rng(15)
         G, h = self.box_and_cuts(rng, 3, 2)
         x = np.array([2.0, -3.0, 0.5])
-        start = ActiveSet()
+        start = ActiveSet(x)
         before, _ = project_polyhedron(x, G, h, start=start)
         # a halfspace that misses the box [-1, 1]^3: <a, r> <= -||a||_1 - 1
         a = rng.standard_normal(3)
@@ -403,27 +396,49 @@ class TestProjectPolyhedron:
             project_polyhedron(np.zeros(2), np.zeros((1, 2)), np.zeros(1))
         G = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="zero rows"):
-            project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet())
+            project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet([2.0, 2.0]))
         # given row norms are checked too, not taken on trust
         with pytest.raises(ValueError, match="zero rows"):
-            project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet(), row_norms=np.array([1.0, 0.0, 1.0]))
+            project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet([2.0, 2.0]), row_norms=np.array([1.0, 0.0, 1.0]))
 
     def test_no_rows_returns_point(self):
         r, active = project_polyhedron(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))
         assert np.array_equal(r, [1.0, 2.0])
         assert active == ()
 
-    def test_no_rows_writes_the_record(self):
-        # a caller reads the tolerance from the record after any call
+    def test_no_rows_returns_the_record_point(self):
         x = np.array([1.0, 2.0])
-        start = ActiveSet()
-        r, _ = project_polyhedron(x, np.zeros((0, 2)), np.zeros(0), start=start)
-        assert start.key == x.tobytes() and start.point is r and start.checked == 0
-        assert start.tol == 1e-12 * (1.0 + np.linalg.norm(x))
+        start = ActiveSet(x)
+        r, active = project_polyhedron(x, np.zeros((0, 2)), np.zeros(0), start=start)
+        assert r is start.point and r.tobytes() == x.tobytes() and active == ()
+        assert start.checked == 0 and start.rows == ()
         G, h = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5])
         point, active = project_polyhedron(x, G, h, start=start)
         cold, cold_active = project_polyhedron(x, G, h)
         assert point.tobytes() == cold.tobytes() and active == cold_active
+
+    @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
+    @pytest.mark.parametrize("where", ["G", "h", "norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, resumed, where, value):
+        # the added row's normal, offset or given norm is not finite
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        h = np.array([1.0, 1.0, 1.5])
+        x = np.array([3.0, 3.0])
+        norms = np.linalg.norm(G, axis=1)
+        if where == "G":
+            G[2, 0] = value
+        elif where == "h":
+            h[2] = value
+        else:
+            norms[2] = value
+        start = ActiveSet(x)
+        if resumed:
+            project_polyhedron(x, G[:2], h[:2], start=start, row_norms=norms[:2])
+        before = copy.deepcopy(start)
+        with pytest.raises(ValueError, match="finite norms and offsets"):
+            project_polyhedron(x, G, h, start=start, row_norms=norms if where == "norm" else None)
+        assert same_record(start, before)
 
     def test_direction_gufunc_matches_numpy_solve(self):
         # project_polyhedron calls numpy's private solve gufunc; a numpy that changes it fails here
@@ -472,7 +487,7 @@ class TestProjectPolyhedronMatchesReference:
         for _ in range(20):
             G, h = TestProjectPolyhedron.box_and_cuts(rng, 4, 8)
             x = 3.0 * rng.standard_normal(4)
-            starts = ActiveSet(), ActiveSet()
+            starts = ActiveSet(x), ActiveSet(x)
             for rows in (6, 12, 12, 12):
                 self.both(x, G[:rows], h[:rows], starts, row_norms=np.linalg.norm(G[:rows], axis=1))
 
@@ -481,7 +496,7 @@ class TestProjectPolyhedronMatchesReference:
         rng = np.random.default_rng(17)
         G, h = TestProjectPolyhedron.box_and_cuts(rng, 3, 3)
         x = np.array([2.0, -3.0, 0.5])
-        starts = ActiveSet(), ActiveSet()
+        starts = ActiveSet(x), ActiveSet(x)
         self.both(x, G, h, starts)
         G2, h2 = np.vstack([G, np.zeros((1, 3)), np.ones((1, 3))]), np.concatenate([h, [1.0, 1.0]])
         norms = np.linalg.norm(G2, axis=1) if given_norms else None
@@ -500,7 +515,7 @@ class TestProjectPolyhedronMatchesReference:
         for last in (0.0, -0.0, np.nan):
             norms = np.array([1.0, 1.0, last])
             for project in (project_polyhedron, reference_project_polyhedron):
-                start = ActiveSet()
+                start = ActiveSet(x)
                 if resumed:
                     project(x, G[:2], h[:2], start=start)
                 with pytest.raises((ZeroDivisionError, IndexError, ValueError)) as raised:
@@ -512,11 +527,9 @@ class TestProjectPolyhedronMatchesReference:
         G = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         h = np.array([1.0, 1.0, 1.0, 1.5])
         x = np.array([3.0, 3.0])
-        starts = ActiveSet(), ActiveSet()
+        starts = ActiveSet(x), ActiveSet(x)
         for start in starts:
-            start.rows, start.multipliers, start.point, start.key, start.checked = (
-                (0, 1), [1.0, 1.0], np.array([1.0, 3.0]), x.tobytes(), 2
-            )
+            start.rows, start.multipliers, start.point, start.checked = (0, 1), [1.0, 1.0], np.array([1.0, 3.0]), 2
         fallbacks = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))

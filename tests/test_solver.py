@@ -508,17 +508,29 @@ class TestStrongIteration:
         assert len(points) == 1
 
 
-@pytest.mark.parametrize("seed, n, m", [(3, 5, 2), (7, 20, 10), (8, 20, 20)])
-def test_projections_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch, seed, n, m):
+@pytest.mark.parametrize(
+    "build, status",
+    [
+        (lambda: sp.generate_planted(5, 2, seed=3), SolveStatus.MAX_ITER_REACHED),
+        (lambda: sp.generate_planted(20, 10, seed=7), SolveStatus.MAX_ITER_REACHED),
+        (lambda: sp.generate_planted(20, 20, seed=8), SolveStatus.MAX_ITER_REACHED),
+        (lambda: tangential_ball_problem(1.0), SolveStatus.CONVERGED),
+        (lambda: tangential_ball_problem(1.02), SolveStatus.CONVERGED),
+    ],
+    ids=["3-5-2", "7-20-10", "8-20-20", "ball-1.0", "ball-1.02"],
+)
+def test_projections_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch, build, status):
     # every call of the run is replayed through the version kept in oracles.py,
-    # which carries its own record from call to call
-    problem = sp.generate_planted(n, m, seed=seed)
+    # which carries its own record from call to call. On the balls some steps
+    # add supporting rows and project again within the step.
+    problem = build()
     original = sp.solver.project_polyhedron
-    reference_start = ActiveSet()
-    resumed = []
+    reference_start = ActiveSet(problem.x1)
+    checked, rows = [], []
 
     def compared(x0, G, h, start=None, row_norms=None):
-        resumed.append(start.key == x0.tobytes())
+        checked.append(start.checked)
+        rows.append(len(h))
         point, active = original(x0, G, h, start=start, row_norms=row_norms)
         want, want_active = reference_project_polyhedron(x0, G, h, start=reference_start, row_norms=row_norms)
         assert point.tobytes() == want.tobytes()
@@ -528,9 +540,11 @@ def test_projections_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch
 
     monkeypatch.setattr("splitep.solver.project_polyhedron", compared)
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
-    assert report.status is SolveStatus.MAX_ITER_REACHED
-    assert len(resumed) == report.iterations + 1
-    assert sum(resumed) == report.iterations  # every call after the first resumes
+    assert report.status is status
+    assert len(rows) >= report.iterations + 1
+    assert (len(rows) == report.iterations + 1) is (status is SolveStatus.MAX_ITER_REACHED)
+    # every call after the first resumes from the rows the call before it checked
+    assert checked == [0] + rows[:-1] and all(rows)
 
 
 def test_cut_rows_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch):
@@ -782,11 +796,15 @@ class TestFailureRouting:
         assert {"f": "prox step", "g": "resolvent"}[member] in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
-    def test_non_finite_map_value_is_an_inner_failure(self, mode):
+    @pytest.mark.parametrize("whole_space", [False, True], ids=["box", "whole-space"])
+    def test_non_finite_map_value_is_an_inner_failure(self, mode, whole_space):
         # the loop checks nothing past its start, so the NaN flows through the
-        # step into the residual instead of being rejected by a projection
+        # step, the resolvent on either Q included, into the residual instead
+        # of being rejected by a projection
         planted = sp.generate_planted(3, 3, seed=1)
         problem = dataclasses.replace(planted, S=NaNFromFourthCall(planted.S))
+        if whole_space:
+            problem = dataclasses.replace(problem, Q=sp.WholeSpace(3))
         report = SOLVERS[mode](problem, default_config(problem, mode=mode))
         assert report.status is SolveStatus.INNER_FAILURE
         assert report.iterations == 3
