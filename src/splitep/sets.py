@@ -52,6 +52,12 @@ __all__ = [
 TINY_NORMAL = 1e-14
 
 
+def _length(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a finite vector, or ``math.hypot``, which scales first, where its square overflows."""
+    size = float(np.linalg.norm(v))
+    return math.hypot(*v) if size == math.inf else size
+
+
 def _dimension(dim) -> int:
     if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
@@ -149,7 +155,7 @@ class Box(ConvexSet):
 
     def membership_violation(self, x) -> float:
         x = as_vector(x, self.dim)
-        return float(np.linalg.norm(x - np.clip(x, self.lower, self.upper)))
+        return _length(x - np.clip(x, self.lower, self.upper))
 
     def bounding_box(self):
         return self.lower, self.upper
@@ -187,11 +193,7 @@ class Ball(ConvexSet):
         return self.center + (self.radius / dist) * offset
 
     def membership_violation(self, x) -> float:
-        offset = as_vector(x, self.dim) - self.center
-        dist = _norm(offset)
-        if dist == math.inf:  # the squared norm overflowed; hypot scales the offset first
-            dist = math.hypot(*offset)
-        return max(0.0, dist - self.radius)
+        return max(0.0, _length(as_vector(x, self.dim) - self.center) - self.radius)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -243,14 +245,26 @@ class Halfspace(ConvexSet):
         excess = float(self.normal @ x) - self.offset
         if excess <= 0.0:
             return x
-        return x - (excess / self._normal_sq) * self.normal
+        scale = excess / self._normal_sq
+        if scale < math.inf:
+            return x - scale * self.normal
+        distance, unit = self._along_unit_normal(x)
+        return x - max(0.0, distance) * unit
 
     def membership_violation(self, x) -> float:
         x = as_vector(x, self.dim)
         if self.is_whole_space:
             return 0.0
         excess = float(self.normal @ x) - self.offset
-        return max(0.0, excess / np.sqrt(self._normal_sq))
+        if excess < math.inf:
+            return max(0.0, excess / np.sqrt(self._normal_sq))
+        return max(0.0, self._along_unit_normal(x)[0])
+
+    def _along_unit_normal(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Signed distance of ``x`` past the boundary, and the unit normal, for an excess or step that overflowed."""
+        size = math.sqrt(self._normal_sq)
+        unit = self.normal / size
+        return float(unit @ x) - self.offset / size, unit
 
     def __eq__(self, other) -> bool:
         return (
@@ -332,15 +346,15 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
 
     Raises
     ------
+    ValueError
+        If ``members`` is empty or its sets disagree on the dimension.
     DykstraError
         If, at exit, the iterate still violates some member's membership by
         more than ``10 * tol`` (exhausted budget or a stalled sweep; either
         way the usual cause is an empty intersection).
     """
     members = list(members)
-    if not members:
-        raise ValueError("need at least one set to project onto")
-    dim = members[0].dim
+    dim = Intersection(members).dim
     x = as_vector(x, dim)
     if len(members) == 1:
         return members[0]._project(x)
@@ -366,17 +380,18 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
 class ActiveSet:
     """Where :func:`project_polyhedron` stopped projecting the point ``x0`` the record is made for.
 
-    ``key`` and ``tol``, the bytes of ``x0`` and its feasibility tolerance
-    ``1e-12 (1 + ||x0||)``, never change. ``rows``, ``multipliers``,
-    ``point`` and ``checked``, the working rows, their multipliers, the
-    projection so far and how many leading rows it satisfies, start cold:
-    none, ``x0`` and 0. The caller must not modify ``point`` in place.
+    ``key`` and ``tol``, the bytes of ``x0``, which must be a finite vector,
+    and its feasibility tolerance ``1e-12 (1 + ||x0||)``, never change.
+    ``rows``, ``multipliers``, ``point`` and ``checked``, the working rows,
+    their multipliers, the projection so far and how many leading rows it
+    satisfies, start cold: none, ``x0`` and 0. The caller must not modify
+    ``point`` in place.
     """
 
     def __init__(self, x0):
-        x0 = np.asarray(x0, dtype=float)
+        x0 = as_vector(x0)
         self.key = x0.tobytes()
-        self.tol = 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+        self.tol = 1e-12 * (1.0 + _length(x0))
         self.point = x0.copy()
         self.rows: tuple[int, ...] = ()
         self.multipliers: list[float] = []
@@ -418,9 +433,10 @@ def project_polyhedron(
     Raises
     ------
     ValueError
-        If ``start`` was made for another point or has checked more rows
-        than ``G`` has, or if a row it has not checked has a zero or
-        non-finite norm or a non-finite offset; the record is left as it was.
+        If ``x0`` is not a finite vector, if ``start`` was made for another
+        point or has checked more rows than ``G`` has, or if a row it has not
+        checked has a zero or non-finite norm or a non-finite offset; the
+        record is left as it was.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     PivotBudgetError

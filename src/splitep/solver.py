@@ -11,7 +11,8 @@ directly and is Fejer monotone with respect to every solution. The hybrid
 variant (:func:`strong_solve`) instead accumulates, per iteration, the two
 halfspaces of points at least as close to the corrected point as to the
 trial points, and re-projects the fixed anchor ``x1`` onto the constraint
-set, any closed convex one, intersected with all accumulated cuts.
+set, any closed convex one, intersected with all accumulated cuts, kept
+as rows of :class:`StrongState`, which projects the anchor and no other point.
 
 One driver loop runs both iterations: it owns the start point, the
 divergence guard, the mapping of inner-solver failures to the
@@ -37,20 +38,19 @@ from typing import Callable
 
 import numpy as np
 
-# bench/spans.py getattrs prox_step, resolvent and halfspace_dominates here to wrap them, and
-# raises without them, though the loop calls only their unchecked kernels
+# bench/spans.py getattrs prox_step, resolvent, halfspace_dominates and project_intersection here
+# to wrap them, and raises without them, though the loop calls none of them
 from splitep.equilibrium import InnerSolveError, _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
 from splitep.linalg import _norm, as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
     ActiveSet,
-    ConvexSet,
     DykstraError,
     EmptySetError,
     Halfspace,
     PivotBudgetError,
     _dominating_row,
     halfspace_dominates,  # noqa: F401
-    project_intersection,
+    project_intersection,  # noqa: F401
     project_polyhedron,
 )
 
@@ -301,35 +301,35 @@ class IterateRecord:
         return (self.res_xy, self.res_yz, self.res_Sz, self.res_uAt, self.res_Tu, self.step)
 
 
-class StrongState(ConvexSet):
+class StrongState:
     """Anchor, and the shrinking set: ``C`` intersected with the rows ``G r <= h``.
 
-    ``C`` is reached only through its projection. The rows are every cut that
-    constrains something and every supporting halfspace of ``C`` that a
-    projection added, in the order made; whole-space cuts are not stored. A
-    supporting row holds all of ``C``, so it leaves the shrinking set as it
-    was. Rows are never dropped: the nesting of the constraint sets, which
-    the convergence argument relies on, would break otherwise. Row indices
-    are stable and stored rows never change, so the end state of each exact
-    projection (:func:`project_polyhedron`), kept in ``active_set``, stays
-    valid after appending, and the next projection resumes from it. The
-    record is made for the anchor, the only point the set may be
-    projected from. Each row's norm is kept with it.
+    A store of rows that projects one point, the anchor, by
+    :meth:`project_anchor`; ``C`` is reached only through its projection.
+    The rows are every cut that constrains something and every supporting
+    halfspace of ``C`` that a projection added, in the order made;
+    whole-space cuts are not stored. A supporting row holds all of ``C``, so
+    it leaves the shrinking set as it was. Rows are never dropped: the
+    nesting of the constraint sets, which the convergence argument relies
+    on, would break otherwise. Row indices are stable and stored rows never
+    change, so the end state of each exact projection, kept in the record
+    ``active_set`` made for the anchor, stays valid after appending, and the
+    next projection resumes from it. Each row's norm is kept with it.
     """
 
     def __init__(self, problem):
         self.C = problem.C
-        self.dim = dim = problem.C.dim
+        dim = problem.C.dim
         self.anchor = as_vector(problem.x1, dim)
         self.count = 0
         self.cut_rows: list[int] = []
         self._G, self._h, self._norms = np.zeros((64, dim)), np.zeros(64), np.zeros(64)
         self.active_set = ActiveSet(self.anchor)
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        """Projection ``r`` of ``x`` onto the rows, once it lies in ``C``.
+    def project_anchor(self) -> np.ndarray:
+        """Projection ``r`` of the anchor onto the rows, once it lies in ``C``.
 
-        While ``r`` lies farther than ``1e-12 (1 + ||x||)`` from
+        While ``r`` lies farther than ``1e-12 (1 + ||anchor||)`` from
         ``p = P_C(r)``, the halfspace ``<r - p, y> <= <r - p, p>`` supporting
         ``C`` at ``p``, which ``r`` violates by that distance, becomes a row
         and the projection resumes. Raises ``InnerSolveError`` after
@@ -345,11 +345,10 @@ class StrongState(ConvexSet):
         """
         for _ in range(SUPPORT_ROUNDS):
             G, h, norms = self.rows()
-            r = project_polyhedron(x, G, h, start=self.active_set, row_norms=norms)[0]
+            r = project_polyhedron(self.anchor, G, h, start=self.active_set, row_norms=norms)[0]
             p = self.C._project(r)
             normal = r - p
             gap = _norm(normal)
-            # the record's tolerance is x's: the call above refuses any other point
             if gap <= self.active_set.tol:
                 return r
             push = 1e-4 * (1.0 + _norm(p))
@@ -462,11 +461,11 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     """One iteration of the shrinking-projection scheme from ``x`` at index ``k``.
 
     Stores the two new cuts (points at least as close to the corrected point
-    ``s`` as to ``t``, and to ``t`` as to ``x``) as rows of ``state``, which
-    it mutates in place, unless a cut is the whole space, and projects the
-    anchor onto ``state``. The record's ``next_x`` is that projection; ``s``
-    holds the corrected point. A record with a non-finite residual is
-    returned without cuts, for the driver to stop on. The caller is responsible for ``x`` being a finite
+    ``s`` as to ``t``, and to ``t`` as to ``x``) in ``state`` unless a cut is
+    the whole space, and sets the record's ``next_x`` to the projection
+    ``state.project_anchor()`` of the anchor; ``s`` holds the corrected
+    point. A record with a non-finite residual is returned without cuts, for
+    the driver to stop on. The caller is responsible for ``x`` being a finite
     float vector in ``C`` and for ``config`` having passed :func:`validate`.
     """
     record = _core_step(problem, config, x, k)
@@ -476,7 +475,7 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     state.add_cut(record.t, record.x)
     record.s = record.next_x
     record.res_sx = record.step
-    record.next_x = project_intersection([state], state.anchor)
+    record.next_x = state.project_anchor()
     record.step = _norm(record.next_x - record.x)
     record.res_tx = _norm(record.t - record.x)
     # the plain residual already covers res_sx and the five residual parts

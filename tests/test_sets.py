@@ -64,6 +64,24 @@ class TestClosedFormProjections:
         hs = Halfspace([1.0, 0.0], 0.0)
         assert np.allclose(hs.project([2.0, 5.0]), [0.0, 5.0], atol=1e-15)
 
+    def test_halfspace_projection_of_a_point_whose_product_with_the_normal_overflows(self):
+        # <normal, x>, or its ratio to a small squared norm, overflowed to inf,
+        # and the step once gave [-inf, nan]
+        with np.errstate(over="ignore"):
+            assert np.array_equal(Halfspace([1e150, 0.0], 0.0).project([1e200, 0.0]), [0.0, 0.0])
+            assert np.array_equal(Halfspace([1e-13, 0.0], 0.0).project([1e300, 0.0]), [0.0, 0.0])
+            assert np.array_equal(Halfspace([1e150, 1e150], 0.0).project([1e200, -1e200]), [1e200, -1e200])
+
+    def test_halfspace_membership_of_a_point_whose_product_with_the_normal_overflows(self):
+        with np.errstate(over="ignore"):
+            assert Halfspace([1e150, 0.0], 0.0).membership_violation([1e200, 0.0]) == 1e200
+            assert Halfspace([1e150, 1e150], 0.0).membership_violation([1e200, -1e200]) == 0.0
+
+    def test_box_membership_of_a_point_whose_squared_distance_overflows(self):
+        with np.errstate(over="ignore"):
+            violation = Box([0.0, 0.0], [1.0, 1.0]).membership_violation([1e200, 0.0])
+        assert abs(violation - 1e200) <= 1e-12 * 1e200
+
     def test_whole_space(self):
         assert np.array_equal(WholeSpace(2).project([7.0, -1.0]), [7.0, -1.0])
 
@@ -223,6 +241,18 @@ class TestProjectIntersection:
     def test_requires_members(self):
         with pytest.raises(ValueError):
             project_intersection([], [0.0])
+
+    @pytest.mark.parametrize(
+        "members, x",
+        [
+            ([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)], [3.0, 0.0]),
+            ([Box([0.0], [1.0]), Ball([0.0, 0.0], 1.0)], [0.5]),
+        ],
+    )
+    def test_members_of_different_dimensions_are_rejected(self, members, x):
+        # these once failed inside numpy's broadcasting or a membership test
+        with pytest.raises(ValueError, match="disagree on dimension"):
+            project_intersection(members, x)
 
     def test_whole_space_members_are_inert(self):
         members = [Halfspace(np.zeros(2), 0.0), Box([0.0, 0.0], [1.0, 1.0])]
@@ -400,6 +430,22 @@ class TestProjectPolyhedron:
         # given row norms are checked too, not taken on trust
         with pytest.raises(ValueError, match="zero rows"):
             project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet([2.0, 2.0]), row_norms=np.array([1.0, 0.0, 1.0]))
+
+    def test_a_far_point_is_projected_onto_every_row(self):
+        # the tolerance 1e-12 (1 + ||x0||) once overflowed to inf, so every
+        # row counted as satisfied and x0 itself came back
+        x0 = np.array([1e200, 1e200])
+        with np.errstate(over="ignore"):
+            start = ActiveSet(x0)
+            r, _ = project_polyhedron(x0, np.eye(2), np.ones(2), start=start)
+        assert start.tol < np.inf
+        assert np.all(r - 1.0 <= start.tol)
+        assert np.linalg.norm(r - 1.0) <= start.tol
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_point(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            project_polyhedron(np.array([value, 0.0]), np.eye(2), np.ones(2))
 
     def test_no_rows_returns_point(self):
         r, active = project_polyhedron(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))

@@ -571,16 +571,19 @@ def test_cut_rows_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch):
 
 
 def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monkeypatch):
-    # bench/spans.py times the shrinking-set projection by replacing these two
-    # names in splitep.solver, and reads the rows' offsets h as the third
-    # positional argument of project_polyhedron; a loop that went around the
-    # names would leave those layers reading 0. spans.installed also looks up
-    # prox_step, resolvent and halfspace_dominates there and would raise
-    # without them, so solver.py keeps importing those three although the
-    # loop calls their unchecked kernels.
-    for name in ("prox_step", "resolvent", "halfspace_dominates"):
+    # bench/spans.py times the shrinking-set projection by replacing
+    # project_polyhedron in splitep.solver, and reads the rows' offsets h as
+    # its third positional argument; a loop that went around the name would
+    # leave that layer reading 0. spans.installed also looks up prox_step,
+    # resolvent, halfspace_dominates and project_intersection there and would
+    # raise without them, so solver.py keeps importing those four although the
+    # loop calls none of them: the step projects the anchor through
+    # StrongState.project_anchor, and Dykstra's scheme runs only inside the
+    # projection of a C that is an Intersection.
+    for name in ("prox_step", "resolvent", "halfspace_dominates", "project_intersection"):
         assert hasattr(sp.solver, name)
-    problem = sp.generate_planted(5, 5, seed=4)
+    planted = sp.generate_planted(5, 5, seed=4)
+    C = sp.Intersection([Box(-5.0 * np.ones(5), 5.0 * np.ones(5)), Ball(np.zeros(5), 8.0)])
     calls = {"project_polyhedron": [], "project_intersection": []}
 
     def counted(name):
@@ -594,11 +597,21 @@ def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monk
 
     for name in calls:
         monkeypatch.setattr(sp.solver, name, counted(name))
-    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=40))
+    assert not isinstance(StrongState(planted), sp.ConvexSet)
+    report = strong_solve(planted, default_config(planted, mode="strong", max_iter=40))
     assert report.status is SolveStatus.MAX_ITER_REACHED
-    assert len(calls["project_intersection"]) == len(calls["project_polyhedron"]) == report.iterations + 1
+    assert calls["project_intersection"] == []
+    assert len(calls["project_polyhedron"]) == report.iterations + 1
     final_h = calls["project_polyhedron"][-1][2]
     assert np.array_equal(final_h, [cut.offset for cut in report.cuts])
+    # Dykstra's scheme runs, but only inside C's own projection
+    dykstra = []
+    project_intersection = sp.sets.project_intersection
+    monkeypatch.setattr(sp.sets, "project_intersection", lambda *args: dykstra.append(1) or project_intersection(*args))
+    problem = dataclasses.replace(planted, C=C, x1=C.project(planted.x1))
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=40))
+    assert report.status is SolveStatus.MAX_ITER_REACHED
+    assert calls["project_intersection"] == [] and dykstra
 
 
 @pytest.mark.parametrize("seed", [34, 1])
@@ -632,24 +645,23 @@ def test_box_faces_through_the_solution_give_the_projection_onto_its_rows(monkey
     C = Box(-5.0 * np.ones(5), np.where(np.arange(5) % 2 == 0, planted.planted_solution, 5.0))
     problem = dataclasses.replace(planted, C=C, x1=C.project(planted.x1))
     G_of_C, h_of_C = inequality_rows(C)
-    project_polyhedron, project_intersection = sp.solver.project_polyhedron, sp.solver.project_intersection
+    project_polyhedron, project_anchor = sp.solver.project_polyhedron, StrongState.project_anchor
     rounds, errors = [], []
 
     def counted(*args, **kwargs):
         rounds[-1] += 1
         return project_polyhedron(*args, **kwargs)
 
-    def compared(members, anchor):
+    def compared(state):
         rounds.append(0)
-        point = project_intersection(members, anchor)
-        (state,) = members
+        point = project_anchor(state)
         G = np.vstack([G_of_C, state._G[state.cut_rows]])
         h = np.concatenate([h_of_C, state._h[state.cut_rows]])
-        errors.append(np.abs(point - reference_project_polyhedron(anchor, G, h)[0]).max())
+        errors.append(np.abs(point - reference_project_polyhedron(state.anchor, G, h)[0]).max())
         return point
 
     monkeypatch.setattr(sp.solver, "project_polyhedron", counted)
-    monkeypatch.setattr(sp.solver, "project_intersection", compared)
+    monkeypatch.setattr(StrongState, "project_anchor", compared)
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
     assert report.status is SolveStatus.MAX_ITER_REACHED
     assert len(rounds) == report.iterations + 1 and max(rounds) > 1
@@ -728,7 +740,7 @@ def test_a_gap_of_rounding_on_a_far_ball_returns_the_point(seed):
     a = -t / np.linalg.norm(t)
     state.cut_rows.append(0)
     state._append(a, float(a @ t), 1.0)
-    r = state._project(state.anchor)
+    r = state.project_anchor()
     assert state.count == 1
     assert np.linalg.norm(r - t) <= 4 * np.spacing(1e6)
     assert ball.membership_violation(r) <= 4 * np.spacing(1e6)
