@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splitep.linalg import DenseOperator, as_vector, operator_norm_sq_upper
+from splitep.linalg import DenseOperator, _norm, as_vector, operator_norm_sq_upper
 from splitep.sets import Box, ConvexSet, WholeSpace
 
 __all__ = [
@@ -391,12 +391,12 @@ def _fbf(F, K, start: np.ndarray, tol: float, max_inner: int, name: str) -> Prox
         w, forward_w = start, F(start)
         for trials in range(1, max_inner + 1):
             step = w - gamma * forward_w
-            if not math.isfinite(float(np.linalg.norm(step))):
+            if not math.isfinite(_norm(step)):
                 raise InnerSolveError(f"{what} diverged", displacement)
             z = K._project(step)
             forward_z = F(z)
-            displacement = float(np.linalg.norm(z - w))
-            if gamma * float(np.linalg.norm(forward_z - forward_w)) > 0.9 * displacement:
+            displacement = _norm(z - w)
+            if gamma * _norm(forward_z - forward_w) > 0.9 * displacement:
                 gamma *= 0.5  # Armijo backtracking: the trial step is too long
                 if gamma < MIN_FBF_STEP:
                     raise InnerSolveError(f"{what}: step size fell below {MIN_FBF_STEP:g}", displacement)
@@ -508,8 +508,8 @@ def check_assumptions(f: Bifunction, domain: ConvexSet, samples: int = 200, seed
             fxy
             + f.evaluate(y, z)
             - f.evaluate(x, z)
-            + f.c1 * float(np.linalg.norm(x - y)) ** 2
-            + f.c2 * float(np.linalg.norm(y - z)) ** 2
+            + f.c1 * _norm(x - y) ** 2
+            + f.c2 * _norm(y - z) ** 2
         )
         lipschitz_type = max(lipschitz_type, -slack)
     return AssumptionReport(

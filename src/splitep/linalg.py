@@ -44,15 +44,24 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def norm(u) -> float:
-    """Euclidean norm of a vector."""
-    return float(np.linalg.norm(np.asarray(u, dtype=float)))
+    """Euclidean norm of a vector, the library's one length that is safe from overflow.
+
+    It has ``np.linalg.norm``'s bits, and where the sum of squares overflows
+    it takes ``math.hypot``, which scales first; it never warns.
+    """
+    v = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        size = float(np.linalg.norm(v))
+    return math.hypot(*v.ravel()) if size == math.inf else size
 
 
 def _norm(v: np.ndarray) -> float:
-    """:func:`norm` of a contiguous 1-D float array, unchecked, for the solve loop.
+    """``np.linalg.norm`` of a contiguous 1-D float array, unchecked, for the solve loop.
 
     Bit-equal to ``np.linalg.norm``, which takes ``sqrt(v.dot(v))`` of a
     contiguous copy; a strided view's dot product may round differently.
+    The loop's iterates are bounded, so unlike :func:`norm` it does not guard
+    against a sum of squares that overflows.
     """
     return math.sqrt(v.dot(v))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splitep.equilibrium import MONOTONE, PSEUDOMONOTONE, AffineVIBifunction, Bifunction
-from splitep.linalg import DenseOperator, as_vector, norm
+from splitep.linalg import DenseOperator, _norm, as_vector, norm
 from splitep.sets import (
     Averaged,
     Ball,
@@ -169,7 +169,7 @@ def generate_planted(n: int, m: int, seed: int) -> ProblemSpec:
     T = Averaged(0.5, ProjectionOnto(Ball(image, 1.0)))
 
     direction = rng.standard_normal(n)
-    direction /= np.linalg.norm(direction)
+    direction /= _norm(direction)
     x1 = C.project(x_star + 2.0 * direction)
 
     return ProblemSpec(C=C, Q=Q, A=A, f=f, g=g, S=S, T=T, x1=x1, planted_solution=x_star)

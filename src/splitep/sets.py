@@ -6,14 +6,15 @@ The projection ``z = P(x)`` of any variant satisfies the variational
 characterization ``<x - z, y - z> <= 0`` for all members ``y`` of the set.
 
 ``project`` and ``apply`` check their argument and call the variant's unchecked
-``_project`` or ``_apply``; a user subclass may override the public method alone.
+``_project`` or ``_apply`` with overflow warnings off, so that they return the
+handled value and never warn; a user subclass may override the public method
+alone. Lengths that may overflow are taken with :func:`splitep.linalg.norm`.
 Set and mapping objects are immutable after construction and all operations
 are pure, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -24,7 +25,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as _clip
 
-from splitep.linalg import _norm, as_vector
+from splitep.linalg import _norm, as_vector, norm
 
 __all__ = [
     "ActiveSet",
@@ -50,12 +51,6 @@ __all__ = [
 # Below this norm a halfspace normal is considered exactly zero, encoding the
 # whole space (offset >= -TINY_NORMAL) or the empty set (offset < -TINY_NORMAL).
 TINY_NORMAL = 1e-14
-
-
-def _length(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a finite vector, or ``math.hypot``, which scales first, where its square overflows."""
-    size = float(np.linalg.norm(v))
-    return math.hypot(*v) if size == math.inf else size
 
 
 def _dimension(dim) -> int:
@@ -98,8 +93,10 @@ class ConvexSet:
     dim: int
 
     def project(self, x) -> np.ndarray:
-        """Metric projection of ``x``, checked as a finite vector of dimension ``dim``."""
-        return self._project(as_vector(x, self.dim))
+        """Metric projection of ``x``, checked as a finite vector of dimension ``dim``; never warns of overflow."""
+        x = as_vector(x, self.dim)
+        with np.errstate(over="ignore"):
+            return self._project(x)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         """Projection of a finite float vector of dimension ``dim``, unchecked."""
@@ -155,7 +152,7 @@ class Box(ConvexSet):
 
     def membership_violation(self, x) -> float:
         x = as_vector(x, self.dim)
-        return _length(x - np.clip(x, self.lower, self.upper))
+        return norm(x - np.clip(x, self.lower, self.upper))
 
     def bounding_box(self):
         return self.lower, self.upper
@@ -193,7 +190,7 @@ class Ball(ConvexSet):
         return self.center + (self.radius / dist) * offset
 
     def membership_violation(self, x) -> float:
-        return max(0.0, _length(as_vector(x, self.dim) - self.center) - self.radius)
+        return max(0.0, norm(as_vector(x, self.dim) - self.center) - self.radius)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -212,7 +209,9 @@ class Ball(ConvexSet):
 class Halfspace(ConvexSet):
     """Halfspace ``{x : <normal, x> <= offset}``.
 
-    A normal with ``||normal|| < TINY_NORMAL`` encodes the whole space when
+    It stores the norm ``size`` of its normal and projects and measures along
+    the unit normal, so a normal whose squared norm overflows serves like any
+    other. A normal with ``size < TINY_NORMAL`` encodes the whole space when
     the offset is nonnegative (up to the same tolerance) and is rejected as
     empty otherwise.
     """
@@ -223,48 +222,30 @@ class Halfspace(ConvexSet):
         if not np.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
         self.dim = self.normal.size
-        with np.errstate(over="ignore"):
-            self._normal_sq = float(self.normal @ self.normal)
-        if not np.isfinite(self._normal_sq):
-            raise ValueError("halfspace normal is too large: its squared norm overflows")
-        self.is_whole_space = np.sqrt(self._normal_sq) < TINY_NORMAL
+        self.size = norm(self.normal)
+        self.is_whole_space = self.size < TINY_NORMAL
         if self.is_whole_space and self.offset < -TINY_NORMAL:
             raise EmptySetError("halfspace with zero normal and negative offset is empty")
+        if self.is_whole_space:  # no point lies past a boundary of zero unit normal and level
+            self._unit, self._level = np.zeros(self.dim), 0.0
+        else:
+            self._unit, self._level = self.normal / self.size, self.offset / self.size
 
     @classmethod
-    def _from_row(cls, normal: np.ndarray, offset: float) -> "Halfspace":
-        """Halfspace of a finite row whose normal has norm ``>= TINY_NORMAL``, unchecked."""
+    def _from_row(cls, normal: np.ndarray, offset: float, size: float) -> "Halfspace":
+        """Halfspace of a finite row whose normal has norm ``size >= TINY_NORMAL``, unchecked."""
         cut = cls.__new__(cls)
         cut.normal, cut.offset, cut.dim, cut.is_whole_space = normal, float(offset), normal.size, False
-        cut._normal_sq = float(normal.dot(normal))
+        cut.size = float(size)
+        cut._unit, cut._level = normal / cut.size, cut.offset / cut.size
         return cut
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        if self.is_whole_space:
-            return x
-        excess = float(self.normal @ x) - self.offset
-        if excess <= 0.0:
-            return x
-        scale = excess / self._normal_sq
-        if scale < math.inf:
-            return x - scale * self.normal
-        distance, unit = self._along_unit_normal(x)
-        return x - max(0.0, distance) * unit
+        distance = float(self._unit.dot(x)) - self._level
+        return x if distance <= 0.0 else x - distance * self._unit
 
     def membership_violation(self, x) -> float:
-        x = as_vector(x, self.dim)
-        if self.is_whole_space:
-            return 0.0
-        excess = float(self.normal @ x) - self.offset
-        if excess < math.inf:
-            return max(0.0, excess / np.sqrt(self._normal_sq))
-        return max(0.0, self._along_unit_normal(x)[0])
-
-    def _along_unit_normal(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Signed distance of ``x`` past the boundary, and the unit normal, for an excess or step that overflowed."""
-        size = math.sqrt(self._normal_sq)
-        unit = self.normal / size
-        return float(unit @ x) - self.offset / size, unit
+        return max(0.0, float(self._unit.dot(as_vector(x, self.dim))) - self._level)
 
     def __eq__(self, other) -> bool:
         return (
@@ -367,7 +348,7 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
             shifted = current + increments[i]
             projected = member._project(shifted)
             increments[i] = shifted - projected
-            moved = max(moved, float(np.linalg.norm(projected - current)))
+            moved = max(moved, _norm(projected - current))
             current = projected
         if moved < tol:
             break
@@ -391,7 +372,7 @@ class ActiveSet:
     def __init__(self, x0):
         x0 = as_vector(x0)
         self.key = x0.tobytes()
-        self.tol = 1e-12 * (1.0 + _length(x0))
+        self.tol = 1e-12 * (1.0 + norm(x0))
         self.point = x0.copy()
         self.rows: tuple[int, ...] = ()
         self.multipliers: list[float] = []
@@ -561,8 +542,10 @@ class NonexpansiveMap:
     dim: int
 
     def apply(self, x) -> np.ndarray:
-        """Image of ``x``, checked as a finite vector of dimension ``dim``."""
-        return self._apply(as_vector(x, self.dim))
+        """Image of ``x``, checked as a finite vector of dimension ``dim``; never warns of overflow."""
+        x = as_vector(x, self.dim)
+        with np.errstate(over="ignore"):
+            return self._apply(x)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Image of a finite float vector of dimension ``dim``, unchecked."""

@@ -388,7 +388,7 @@ class StrongState:
 
     def cuts(self) -> list[Halfspace]:
         """The stored cuts, in order, as halfspaces, not checked again."""
-        return [Halfspace._from_row(self._G[i], self._h[i]) for i in self.cut_rows]
+        return [Halfspace._from_row(self._G[i], self._h[i], self._norms[i]) for i in self.cut_rows]
 
 
 @dataclass

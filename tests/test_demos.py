@@ -1,4 +1,4 @@
-"""Every script under demos/ runs to completion against the current library."""
+"""Every script under demos/ runs to completion against the current library, without a RuntimeWarning."""
 
 import os
 import subprocess
@@ -15,6 +15,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_cleanly(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr

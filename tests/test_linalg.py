@@ -55,6 +55,12 @@ class TestNormKernel:
             assert self.same_float(_norm(v), np.linalg.norm(v))
             assert self.same_float(norm(v), np.linalg.norm(v))
 
+    def test_public_norm_where_the_sum_of_squares_overflows(self):
+        # np.linalg.norm gives inf there, and numpy warns of the overflow
+        assert norm([1e200, 0.0]) == 1e200
+        assert norm([3e200, -4e200]) == pytest.approx(5e200, rel=1e-15)
+        assert norm(np.full((2, 2), 1e200)) == 2e200
+
     @pytest.mark.parametrize(
         "u",
         [[3.0, 4.0], [1, 2, 2], 5.0, -2, np.arange(12.0).reshape(3, 4), np.arange(20.0)[::3]],

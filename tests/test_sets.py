@@ -43,13 +43,16 @@ class TestClosedFormProjections:
         assert np.allclose(ball.project([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
 
     def test_ball_projection_of_a_point_whose_squared_distance_overflows(self):
-        with np.errstate(over="ignore"):
-            assert np.array_equal(Ball([0.0, 0.0], 1.0).project([1e160, 0.0]), [1.0, 0.0])
+        assert np.array_equal(Ball([0.0, 0.0], 1.0).project([1e160, 0.0]), [1.0, 0.0])
 
     def test_ball_membership_of_a_point_whose_squared_distance_overflows(self):
-        with np.errstate(over="ignore"):
-            violation = Ball([0.0, 0.0], 1.0).membership_violation([1e160, 0.0])
+        violation = Ball([0.0, 0.0], 1.0).membership_violation([1e160, 0.0])
         assert abs(violation - 1e160) <= 1e-12 * 1e160
+        assert Ball([0.0, 0.0], 1.0).membership_violation([1e200, 0.0]) == 1e200
+
+    def test_a_map_through_a_ball_applied_to_a_point_whose_squared_distance_overflows(self):
+        S = Averaged(0.5, ProjectionOnto(Ball([0.0, 0.0], 1.0)))
+        assert np.array_equal(S.apply([1e200, 0.0]), [5e199, 0.0])
 
     def test_ball_membership_of_ordinary_points_keeps_its_bytes(self):
         # only a squared norm that overflows takes the scaled path
@@ -67,20 +70,18 @@ class TestClosedFormProjections:
     def test_halfspace_projection_of_a_point_whose_product_with_the_normal_overflows(self):
         # <normal, x>, or its ratio to a small squared norm, overflowed to inf,
         # and the step once gave [-inf, nan]
-        with np.errstate(over="ignore"):
-            assert np.array_equal(Halfspace([1e150, 0.0], 0.0).project([1e200, 0.0]), [0.0, 0.0])
-            assert np.array_equal(Halfspace([1e-13, 0.0], 0.0).project([1e300, 0.0]), [0.0, 0.0])
-            assert np.array_equal(Halfspace([1e150, 1e150], 0.0).project([1e200, -1e200]), [1e200, -1e200])
+        assert np.array_equal(Halfspace([1e150, 0.0], 0.0).project([1e200, 0.0]), [0.0, 0.0])
+        assert np.array_equal(Halfspace([1e-13, 0.0], 0.0).project([1e300, 0.0]), [0.0, 0.0])
+        assert np.array_equal(Halfspace([1e150, 1e150], 0.0).project([1e200, -1e200]), [1e200, -1e200])
 
     def test_halfspace_membership_of_a_point_whose_product_with_the_normal_overflows(self):
-        with np.errstate(over="ignore"):
-            assert Halfspace([1e150, 0.0], 0.0).membership_violation([1e200, 0.0]) == 1e200
-            assert Halfspace([1e150, 1e150], 0.0).membership_violation([1e200, -1e200]) == 0.0
+        assert Halfspace([1e150, 0.0], 0.0).membership_violation([1e200, 0.0]) == 1e200
+        assert Halfspace([1e150, 1e150], 0.0).membership_violation([1e200, -1e200]) == 0.0
 
     def test_box_membership_of_a_point_whose_squared_distance_overflows(self):
-        with np.errstate(over="ignore"):
-            violation = Box([0.0, 0.0], [1.0, 1.0]).membership_violation([1e200, 0.0])
+        violation = Box([0.0, 0.0], [1.0, 1.0]).membership_violation([1e200, 0.0])
         assert abs(violation - 1e200) <= 1e-12 * 1e200
+        assert Box([-1.0, -1.0], [1.0, 1.0]).membership_violation([1e200, 0.0]) == 1e200
 
     def test_whole_space(self):
         assert np.array_equal(WholeSpace(2).project([7.0, -1.0]), [7.0, -1.0])
@@ -178,10 +179,17 @@ class TestSetValidation:
         assert hs.membership_violation([5.0, -3.0]) == 0.0
 
     @pytest.mark.parametrize("normal", [[1e160, 0.0], [0.0, -1e200], [1e154, 1e154]])
-    def test_halfspace_whose_normal_overflows_rejected(self, normal):
-        # its squared norm would be inf, and every point would then project to itself
-        with pytest.raises(ValueError, match="normal"):
-            Halfspace(normal, 0.0)
+    def test_halfspace_whose_squared_normal_overflows_projects_onto_its_boundary(self, normal):
+        # a step of excess / ||normal||^2 would leave every point where it
+        # was; a step along the unit normal does not
+        hs = Halfspace(normal, 0.0)
+        unit = np.asarray(normal) / np.hypot(*normal)
+        x = 3.0 * unit + np.array([unit[1], -unit[0]])
+        assert hs.membership_violation(x) == pytest.approx(3.0, rel=1e-15)
+        p = hs.project(x)
+        assert abs(unit @ p) <= 1e-15
+        assert np.allclose(p, x - 3.0 * unit, rtol=0.0, atol=1e-15)
+        assert hs.contains(p)
 
     def test_intersection_dimension_agreement(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -435,9 +443,8 @@ class TestProjectPolyhedron:
         # the tolerance 1e-12 (1 + ||x0||) once overflowed to inf, so every
         # row counted as satisfied and x0 itself came back
         x0 = np.array([1e200, 1e200])
-        with np.errstate(over="ignore"):
-            start = ActiveSet(x0)
-            r, _ = project_polyhedron(x0, np.eye(2), np.ones(2), start=start)
+        start = ActiveSet(x0)
+        r, _ = project_polyhedron(x0, np.eye(2), np.ones(2), start=start)
         assert start.tol < np.inf
         assert np.all(r - 1.0 <= start.tol)
         assert np.linalg.norm(r - 1.0) <= start.tol
