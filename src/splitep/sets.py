@@ -105,8 +105,10 @@ class ConvexSet:
         return self.project(x)
 
     def membership_violation(self, x) -> float:
-        """Euclidean distance from ``x`` to the set (a lower bound for Intersection)."""
-        raise NotImplementedError
+        """Euclidean distance from ``x`` to the set (a lower bound for Intersection), ``inf`` past the float maximum."""
+        x = as_vector(x, self.dim)
+        with np.errstate(over="ignore"):
+            return norm(x - self._project(x))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.membership_violation(x) <= tol
@@ -124,10 +126,6 @@ class WholeSpace(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x
-
-    def membership_violation(self, x) -> float:
-        as_vector(x, self.dim)
-        return 0.0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WholeSpace) and other.dim == self.dim
@@ -149,10 +147,6 @@ class Box(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         # the ufunc np.clip runs, without its Python wrappers
         return _clip(x, self.lower, self.upper)
-
-    def membership_violation(self, x) -> float:
-        x = as_vector(x, self.dim)
-        return norm(x - np.clip(x, self.lower, self.upper))
 
     def bounding_box(self):
         return self.lower, self.upper
@@ -184,13 +178,17 @@ class Ball(ConvexSet):
         dist = _norm(offset)
         if dist <= self.radius:
             return x
-        if dist == np.inf:  # the squared norm overflowed, not the offset
+        if dist == np.inf:  # the offset or its squared norm overflowed: rescale the half offset
+            offset = 0.5 * x - 0.5 * self.center
             offset = offset / np.abs(offset).max()
             dist = _norm(offset)
         return self.center + (self.radius / dist) * offset
 
     def membership_violation(self, x) -> float:
-        return max(0.0, norm(as_vector(x, self.dim) - self.center) - self.radius)
+        x = as_vector(x, self.dim)
+        with np.errstate(over="ignore"):
+            excess = norm(x - self.center) - self.radius
+        return max(0.0, excess) if excess < np.inf else super().membership_violation(x)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -232,20 +230,28 @@ class Halfspace(ConvexSet):
             self._unit, self._level = self.normal / self.size, self.offset / self.size
 
     @classmethod
-    def _from_row(cls, normal: np.ndarray, offset: float, size: float) -> "Halfspace":
-        """Halfspace of a finite row whose normal has norm ``size >= TINY_NORMAL``, unchecked."""
+    def _from_row(cls, normal: np.ndarray, offset: float) -> "Halfspace":
+        """Halfspace of a finite row of a contiguous normal with norm at least ``TINY_NORMAL``, unchecked."""
         cut = cls.__new__(cls)
         cut.normal, cut.offset, cut.dim, cut.is_whole_space = normal, float(offset), normal.size, False
-        cut.size = float(size)
+        cut.size = _norm(normal)
         cut._unit, cut._level = normal / cut.size, cut.offset / cut.size
         return cut
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         distance = float(self._unit.dot(x)) - self._level
-        return x if distance <= 0.0 else x - distance * self._unit
+        if distance <= 0.0:
+            return x
+        if distance < np.inf:
+            return x - distance * self._unit
+        scale = float(np.abs(x).max())  # the product overflowed (to inf, or to NaN from partial sums)
+        return scale * Halfspace(self._unit, self._level / scale)._project(x / scale)
 
     def membership_violation(self, x) -> float:
-        return max(0.0, float(self._unit.dot(as_vector(x, self.dim))) - self._level)
+        x = as_vector(x, self.dim)
+        with np.errstate(over="ignore"):
+            distance = float(self._unit.dot(x)) - self._level
+        return max(0.0, distance) if distance < np.inf else super().membership_violation(x)
 
     def __eq__(self, other) -> bool:
         return (
@@ -363,10 +369,10 @@ class ActiveSet:
 
     ``key`` and ``tol``, the bytes of ``x0``, which must be a finite vector,
     and its feasibility tolerance ``1e-12 (1 + ||x0||)``, never change.
-    ``rows``, ``multipliers``, ``point`` and ``checked``, the working rows,
-    their multipliers, the projection so far and how many leading rows it
-    satisfies, start cold: none, ``x0`` and 0. The caller must not modify
-    ``point`` in place.
+    ``rows``, ``multipliers``, ``point``, ``checked`` and ``norms``, the
+    working rows, their multipliers, the projection so far, how many leading
+    rows it satisfies and the norms of those rows, start cold: none, ``x0``,
+    0 and none. The caller must not modify ``point`` or ``norms`` in place.
     """
 
     def __init__(self, x0):
@@ -377,6 +383,7 @@ class ActiveSet:
         self.rows: tuple[int, ...] = ()
         self.multipliers: list[float] = []
         self.checked = 0
+        self.norms = np.zeros(0)
 
 
 def project_polyhedron(
@@ -384,7 +391,6 @@ def project_polyhedron(
     G: np.ndarray,
     h: np.ndarray,
     start: ActiveSet | None = None,
-    row_norms=None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Exact projection of ``x0`` onto ``{r : G r <= h}`` by a dual active-set method.
 
@@ -404,12 +410,12 @@ def project_polyhedron(
     record made for ``x0``, a new one when none is given, and writes its end
     state back: the next call with the same record may add rows after the
     old ones but must leave those unchanged. It resumes from the stored
-    point and multipliers, and its first scan reads only the added rows, as
-    the others held at that point to the record's tolerance. A call with no
-    rows returns the record's point and leaves the record as it was. Given
-    ``row_norms`` must be the norms of the rows of ``G``. Unlike Dykstra's
-    scheme this is insensitive to nearly parallel rows, but it needs the
-    explicit inequality description.
+    point and multipliers, takes the norms of the added rows only, and its
+    first scan reads only the added rows, as the others held at that point
+    to the record's tolerance. A call with no rows returns the record's
+    point and leaves the record as it was. Unlike Dykstra's scheme this is
+    insensitive to nearly parallel rows, but it needs the explicit
+    inequality description.
 
     Raises
     ------
@@ -432,13 +438,14 @@ def project_polyhedron(
         raise ValueError("the active-set record was made for another point or for more rows")
     if k == 0:
         return start.point, ()
-    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
-    # the record has checked its leading rows, which are unchanged
-    unchecked, offsets = row_scale[start.checked:], h[start.checked:]
+    # the record has checked its leading rows, which are unchanged, and keeps their norms
+    added, offsets = G[start.checked:], h[start.checked:]
+    unchecked = np.sqrt(np.add.reduce(added * added, axis=1))  # np.linalg.norm(added, axis=1)
     if np.count_nonzero(unchecked) != unchecked.size:
         raise ValueError("zero rows must be filtered out before projection")
     if np.count_nonzero(np.isfinite(unchecked)) + np.count_nonzero(np.isfinite(offsets)) != 2 * offsets.size:
         raise ValueError("inequality rows must have finite norms and offsets")
+    row_scale = np.concatenate((start.norms, unchecked))
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     working, multipliers, r, feas_scale = list(start.rows), list(start.multipliers), start.point, start.tol
     # The first scan starts at the added rows, or at the last row when none
@@ -457,7 +464,8 @@ def project_polyhedron(
             violations /= row_scale[fresh:]
             worst = violations.argmax()
             if violations[worst] <= feas_scale:
-                start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
+                start.rows, start.multipliers, start.point = tuple(working), multipliers, r
+                start.checked, start.norms = k, row_scale
                 return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
             p = fresh + int(worst)
             fresh = 0
@@ -525,15 +533,14 @@ def halfspace_dominates(a, b) -> Halfspace:
     """
     a = as_vector(a)
     row = _dominating_row(a, as_vector(b, a.size))
-    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace(*row[:2])
+    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace(*row)
 
 
-def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """Normal, offset and normal's norm of :func:`halfspace_dominates`, unchecked; None for the whole space."""
+def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Normal and offset of :func:`halfspace_dominates`, unchecked; None for the whole space."""
     difference = b - a
     normal = 2.0 * difference
-    size = _norm(normal)
-    return None if size < TINY_NORMAL else (normal, float(difference.dot(a + b)), size)
+    return None if _norm(normal) < TINY_NORMAL else (normal, float(difference.dot(a + b)))
 
 
 class NonexpansiveMap:

@@ -267,12 +267,6 @@ def _probe_schedule(violations, config: SolverConfig, rule) -> None:
             return
 
 
-def _require_valid(config: SolverConfig, problem) -> None:
-    violations = validate(config, problem)
-    if violations:
-        raise ConfigError(violations)
-
-
 @dataclass
 class IterateRecord:
     """One outer iteration: the points produced and the residual parts."""
@@ -294,8 +288,6 @@ class IterateRecord:
     step: float
     residual: float
     s: np.ndarray | None = None
-    res_sx: float = 0.0
-    res_tx: float = 0.0
 
     def csv_parts(self) -> tuple[float, float, float, float, float, float]:
         return (self.res_xy, self.res_yz, self.res_Sz, self.res_uAt, self.res_Tu, self.step)
@@ -314,7 +306,7 @@ class StrongState:
     on, would break otherwise. Row indices are stable and stored rows never
     change, so the end state of each exact projection, kept in the record
     ``active_set`` made for the anchor, stays valid after appending, and the
-    next projection resumes from it. Each row's norm is kept with it.
+    next projection resumes from it, row norms included.
     """
 
     def __init__(self, problem):
@@ -323,7 +315,7 @@ class StrongState:
         self.anchor = as_vector(problem.x1, dim)
         self.count = 0
         self.cut_rows: list[int] = []
-        self._G, self._h, self._norms = np.zeros((64, dim)), np.zeros(64), np.zeros(64)
+        self._G, self._h = np.zeros((64, dim)), np.zeros(64)
         self.active_set = ActiveSet(self.anchor)
 
     def project_anchor(self) -> np.ndarray:
@@ -332,8 +324,9 @@ class StrongState:
         While ``r`` lies farther than ``1e-12 (1 + ||anchor||)`` from
         ``p = P_C(r)``, the halfspace ``<r - p, y> <= <r - p, p>`` supporting
         ``C`` at ``p``, which ``r`` violates by that distance, becomes a row
-        and the projection resumes. Raises ``InnerSolveError`` after
-        ``SUPPORT_ROUNDS`` projections.
+        and the projection resumes. Raises ``InnerSolveError`` when the gap
+        is not finite, before storing a row, or after ``SUPPORT_ROUNDS``
+        projections.
 
         A normal ``r - p`` from a gap below ``push = 1e-4 (1 + ||p||)`` is
         mostly rounding, and its row can cut into ``C``. The row is then
@@ -344,13 +337,15 @@ class StrongState:
         ``C`` to working precision: it is returned.
         """
         for _ in range(SUPPORT_ROUNDS):
-            G, h, norms = self.rows()
-            r = project_polyhedron(self.anchor, G, h, start=self.active_set, row_norms=norms)[0]
+            G, h = self.rows()
+            r = project_polyhedron(self.anchor, G, h, start=self.active_set)[0]
             p = self.C._project(r)
             normal = r - p
             gap = _norm(normal)
             if gap <= self.active_set.tol:
                 return r
+            if not gap < math.inf:
+                raise InnerSolveError("the shrinking-set projection met a non-finite gap to C", gap)
             push = 1e-4 * (1.0 + _norm(p))
             if gap < push:
                 q = p + (push / gap) * normal
@@ -358,37 +353,32 @@ class StrongState:
                 normal = q - p
                 if not normal.dot(r) > normal.dot(p):
                     return r  # the row misses r, so r - p was rounding
-            self._append(normal, float(normal.dot(p)), _norm(normal))
+            self._append(normal, float(normal.dot(p)))
         raise InnerSolveError(
             f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap
         )
 
     def add_cut(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space.
-
-        The row's norm, which also decides whether the cut is the whole space,
-        is computed once and stored with it.
-        """
+        """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space."""
         row = _dominating_row(a, b)
         if row is not None:
             self.cut_rows.append(self.count)
             self._append(*row)
 
-    def _append(self, normal: np.ndarray, offset: float, size: float) -> None:
+    def _append(self, normal: np.ndarray, offset: float) -> None:
         if self.count == len(self._h):
             self._G = np.concatenate([self._G, np.zeros_like(self._G)])
             self._h = np.concatenate([self._h, np.zeros_like(self._h)])
-            self._norms = np.concatenate([self._norms, np.zeros_like(self._norms)])
-        self._G[self.count], self._h[self.count], self._norms[self.count] = normal, offset, size
+        self._G[self.count], self._h[self.count] = normal, offset
         self.count += 1
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stored rows ``G`` and ``h``, and the norms of the rows of ``G``."""
-        return self._G[: self.count], self._h[: self.count], self._norms[: self.count]
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored rows ``G`` and ``h``."""
+        return self._G[: self.count], self._h[: self.count]
 
     def cuts(self) -> list[Halfspace]:
         """The stored cuts, in order, as halfspaces, not checked again."""
-        return [Halfspace._from_row(self._G[i], self._h[i], self._norms[i]) for i in self.cut_rows]
+        return [Halfspace._from_row(self._G[i], self._h[i]) for i in self.cut_rows]
 
 
 @dataclass
@@ -474,12 +464,10 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     state.add_cut(record.next_x, record.t)
     state.add_cut(record.t, record.x)
     record.s = record.next_x
-    record.res_sx = record.step
     record.next_x = state.project_anchor()
     record.step = _norm(record.next_x - record.x)
-    record.res_tx = _norm(record.t - record.x)
-    # the plain residual already covers res_sx and the five residual parts
-    record.residual = max(record.step, record.residual, record.res_tx)
+    # the plain residual already covers the step to s and the five residual parts
+    record.residual = max(record.step, record.residual, _norm(record.t - record.x))
     return record
 
 
@@ -495,7 +483,9 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
     residual. Record ``k`` enters the history when ``k`` is a multiple of
     ``config.history_stride``; the last record always does.
     """
-    _require_valid(config, problem)
+    violations = validate(config, problem)
+    if violations:
+        raise ConfigError(violations)
     lambda_rule, alpha_k_rule = _schedule_rules(problem)
     history: list[IterateRecord] = []
     last = failure = None

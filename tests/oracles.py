@@ -247,15 +247,16 @@ def reference_project_polyhedron(
     G: np.ndarray,
     h: np.ndarray,
     start: ActiveSet | None = None,
-    row_norms=None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """:func:`splitep.sets.project_polyhedron` as it stood before its per-pivot numpy calls were cut.
 
     Kept verbatim, fancy indexing, ``np.argmax`` and all, so that tests can
     demand bit-equal points, active rows and ``ActiveSet`` records from the
     library's version on the same calls. Only the record follows the
-    library: it is made for its point, which a call must be for, and it
-    carries the tolerance; a call with no rows returns its point.
+    library: it is made for its point, which a call must be for, it carries
+    the tolerance, and it keeps the norms of the checked rows, which every
+    call here takes afresh for all rows; a call with no rows returns its
+    point.
     """
     x0 = np.asarray(x0, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -266,7 +267,7 @@ def reference_project_polyhedron(
         raise ValueError("the active-set record was made for another point or for more rows")
     if k == 0:
         return start.point, ()
-    row_scale = np.linalg.norm(G, axis=1) if row_norms is None else np.asarray(row_norms, dtype=float)
+    row_scale = np.linalg.norm(G, axis=1)
     if np.any(row_scale == 0.0):
         raise ValueError("zero rows must be filtered out before projection")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
@@ -281,6 +282,7 @@ def reference_project_polyhedron(
         p = fresh + int(np.argmax(violations))
         if violations[p - fresh] <= feas_scale:
             start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
+            start.norms = row_scale
             return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
         fresh = 0
         a_p = G[p]
@@ -330,7 +332,7 @@ def reference_project_polyhedron(
 
 
 def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
-    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows, point and tolerance, bit for bit."""
+    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows, point, tolerance and row norms, bit for bit."""
     return (
         start.rows == reference.rows
         and np.asarray(start.multipliers).tobytes() == np.asarray(reference.multipliers).tobytes()
@@ -338,6 +340,7 @@ def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
         and start.key == reference.key
         and start.point.tobytes() == reference.point.tobytes()
         and np.float64(start.tol).tobytes() == np.float64(reference.tol).tobytes()
+        and start.norms.tobytes() == reference.norms.tobytes()
     )
 
 

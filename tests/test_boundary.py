@@ -169,6 +169,16 @@ class TestPublicOnlySubclasses:
         user = Intersection([PublicOnlySet(box), PublicOnlySet(halfspace)]).project(x)
         assert np.array_equal(user, Intersection([box, halfspace]).project(x))
 
+    def test_user_set_measures_membership_by_its_projection(self):
+        class KernelOnlyBall(ConvexSet):
+            dim = 2
+
+            def _project(self, x):
+                return Ball([0.0, 0.0], 1.0)._project(x)
+
+        for x in ([3.0, 4.0], [0.3, -0.4], [1e308, 1e308]):
+            assert KernelOnlyBall().membership_violation(x) == Ball([0.0, 0.0], 1.0).membership_violation(x)
+
     def test_subclass_without_a_projection_is_not_implemented(self):
         class NoProjection(ConvexSet):
             dim = 1

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,30 @@ class TestClosedFormProjections:
     def test_halfspace_membership_of_a_point_whose_product_with_the_normal_overflows(self):
         assert Halfspace([1e150, 0.0], 0.0).membership_violation([1e200, 0.0]) == 1e200
         assert Halfspace([1e150, 1e150], 0.0).membership_violation([1e200, -1e200]) == 0.0
+
+    def test_halfspace_projection_of_a_point_near_the_float_maximum(self):
+        # <unit normal, x> itself overflowed, and the step once gave [-inf, -inf]
+        x = np.array([1.5e308, 1.5e308])
+        through_origin = Halfspace([1.0, 1.0], 0.0)
+        r = through_origin.project(x)
+        assert np.abs(r).max() <= 4 * np.spacing(1.5e308)
+        assert through_origin.membership_violation(r) <= 4 * np.spacing(1.5e308)
+        r = Halfspace([1.0, 1.0], 1.7e308).project(x)
+        assert np.allclose(r, [8.5e307, 8.5e307], rtol=1e-15, atol=0.0)
+
+    def test_ball_projection_of_a_point_whose_offset_overflows(self):
+        # x - center overflowed to inf, and the rescale once divided inf by inf
+        assert np.array_equal(Ball([-1e308, 0.0], 1.0).project([1e308, 0.0]), [-1e308, 0.0])
+        assert np.array_equal(Ball([-1e308, 0.0], 1e308).project([1e308, 0.0]), [0.0, 0.0])
+
+    def test_membership_of_a_point_near_the_float_maximum(self):
+        # a distance beyond the float maximum reads inf; one below it is finite
+        x = [1.5e308, 1.5e308]
+        assert Halfspace([1.0, 1.0], 0.0).membership_violation(x) == np.inf
+        want = (1.5e308 - 0.85e308) * math.sqrt(2.0)
+        assert abs(Halfspace([1.0, 1.0], 1.7e308).membership_violation(x) - want) <= 1e-15 * want
+        assert Ball([-1e308, 0.0], 1.0).membership_violation([1e308, 0.0]) == np.inf
+        assert Ball([-1e308, 0.0], 1e308).membership_violation([1e308, 0.0]) == 1e308
 
     def test_box_membership_of_a_point_whose_squared_distance_overflows(self):
         violation = Box([0.0, 0.0], [1.0, 1.0]).membership_violation([1e200, 0.0])
@@ -435,9 +460,6 @@ class TestProjectPolyhedron:
         G = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="zero rows"):
             project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet([2.0, 2.0]))
-        # given row norms are checked too, not taken on trust
-        with pytest.raises(ValueError, match="zero rows"):
-            project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet([2.0, 2.0]), row_norms=np.array([1.0, 0.0, 1.0]))
 
     def test_a_far_point_is_projected_onto_every_row(self):
         # the tolerance 1e-12 (1 + ||x0||) once overflowed to inf, so every
@@ -471,27 +493,53 @@ class TestProjectPolyhedron:
         assert point.tobytes() == cold.tobytes() and active == cold_active
 
     @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
-    @pytest.mark.parametrize("where", ["G", "h", "norm"])
+    @pytest.mark.parametrize("where", ["G", "h"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_rows(self, resumed, where, value):
-        # the added row's normal, offset or given norm is not finite
+        # the added row's normal or offset is not finite
         G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         h = np.array([1.0, 1.0, 1.5])
         x = np.array([3.0, 3.0])
-        norms = np.linalg.norm(G, axis=1)
         if where == "G":
             G[2, 0] = value
-        elif where == "h":
-            h[2] = value
         else:
-            norms[2] = value
+            h[2] = value
         start = ActiveSet(x)
         if resumed:
-            project_polyhedron(x, G[:2], h[:2], start=start, row_norms=norms[:2])
+            project_polyhedron(x, G[:2], h[:2], start=start)
         before = copy.deepcopy(start)
         with pytest.raises(ValueError, match="finite norms and offsets"):
-            project_polyhedron(x, G, h, start=start, row_norms=norms if where == "norm" else None)
+            project_polyhedron(x, G, h, start=start)
         assert same_record(start, before)
+
+    @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
+    def test_rejects_a_row_whose_norm_overflows(self, resumed):
+        # a finite row whose norm is not finite is refused like a non-finite one
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
+        h = np.array([1.0, 1.0, 1.5])
+        x = np.array([3.0, 3.0])
+        start = ActiveSet(x)
+        if resumed:
+            project_polyhedron(x, G[:2], h[:2], start=start)
+        before = copy.deepcopy(start)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite norms and offsets"):
+            project_polyhedron(x, G, h, start=start)
+        assert same_record(start, before)
+
+    def test_record_keeps_the_norms_of_its_checked_rows(self):
+        rng = np.random.default_rng(20)
+        G, h = self.box_and_cuts(rng, 5, 12)
+        x = 3.0 * rng.standard_normal(5)
+        start = ActiveSet(x)
+        assert start.norms.size == 0
+        for rows in (10, 11, 11, 16, 22):
+            project_polyhedron(x, G[:rows], h[:rows], start=start)
+            assert start.checked == rows
+            assert start.norms.tobytes() == np.linalg.norm(G[:rows], axis=1).tobytes()
+        # an error leaves the norms as they were, with the rest of the record
+        with pytest.raises(ValueError, match="zero rows"):
+            project_polyhedron(x, np.vstack([G, np.zeros((1, 5))]), np.append(h, 1.0), start=start)
+        assert start.norms.tobytes() == np.linalg.norm(G, axis=1).tobytes()
 
     def test_direction_gufunc_matches_numpy_solve(self):
         # project_polyhedron calls numpy's private solve gufunc; a numpy that changes it fails here
@@ -526,11 +574,11 @@ class TestProjectPolyhedronMatchesReference:
     """Edge cases of the resumed call, against the version kept in oracles.py."""
 
     @staticmethod
-    def both(x, G, h, starts, row_norms=None):
+    def both(x, G, h, starts):
         """Project with the library and the reference, each on its own record, and demand the same bits."""
         start, reference_start = starts
-        point, active = project_polyhedron(x, G, h, start=start, row_norms=row_norms)
-        want, want_active = reference_project_polyhedron(x, G, h, start=reference_start, row_norms=row_norms)
+        point, active = project_polyhedron(x, G, h, start=start)
+        want, want_active = reference_project_polyhedron(x, G, h, start=reference_start)
         assert point.tobytes() == want.tobytes()
         assert active == want_active
         assert same_record(start, reference_start)
@@ -542,37 +590,34 @@ class TestProjectPolyhedronMatchesReference:
             x = 3.0 * rng.standard_normal(4)
             starts = ActiveSet(x), ActiveSet(x)
             for rows in (6, 12, 12, 12):
-                self.both(x, G[:rows], h[:rows], starts, row_norms=np.linalg.norm(G[:rows], axis=1))
+                self.both(x, G[:rows], h[:rows], starts)
 
-    @pytest.mark.parametrize("given_norms", [False, True], ids=["computed", "given"])
-    def test_zero_row_appended_before_a_resume_still_raises(self, given_norms):
+    def test_zero_row_appended_before_a_resume_still_raises(self):
         rng = np.random.default_rng(17)
         G, h = TestProjectPolyhedron.box_and_cuts(rng, 3, 3)
         x = np.array([2.0, -3.0, 0.5])
         starts = ActiveSet(x), ActiveSet(x)
         self.both(x, G, h, starts)
         G2, h2 = np.vstack([G, np.zeros((1, 3)), np.ones((1, 3))]), np.concatenate([h, [1.0, 1.0]])
-        norms = np.linalg.norm(G2, axis=1) if given_norms else None
         for project, start in zip((project_polyhedron, reference_project_polyhedron), starts):
             assert start.key == x.tobytes()  # the call would resume
             with pytest.raises(ValueError, match="zero rows"):
-                project(x, G2, h2, start=start, row_norms=norms)
+                project(x, G2, h2, start=start)
 
     @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
     def test_zero_row_check_reads_minus_zero_as_zero_and_nan_as_nonzero(self, resumed):
-        # given norms of 0.0 and -0.0 both raise; NaN passes the check, as in
+        # rows of 0.0 and -0.0 both raise; a NaN row passes the check, as in
         # the reference, and fails later (which error is left open)
-        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         h = np.array([1.0, 1.0, 1.5])
         x = np.array([3.0, 3.0])
         for last in (0.0, -0.0, np.nan):
-            norms = np.array([1.0, 1.0, last])
+            G = np.array([[1.0, 0.0], [0.0, 1.0], [last, last]])
             for project in (project_polyhedron, reference_project_polyhedron):
                 start = ActiveSet(x)
                 if resumed:
                     project(x, G[:2], h[:2], start=start)
                 with pytest.raises((ZeroDivisionError, IndexError, ValueError)) as raised:
-                    project(x, G, h, start=start, row_norms=norms)
+                    project(x, G, h, start=start)
                 assert ("zero rows" in str(raised.value)) is (last == 0.0)
 
     def test_singular_working_rows_fall_back_to_least_squares(self, monkeypatch):
@@ -583,6 +628,7 @@ class TestProjectPolyhedronMatchesReference:
         starts = ActiveSet(x), ActiveSet(x)
         for start in starts:
             start.rows, start.multipliers, start.point, start.checked = (0, 1), [1.0, 1.0], np.array([1.0, 3.0]), 2
+            start.norms = np.linalg.norm(G[:2], axis=1)
         fallbacks = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))

@@ -12,6 +12,7 @@ from splitep.sets import (
     ActiveSet,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     Identity,
     NonexpansiveMap,
@@ -111,6 +112,21 @@ class NaNFromFourthCall(NonexpansiveMap):
     def apply(self, x):
         self.calls += 1
         return self.base.apply(x) if self.calls < 4 else np.full(self.dim, np.nan)
+
+
+class NaNOnCall(ConvexSet):
+    """A user set whose ``_project`` is NaN on its ``call``-th call and ``base``'s otherwise; membership calls no ``_project``."""
+
+    def __init__(self, base, call):
+        self.base, self.dim, self.call = base, base.dim, call
+        self.calls = 0
+
+    def _project(self, x):
+        self.calls += 1
+        return np.full(self.dim, np.nan) if self.calls == self.call else self.base._project(x)
+
+    def membership_violation(self, x):
+        return self.base.membership_violation(x)
 
 
 def simple_config(problem, **overrides):
@@ -395,9 +411,9 @@ class TestStrongIteration:
             state.add_cut(x, x.copy())
             assert state.count == count
             x = strong_step(problem, config, state, x, k).next_x
-        G, _, norms = state.rows()
-        assert len(norms) > 2 * 20
-        assert np.all(norms > 0.0) and np.all(np.any(G != 0.0, axis=1))
+        G, _ = state.rows()
+        assert len(G) > 2 * 20
+        assert np.all(np.any(G != 0.0, axis=1)) and np.all(state.active_set.norms > 0.0)
 
     def test_planted_run_invariants(self):
         problem = sp.generate_planted(2, 3, seed=31)
@@ -528,11 +544,11 @@ def test_projections_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch
     reference_start = ActiveSet(problem.x1)
     checked, rows = [], []
 
-    def compared(x0, G, h, start=None, row_norms=None):
+    def compared(x0, G, h, start=None):
         checked.append(start.checked)
         rows.append(len(h))
-        point, active = original(x0, G, h, start=start, row_norms=row_norms)
-        want, want_active = reference_project_polyhedron(x0, G, h, start=reference_start, row_norms=row_norms)
+        point, active = original(x0, G, h, start=start)
+        want, want_active = reference_project_polyhedron(x0, G, h, start=reference_start)
         assert point.tobytes() == want.tobytes()
         assert active == want_active
         assert same_record(start, reference_start)
@@ -561,13 +577,14 @@ def test_cut_rows_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch):
         normal, offset = reference_cut_row(a, b)
         assert state._G[before].tobytes() == normal.tobytes()
         assert state._h[before].tobytes() == np.float64(offset).tobytes()
-        assert state._norms[before].tobytes() == np.linalg.norm(normal).tobytes()
-        stored.append(before)
+        stored.append(normal)
 
     monkeypatch.setattr(StrongState, "add_cut", compared)
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
     assert report.status is SolveStatus.MAX_ITER_REACHED
     assert len(stored) == len(report.cuts) == 2 * (report.iterations + 1)  # records 0 to max_iter
+    # each reported cut measures its normal as np.linalg.norm does the reference's
+    assert all(cut.size == np.linalg.norm(normal) for cut, normal in zip(report.cuts, stored))
 
 
 def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monkeypatch):
@@ -694,9 +711,9 @@ def supporting_rows_of_a_run(monkeypatch, problem, max_iter=500):
     monkeypatch.setattr(sp.solver, "StrongState", lambda problem: states.append(StrongState(problem)) or states[-1])
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=max_iter))
     (state,) = states
-    G, h, norms = state.rows()
+    G, h = state.rows()
     support = np.setdiff1d(np.arange(state.count), state.cut_rows)
-    return report, G[support], h[support], norms[support]
+    return report, G[support], h[support], np.linalg.norm(G[support], axis=1)
 
 
 def test_supporting_rows_do_not_cut_into_a_tangential_ball(monkeypatch):
@@ -739,7 +756,7 @@ def test_a_gap_of_rounding_on_a_far_ball_returns_the_point(seed):
     state = StrongState(problem)
     a = -t / np.linalg.norm(t)
     state.cut_rows.append(0)
-    state._append(a, float(a @ t), 1.0)
+    state._append(a, float(a @ t))
     r = state.project_anchor()
     assert state.count == 1
     assert np.linalg.norm(r - t) <= 4 * np.spacing(1e6)
@@ -821,6 +838,17 @@ class TestFailureRouting:
         assert report.status is SolveStatus.INNER_FAILURE
         assert report.iterations == 3
         assert "non-finite residual" in report.message
+
+    @pytest.mark.parametrize("call", [4, 8, 12])
+    def test_non_finite_projection_in_the_supporting_row_loop_is_an_inner_failure(self, call):
+        # every fourth projection onto C is the shrinking-set projection's;
+        # its NaN gap was once stored as a row, and the next projection onto
+        # the rows raised a stray ValueError
+        planted = sp.generate_planted(3, 3, seed=1)
+        problem = dataclasses.replace(planted, C=NaNOnCall(planted.C, call))
+        report = strong_solve(problem, default_config(problem, mode="strong", max_iter=20))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert "non-finite gap to C" in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
     @pytest.mark.parametrize(
