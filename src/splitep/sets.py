@@ -244,8 +244,10 @@ class Halfspace(ConvexSet):
             return x
         if distance < np.inf:
             return x - distance * self._unit
-        scale = float(np.abs(x).max())  # the product overflowed (to inf, or to NaN from partial sums)
-        return scale * Halfspace(self._unit, self._level / scale)._project(x / scale)
+        scale = float(np.abs(x).max())  # the product overflowed, or x holds a NaN, which passes through
+        y = x / scale
+        distance = float(self._unit.dot(y)) - self._level / scale
+        return x if not distance > 0.0 else scale * (y - distance * self._unit)
 
     def membership_violation(self, x) -> float:
         x = as_vector(x, self.dim)
@@ -278,7 +280,7 @@ class Intersection(ConvexSet):
         self.dim = members[0].dim
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return project_intersection(self.members, x)
+        return project_intersection(self.members, x) if np.isfinite(x).all() else x  # a NaN passes, as elsewhere
 
     def membership_violation(self, x) -> float:
         return max(member.membership_violation(x) for member in self.members)
@@ -369,10 +371,11 @@ class ActiveSet:
 
     ``key`` and ``tol``, the bytes of ``x0``, which must be a finite vector,
     and its feasibility tolerance ``1e-12 (1 + ||x0||)``, never change.
-    ``rows``, ``multipliers``, ``point``, ``checked`` and ``norms``, the
-    working rows, their multipliers, the projection so far, how many leading
-    rows it satisfies and the norms of those rows, start cold: none, ``x0``,
-    0 and none. The caller must not modify ``point`` or ``norms`` in place.
+    ``rows``, ``multipliers``, ``point`` and ``checked``, the working rows,
+    their multipliers, the projection so far and how many leading rows it
+    satisfies, start cold: none, ``x0`` and 0. The leading ``checked``
+    entries of ``norms``, a buffer that grows by doubling, are the norms of
+    those rows. The caller must not modify ``point`` or ``norms`` in place.
     """
 
     def __init__(self, x0):
@@ -438,14 +441,15 @@ def project_polyhedron(
         raise ValueError("the active-set record was made for another point or for more rows")
     if k == 0:
         return start.point, ()
-    # the record has checked its leading rows, which are unchanged, and keeps their norms
-    added, offsets = G[start.checked:], h[start.checked:]
-    unchecked = np.sqrt(np.add.reduce(added * added, axis=1))  # np.linalg.norm(added, axis=1)
+    if start.norms.size < k:  # checked rows are unchanged and keep their norms; the added rows' go after them
+        start.norms = np.concatenate((start.norms, np.zeros(max(k, start.norms.size))))
+    row_scale, added, offsets = start.norms[:k], G[start.checked:], h[start.checked:]
+    unchecked = row_scale[start.checked:]
+    np.sqrt(np.add.reduce(added * added, axis=1), out=unchecked)  # np.linalg.norm(added, axis=1)
     if np.count_nonzero(unchecked) != unchecked.size:
         raise ValueError("zero rows must be filtered out before projection")
     if np.count_nonzero(np.isfinite(unchecked)) + np.count_nonzero(np.isfinite(offsets)) != 2 * offsets.size:
         raise ValueError("inequality rows must have finite norms and offsets")
-    row_scale = np.concatenate((start.norms, unchecked))
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     working, multipliers, r, feas_scale = list(start.rows), list(start.multipliers), start.point, start.tol
     # The first scan starts at the added rows, or at the last row when none
@@ -464,8 +468,7 @@ def project_polyhedron(
             violations /= row_scale[fresh:]
             worst = violations.argmax()
             if violations[worst] <= feas_scale:
-                start.rows, start.multipliers, start.point = tuple(working), multipliers, r
-                start.checked, start.norms = k, row_scale
+                start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
                 return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
             p = fresh + int(worst)
             fresh = 0

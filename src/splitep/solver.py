@@ -267,6 +267,12 @@ def _probe_schedule(violations, config: SolverConfig, rule) -> None:
             return
 
 
+def _require_valid(config: SolverConfig, problem) -> None:
+    violations = validate(config, problem)
+    if violations:
+        raise ConfigError(violations)
+
+
 @dataclass
 class IterateRecord:
     """One outer iteration: the points produced and the residual parts."""
@@ -324,8 +330,8 @@ class StrongState:
         While ``r`` lies farther than ``1e-12 (1 + ||anchor||)`` from
         ``p = P_C(r)``, the halfspace ``<r - p, y> <= <r - p, p>`` supporting
         ``C`` at ``p``, which ``r`` violates by that distance, becomes a row
-        and the projection resumes. Raises ``InnerSolveError`` when the gap
-        is not finite, before storing a row, or after ``SUPPORT_ROUNDS``
+        and the projection resumes. Raises ``InnerSolveError`` when a row
+        is not finite, before storing it, or after ``SUPPORT_ROUNDS``
         projections.
 
         A normal ``r - p`` from a gap below ``push = 1e-4 (1 + ||p||)`` is
@@ -344,16 +350,17 @@ class StrongState:
             gap = _norm(normal)
             if gap <= self.active_set.tol:
                 return r
-            if not gap < math.inf:
-                raise InnerSolveError("the shrinking-set projection met a non-finite gap to C", gap)
             push = 1e-4 * (1.0 + _norm(p))
             if gap < push:
                 q = p + (push / gap) * normal
                 p = self.C._project(q)
                 normal = q - p
-                if not normal.dot(r) > normal.dot(p):
+                if normal.dot(r) <= normal.dot(p):
                     return r  # the row misses r, so r - p was rounding
-            self._append(normal, float(normal.dot(p)))
+            offset = float(normal.dot(p))  # finite only when normal and p are
+            if not abs(offset) < math.inf:
+                raise InnerSolveError("the shrinking-set projection met a non-finite supporting row of C", offset)
+            self._append(normal, offset)
         raise InnerSolveError(
             f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap
         )
@@ -483,9 +490,7 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
     residual. Record ``k`` enters the history when ``k`` is a multiple of
     ``config.history_stride``; the last record always does.
     """
-    violations = validate(config, problem)
-    if violations:
-        raise ConfigError(violations)
+    _require_valid(config, problem)
     lambda_rule, alpha_k_rule = _schedule_rules(problem)
     history: list[IterateRecord] = []
     last = failure = None

@@ -332,7 +332,7 @@ def reference_project_polyhedron(
 
 
 def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
-    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows, point, tolerance and row norms, bit for bit."""
+    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows, point, tolerance and checked rows' norms, bit for bit."""
     return (
         start.rows == reference.rows
         and np.asarray(start.multipliers).tobytes() == np.asarray(reference.multipliers).tobytes()
@@ -340,7 +340,7 @@ def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
         and start.key == reference.key
         and start.point.tobytes() == reference.point.tobytes()
         and np.float64(start.tol).tobytes() == np.float64(reference.tol).tobytes()
-        and start.norms.tobytes() == reference.norms.tobytes()
+        and start.norms[: start.checked].tobytes() == reference.norms[: reference.checked].tobytes()
     )
 
 

@@ -89,6 +89,12 @@ class TestClosedFormProjections:
         r = Halfspace([1.0, 1.0], 1.7e308).project(x)
         assert np.allclose(r, [8.5e307, 8.5e307], rtol=1e-15, atol=0.0)
 
+    def test_halfspace_kernel_passes_a_nan_through(self):
+        # the overflow branch also takes a NaN product; it once built a
+        # Halfspace from a NaN offset, which raised ValueError
+        r = Halfspace([1.0, 1.0, 0.0], 0.0)._project(np.array([np.nan, 1.0, 2.0]))
+        assert r.shape == (3,) and np.isnan(r).any()
+
     def test_ball_projection_of_a_point_whose_offset_overflows(self):
         # x - center overflowed to inf, and the rescale once divided inf by inf
         assert np.array_equal(Ball([-1e308, 0.0], 1.0).project([1e308, 0.0]), [-1e308, 0.0])
@@ -533,13 +539,16 @@ class TestProjectPolyhedron:
         start = ActiveSet(x)
         assert start.norms.size == 0
         for rows in (10, 11, 11, 16, 22):
+            before = start.norms
             project_polyhedron(x, G[:rows], h[:rows], start=start)
             assert start.checked == rows
-            assert start.norms.tobytes() == np.linalg.norm(G[:rows], axis=1).tobytes()
+            assert start.norms[:rows].tobytes() == np.linalg.norm(G[:rows], axis=1).tobytes()
+            # the buffer grows by doubling, so a call it has room for writes in place
+            assert (start.norms is before) is (before.size >= rows)
         # an error leaves the norms as they were, with the rest of the record
         with pytest.raises(ValueError, match="zero rows"):
             project_polyhedron(x, np.vstack([G, np.zeros((1, 5))]), np.append(h, 1.0), start=start)
-        assert start.norms.tobytes() == np.linalg.norm(G, axis=1).tobytes()
+        assert start.norms[: start.checked].tobytes() == np.linalg.norm(G, axis=1).tobytes()
 
     def test_direction_gufunc_matches_numpy_solve(self):
         # project_polyhedron calls numpy's private solve gufunc; a numpy that changes it fails here

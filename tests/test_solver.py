@@ -413,7 +413,7 @@ class TestStrongIteration:
             x = strong_step(problem, config, state, x, k).next_x
         G, _ = state.rows()
         assert len(G) > 2 * 20
-        assert np.all(np.any(G != 0.0, axis=1)) and np.all(state.active_set.norms > 0.0)
+        assert np.all(np.any(G != 0.0, axis=1)) and np.all(state.active_set.norms[: len(G)] > 0.0)
 
     def test_planted_run_invariants(self):
         problem = sp.generate_planted(2, 3, seed=31)
@@ -825,19 +825,27 @@ class TestFailureRouting:
         assert {"f": "prox step", "g": "resolvent"}[member] in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
-    @pytest.mark.parametrize("whole_space", [False, True], ids=["box", "whole-space"])
-    def test_non_finite_map_value_is_an_inner_failure(self, mode, whole_space):
+    @pytest.mark.parametrize(
+        "sets, iterations, message",
+        [
+            (lambda planted: {}, 3, "non-finite residual"),
+            (lambda planted: {"Q": sp.WholeSpace(3)}, 3, "non-finite residual"),
+            (lambda planted: {"Q": sp.Halfspace([1.0, 0.0, 0.0], 100.0)}, 2, "resolvent"),
+            (lambda planted: {"C": sp.Intersection([planted.C, sp.Halfspace([1.0, 0.0, 0.0], 100.0)])}, 3, "non-finite residual"),
+        ],
+        ids=["box", "whole-space", "halfspace-Q", "intersection-C"],
+    )
+    def test_non_finite_map_value_is_an_inner_failure(self, mode, sets, iterations, message):
         # the loop checks nothing past its start, so the NaN flows through the
-        # step, the resolvent on either Q included, into the residual instead
-        # of being rejected by a projection
+        # step and every set's projection, the public Intersection's and the
+        # rescaling branch of a Halfspace's included, into the resolvent's
+        # check or the residual instead of being rejected by a projection
         planted = sp.generate_planted(3, 3, seed=1)
-        problem = dataclasses.replace(planted, S=NaNFromFourthCall(planted.S))
-        if whole_space:
-            problem = dataclasses.replace(problem, Q=sp.WholeSpace(3))
+        problem = dataclasses.replace(planted, S=NaNFromFourthCall(planted.S), **sets(planted))
         report = SOLVERS[mode](problem, default_config(problem, mode=mode))
         assert report.status is SolveStatus.INNER_FAILURE
-        assert report.iterations == 3
-        assert "non-finite residual" in report.message
+        assert report.iterations == iterations
+        assert message in report.message
 
     @pytest.mark.parametrize("call", [4, 8, 12])
     def test_non_finite_projection_in_the_supporting_row_loop_is_an_inner_failure(self, call):
@@ -848,7 +856,18 @@ class TestFailureRouting:
         problem = dataclasses.replace(planted, C=NaNOnCall(planted.C, call))
         report = strong_solve(problem, default_config(problem, mode="strong", max_iter=20))
         assert report.status is SolveStatus.INNER_FAILURE
-        assert "non-finite gap to C" in report.message
+        assert "non-finite supporting row of C" in report.message
+
+    @pytest.mark.parametrize("call", [7, 18, 20])
+    def test_non_finite_projection_in_the_push_out_branch_is_an_inner_failure(self, call):
+        # these calls are the second projection of a push-out round, where a
+        # gap below push re-projects a point pushed away from C; its NaN once
+        # read as a row that misses r, and the run ended Converged
+        ball = tangential_ball_problem(1.0)
+        problem = dataclasses.replace(ball, C=NaNOnCall(ball.C, call))
+        report = strong_solve(problem, default_config(problem, mode="strong"))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert "non-finite supporting row of C" in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
     @pytest.mark.parametrize(
