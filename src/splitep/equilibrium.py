@@ -232,7 +232,7 @@ def prox_step(
     Raises
     ------
     ValueError
-        If ``lam <= 0``, ``x`` or ``at`` is not a finite vector of dimension
+        If ``lam <= 0``, ``as_vector`` refuses ``x`` or ``at`` for dimension
         ``C.dim``, or ``x`` lies outside ``C`` (violation above 1e-9).
     InnerSolveError
         As :func:`resolvent`'s loop does, naming the prox step.
@@ -354,7 +354,7 @@ def resolvent(
     Raises
     ------
     ValueError
-        If ``alpha <= 0`` or ``u`` is not a finite vector of dimension ``Q.dim``.
+        If ``alpha <= 0`` or ``as_vector`` refuses ``u`` for dimension ``Q.dim``.
     InnerSolveError
         When the loop takes ``max_inner`` trial steps, backtracking ones
         included, as soon as a trial step's norm is not finite (the iteration
@@ -485,8 +485,11 @@ def check_assumptions(f: Bifunction, domain: ConvexSet, samples: int = 200, seed
 
     The monotonicity entry is reported for both declared classes (every
     monotone bifunction is pseudomonotone, not conversely); only the entry
-    matching the declaration is a contract violation when positive.
+    matching the declaration is a contract violation when positive. Raises
+    ``ValueError`` for ``samples < 1``, which would probe nothing.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
 
     def sample() -> np.ndarray:

@@ -205,10 +205,13 @@ def verify_planted(problem: ProblemSpec, samples: int = 100, seed: int = 0) -> P
     Memberships and fixed-point equations are checked directly; the
     equilibrium conditions are probed as ``f(x*, v) >= 0`` on sampled
     feasible ``v`` (and likewise for ``g`` at ``A x*``), with samples drawn by
-    projecting seeded Gaussian probes onto the respective set.
+    projecting seeded Gaussian probes onto the respective set. Raises
+    ``ValueError`` without a planted solution or for ``samples < 1``.
     """
     if problem.planted_solution is None:
         raise ValueError("verify_planted requires a problem with a planted solution")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     x_star = problem.planted_solution
     image = problem.A.apply(x_star)
     rng = np.random.default_rng(seed)

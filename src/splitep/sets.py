@@ -5,10 +5,10 @@ Each :class:`ConvexSet` variant carries a closed-form metric projection except
 The projection ``z = P(x)`` of any variant satisfies the variational
 characterization ``<x - z, y - z> <= 0`` for all members ``y`` of the set.
 
-``project`` and ``apply`` check their argument and call the variant's unchecked
-``_project`` or ``_apply`` with overflow warnings off, so that they return the
-handled value and never warn; a user subclass may override the public method
-alone. Lengths that may overflow are taken with :func:`splitep.linalg.norm`.
+``project`` and ``apply`` check their argument with :func:`splitep.linalg.as_vector`
+and call the variant's unchecked ``_project`` or ``_apply``, which need no guard
+against overflow on the components it admits; a user subclass may override the
+public method alone.
 Set and mapping objects are immutable after construction and all operations
 are pure, so values can be shared freely across threads.
 """
@@ -25,7 +25,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as _clip
 
-from splitep.linalg import _norm, as_vector, norm
+from splitep.linalg import MAX_MAGNITUDE, _norm, as_vector, norm
 
 __all__ = [
     "ActiveSet",
@@ -93,10 +93,8 @@ class ConvexSet:
     dim: int
 
     def project(self, x) -> np.ndarray:
-        """Metric projection of ``x``, checked as a finite vector of dimension ``dim``; never warns of overflow."""
-        x = as_vector(x, self.dim)
-        with np.errstate(over="ignore"):
-            return self._project(x)
+        """Metric projection of ``x``, checked by :func:`~splitep.linalg.as_vector` for dimension ``dim``."""
+        return self._project(as_vector(x, self.dim))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         """Projection of a finite float vector of dimension ``dim``, unchecked."""
@@ -105,10 +103,9 @@ class ConvexSet:
         return self.project(x)
 
     def membership_violation(self, x) -> float:
-        """Euclidean distance from ``x`` to the set (a lower bound for Intersection), ``inf`` past the float maximum."""
+        """Euclidean distance from ``x``, checked as by :meth:`project`, to the set (a lower bound for Intersection)."""
         x = as_vector(x, self.dim)
-        with np.errstate(over="ignore"):
-            return norm(x - self._project(x))
+        return norm(x - self._project(x))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.membership_violation(x) <= tol
@@ -166,29 +163,18 @@ class Ball(ConvexSet):
     """Closed Euclidean ball of given center and radius >= 0."""
 
     def __init__(self, center, radius: float):
-        self.center = as_vector(center)
-        radius = float(radius)
-        if not np.isfinite(radius) or radius < 0.0:
+        self.center, self.radius = as_vector(center), float(radius)
+        if not 0.0 <= self.radius < np.inf:
             raise ValueError("ball radius must be finite and >= 0")
-        self.radius = radius
         self.dim = self.center.size
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         offset = x - self.center
         dist = _norm(offset)
-        if dist <= self.radius:
-            return x
-        if dist == np.inf:  # the offset or its squared norm overflowed: rescale the half offset
-            offset = 0.5 * x - 0.5 * self.center
-            offset = offset / np.abs(offset).max()
-            dist = _norm(offset)
-        return self.center + (self.radius / dist) * offset
+        return x if dist <= self.radius else self.center + (self.radius / dist) * offset
 
     def membership_violation(self, x) -> float:
-        x = as_vector(x, self.dim)
-        with np.errstate(over="ignore"):
-            excess = norm(x - self.center) - self.radius
-        return max(0.0, excess) if excess < np.inf else super().membership_violation(x)
+        return max(0.0, norm(as_vector(x, self.dim) - self.center) - self.radius)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -207,18 +193,18 @@ class Ball(ConvexSet):
 class Halfspace(ConvexSet):
     """Halfspace ``{x : <normal, x> <= offset}``.
 
-    It stores the norm ``size`` of its normal and projects and measures along
-    the unit normal, so a normal whose squared norm overflows serves like any
-    other. A normal with ``size < TINY_NORMAL`` encodes the whole space when
-    the offset is nonnegative (up to the same tolerance) and is rejected as
-    empty otherwise.
+    Its constructor admits a normal and offset of components at most
+    ``MAX_MAGNITUDE`` in magnitude. It projects and measures along its unit normal, at the level
+    ``offset / size`` for the norm ``size`` of its normal. A normal with
+    ``size < TINY_NORMAL`` encodes the whole space when the offset is
+    nonnegative (up to the same tolerance) and is rejected as empty otherwise.
     """
 
     def __init__(self, normal, offset: float):
         self.normal = as_vector(normal)
         self.offset = float(offset)
-        if not np.isfinite(self.offset):
-            raise ValueError("halfspace offset must be finite")
+        if not abs(self.offset) <= MAX_MAGNITUDE:
+            raise ValueError(f"halfspace offset must be finite and at most {MAX_MAGNITUDE:g} in magnitude")
         self.dim = self.normal.size
         self.size = norm(self.normal)
         self.is_whole_space = self.size < TINY_NORMAL
@@ -240,20 +226,10 @@ class Halfspace(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         distance = float(self._unit.dot(x)) - self._level
-        if distance <= 0.0:
-            return x
-        if distance < np.inf:
-            return x - distance * self._unit
-        scale = float(np.abs(x).max())  # the product overflowed, or x holds a NaN, which passes through
-        y = x / scale
-        distance = float(self._unit.dot(y)) - self._level / scale
-        return x if not distance > 0.0 else scale * (y - distance * self._unit)
+        return x if distance <= 0.0 else x - distance * self._unit
 
     def membership_violation(self, x) -> float:
-        x = as_vector(x, self.dim)
-        with np.errstate(over="ignore"):
-            distance = float(self._unit.dot(x)) - self._level
-        return max(0.0, distance) if distance < np.inf else super().membership_violation(x)
+        return max(0.0, float(self._unit.dot(as_vector(x, self.dim))) - self._level)
 
     def __eq__(self, other) -> bool:
         return (
@@ -369,8 +345,8 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
 class ActiveSet:
     """Where :func:`project_polyhedron` stopped projecting the point ``x0`` the record is made for.
 
-    ``key`` and ``tol``, the bytes of ``x0``, which must be a finite vector,
-    and its feasibility tolerance ``1e-12 (1 + ||x0||)``, never change.
+    ``key`` and ``tol``, the bytes of ``x0``, which :func:`~splitep.linalg.as_vector`
+    must admit, and its feasibility tolerance ``1e-12 (1 + ||x0||)``, never change.
     ``rows``, ``multipliers``, ``point`` and ``checked``, the working rows,
     their multipliers, the projection so far and how many leading rows it
     satisfies, start cold: none, ``x0`` and 0. The leading ``checked``
@@ -423,10 +399,10 @@ def project_polyhedron(
     Raises
     ------
     ValueError
-        If ``x0`` is not a finite vector, if ``start`` was made for another
-        point or has checked more rows than ``G`` has, or if a row it has not
-        checked has a zero or non-finite norm or a non-finite offset; the
-        record is left as it was.
+        If ``x0`` is not a vector that ``as_vector`` admits, if ``start`` was
+        made for another point or has checked more rows than ``G`` has, or if
+        a row it has not checked is zero, or it or its offset has an entry
+        that ``as_vector`` refuses; the record is left as it was.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     PivotBudgetError
@@ -444,12 +420,12 @@ def project_polyhedron(
     if start.norms.size < k:  # checked rows are unchanged and keep their norms; the added rows' go after them
         start.norms = np.concatenate((start.norms, np.zeros(max(k, start.norms.size))))
     row_scale, added, offsets = start.norms[:k], G[start.checked:], h[start.checked:]
+    if not (np.abs(added).max(initial=0.0) <= MAX_MAGNITUDE and np.abs(offsets).max(initial=0.0) <= MAX_MAGNITUDE):
+        raise ValueError(f"inequality rows and offsets must be finite and at most {MAX_MAGNITUDE:g} in magnitude")
     unchecked = row_scale[start.checked:]
     np.sqrt(np.add.reduce(added * added, axis=1), out=unchecked)  # np.linalg.norm(added, axis=1)
     if np.count_nonzero(unchecked) != unchecked.size:
         raise ValueError("zero rows must be filtered out before projection")
-    if np.count_nonzero(np.isfinite(unchecked)) + np.count_nonzero(np.isfinite(offsets)) != 2 * offsets.size:
-        raise ValueError("inequality rows must have finite norms and offsets")
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     working, multipliers, r, feas_scale = list(start.rows), list(start.multipliers), start.point, start.tol
     # The first scan starts at the added rows, or at the last row when none
@@ -532,11 +508,11 @@ def halfspace_dominates(a, b) -> Halfspace:
     two points nearly coincide, where the naive difference of squared norms
     loses all significant digits. When the points coincide to within the
     zero-normal tolerance the whole space is returned, encoded as a
-    zero-normal halfspace with offset 0.
+    zero-normal halfspace with offset 0; the row, which may exceed ``MAX_MAGNITUDE``, is unchecked.
     """
     a = as_vector(a)
     row = _dominating_row(a, as_vector(b, a.size))
-    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace(*row)
+    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace._from_row(*row)
 
 
 def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -552,10 +528,8 @@ class NonexpansiveMap:
     dim: int
 
     def apply(self, x) -> np.ndarray:
-        """Image of ``x``, checked as a finite vector of dimension ``dim``; never warns of overflow."""
-        x = as_vector(x, self.dim)
-        with np.errstate(over="ignore"):
-            return self._apply(x)
+        """Image of ``x``, checked by :func:`~splitep.linalg.as_vector` for dimension ``dim``."""
+        return self._apply(as_vector(x, self.dim))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Image of a finite float vector of dimension ``dim``, unchecked."""

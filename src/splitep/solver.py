@@ -486,9 +486,9 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
     beyond ``DIVERGENCE_LIMIT``, a schedule value outside its admissible
     range (:func:`validate` probes only the first ``SCHEDULE_PROBE_COUNT``,
     so each step's ``lambda_k`` and ``alpha_k`` are checked before it runs),
-    an inner solver giving up, an empty shrinking set, or a non-finite
-    residual. Record ``k`` enters the history when ``k`` is a multiple of
-    ``config.history_stride``; the last record always does.
+    an inner solver giving up, an empty shrinking set, a value that a checked
+    call refuses, or a non-finite residual. Record ``k`` enters the history
+    when ``k`` is a multiple of ``config.history_stride``; the last always does.
     """
     _require_valid(config, problem)
     lambda_rule, alpha_k_rule = _schedule_rules(problem)
@@ -505,11 +505,11 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
             break
         try:
             last = step(x, k)
-        except (InnerSolveError, DykstraError, PivotBudgetError) as exc:
-            failure = str(exc)
-            break
         except EmptySetError as exc:
             failure = f"the shrinking set is empty: {exc}"
+            break
+        except (InnerSolveError, DykstraError, PivotBudgetError, ValueError) as exc:
+            failure = str(exc)  # a ValueError is a checked call refusing a value, say one beyond MAX_MAGNITUDE
             break
         if k % config.history_stride == 0:
             history.append(last)

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 
 from splitep.equilibrium import AffineVIBifunction, CallableBifunction
-from splitep.problems import generate_planted
+from splitep.linalg import DenseOperator
+from splitep.problems import ProblemSpec, generate_planted
 from splitep.sets import (
     ActiveSet,
     Averaged,
@@ -17,6 +18,7 @@ from splitep.sets import (
     PivotBudgetError,
     ProjectionOnto,
     WholeSpace,
+    project_polyhedron,
 )
 from splitep.solver import IterateRecord
 
@@ -369,6 +371,40 @@ def tangential_ball_problem(stretch: float = 1.0, shift: float = 2.0):
     side = np.array([x_star[1] - x1[1], x1[0] - x_star[0]]) / np.linalg.norm(x_star - x1)
     center = (x1 + x_star) / 2.0 + shift * side
     return dataclasses.replace(problem, C=Ball(center, stretch * np.linalg.norm(x1 - center)))
+
+
+def box_fixed_point_problem(n: int, m: int, seed: int) -> tuple[ProblemSpec, np.ndarray]:
+    """A problem whose solution set ``Omega`` is a polyhedron, and the projection of ``x1`` onto it.
+
+    ``f`` and ``g`` vanish (zero matrices, ``c1 = c2 = 1``), so every point of
+    ``C = [-5, 5]^n`` and of the wide box ``Q = [-1e3, 1e3]^m`` is an
+    equilibrium. ``S`` and ``T`` are the 0.5-averaged projections onto boxes
+    ``B_S`` and ``B_T``, whose fixed points are the boxes themselves, so
+    ``Omega = {x in C and B_S : A x in B_T}``; ``B_T`` lies inside ``Q``.
+    ``B_S`` sits around a seeded point of ``[-2, 2]^n``, ``B_T`` around its
+    image, so ``Omega`` holds that point, and ``x1`` is a vertex of ``C``,
+    outside ``B_S``. The reference is the exact projection of ``x1`` onto
+    the ``4 n + 2 m`` rows of ``Omega``, the point the strong theorem names.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    center = rng.uniform(-2.0, 2.0, n)
+    B_S = Box(center - rng.uniform(0.5, 2.0, n), center + rng.uniform(0.5, 2.0, n))
+    image = A @ center
+    B_T = Box(image - rng.uniform(0.1, 1.0, m), image + rng.uniform(0.1, 1.0, m))
+    problem = ProblemSpec(
+        C=Box(np.full(n, -5.0), np.full(n, 5.0)),
+        Q=Box(np.full(m, -1e3), np.full(m, 1e3)),
+        A=DenseOperator(A),
+        f=AffineVIBifunction(np.zeros((n, n)), np.zeros(n), "monotone", 1.0, 1.0),
+        g=AffineVIBifunction(np.zeros((m, m)), np.zeros(m), "monotone", 1.0, 1.0),
+        S=Averaged(0.5, ProjectionOnto(B_S)),
+        T=Averaged(0.5, ProjectionOnto(B_T)),
+        x1=rng.choice([-5.0, 5.0], n),
+    )
+    G, h = inequality_rows(problem.C, B_S)
+    G, h = np.vstack([G, A, -A]), np.concatenate([h, B_T.upper, -B_T.lower])
+    return problem, project_polyhedron(problem.x1, G, h)[0]
 
 
 def reference_project_rows_and_ball(x, G, h, ball: Ball) -> np.ndarray:

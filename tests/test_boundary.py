@@ -8,13 +8,18 @@ and that user subclasses overriding only the public methods still solve.
 
 import dataclasses
 import importlib
+import json
 import pkgutil
 
 import numpy as np
 import pytest
 
 import splitep as sp
+from splitep.cli import main
+from splitep.linalg import MAX_MAGNITUDE
+from splitep.problems import problem_to_dict
 from splitep.sets import (
+    ActiveSet,
     Averaged,
     Ball,
     Box,
@@ -26,6 +31,7 @@ from splitep.sets import (
     NonexpansiveMap,
     ProjectionOnto,
     WholeSpace,
+    project_polyhedron,
 )
 from splitep.solver import _core_step, default_config
 
@@ -77,11 +83,39 @@ def public_entry_points():
         "halfspace_dominates-b": lambda v: sp.halfspace_dominates([0.0, 0.0], v),
     }
     points.update({f"{type(s).__name__}.project": s.project for s in sets})
+    points.update({f"{type(s).__name__}.membership_violation": s.membership_violation for s in sets})
     points.update({f"{type(m).__name__}.apply": m.apply for m in maps})
     return points
 
 
 ENTRY_POINTS = public_entry_points()
+
+
+def bounded_entry_points():
+    """Every public entry point that takes a vector as a callable of one
+    dimension-2 vector: those above, with the prox step on the whole space so
+    that any anchor lies in its set, and the ones that fix no dimension."""
+    planted = sp.generate_planted(2, 2, seed=1)
+    whole = WholeSpace(2)
+    points = dict(ENTRY_POINTS)
+    points.update(
+        {
+            "prox_step-anchor": lambda v: sp.prox_step(planted.f, whole, v, 0.1),
+            "prox_step-at": lambda v: sp.prox_step(planted.f, whole, planted.x1, 0.1, at=v),
+            "as_vector": sp.as_vector,
+            "ActiveSet": ActiveSet,
+            "project_polyhedron-row": lambda v: project_polyhedron(np.array([3.0, 3.0]), v[None, :], np.ones(1)),
+            "project_polyhedron-offset": lambda v: project_polyhedron(np.zeros(2), np.eye(2), np.abs(v)),
+            "Box": lambda v: Box(-np.abs(v), np.abs(v)),
+            "Ball": lambda v: Ball(v, 1.0),
+            "Halfspace-normal": lambda v: Halfspace(v, 0.0),
+            "Halfspace-offset": lambda v: Halfspace([1.0, 0.0], v[0]),
+        }
+    )
+    return points
+
+
+BOUNDED_ENTRY_POINTS = bounded_entry_points()
 
 
 class TestPublicBoundary:
@@ -94,6 +128,25 @@ class TestPublicBoundary:
     def test_rejects_bad_vectors(self, name, bad, match):
         with pytest.raises(ValueError, match=match):
             ENTRY_POINTS[name](np.array(bad))
+
+    @pytest.mark.parametrize("name", BOUNDED_ENTRY_POINTS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuses_twice_the_magnitude_bound_and_takes_the_bound(self, name, sign):
+        entry = BOUNDED_ENTRY_POINTS[name]
+        with pytest.raises(ValueError, match=r"at most 1e\+150 in magnitude"):
+            entry(np.array([sign * 2.0 * MAX_MAGNITUDE, 0.5]))
+        result = entry(np.array([sign * MAX_MAGNITUDE, 0.5]))  # numpy's warnings raise here
+        value = result[0] if isinstance(result, tuple) else getattr(result, "minimizer", result)
+        if isinstance(value, (float, np.ndarray)):
+            assert np.isfinite(value).all()
+
+    def test_a_problem_file_with_an_entry_beyond_the_bound_fails_to_parse(self, tmp_path, capsys):
+        data = problem_to_dict(sp.generate_planted(2, 2, seed=1))
+        data["C"]["upper"][0] = 2.0 * MAX_MAGNITUDE
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--problem", str(path)]) == 3
+        assert "C.upper: vector components must be finite and at most 1e+150 in magnitude" in capsys.readouterr().err
 
     def test_every_exported_name_resolves(self):
         modules = [sp] + [importlib.import_module(f"splitep.{info.name}") for info in pkgutil.iter_modules(sp.__path__)]
@@ -176,8 +229,12 @@ class TestPublicOnlySubclasses:
             def _project(self, x):
                 return Ball([0.0, 0.0], 1.0)._project(x)
 
-        for x in ([3.0, 4.0], [0.3, -0.4], [1e308, 1e308]):
+        for x in ([3.0, 4.0], [0.3, -0.4]):
             assert KernelOnlyBall().membership_violation(x) == Ball([0.0, 0.0], 1.0).membership_violation(x)
+        # both check the point first
+        for ball in (KernelOnlyBall(), Ball([0.0, 0.0], 1.0)):
+            with pytest.raises(ValueError, match=r"at most 1e\+150 in magnitude"):
+                ball.membership_violation([1e308, 1e308])
 
     def test_subclass_without_a_projection_is_not_implemented(self):
         class NoProjection(ConvexSet):

@@ -268,6 +268,20 @@ class TestVerify:
         assert run_cli("verify", "--problem", path) == 2
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("planted", [True, False])
+    @pytest.mark.parametrize("samples", [-3, 0])
+    def test_no_samples_is_a_validation_error(self, outdir, capsys, planted, samples):
+        # with no sample the probes checked nothing, yet the run once passed
+        path = generate(outdir, seed=13, n=3, m=3)
+        if not planted:
+            data = json.loads(path.read_text())
+            data["planted_solution"] = None
+            path.write_text(json.dumps(data))
+        assert run_cli("verify", "--problem", path, "--samples", samples) == 2
+        captured = capsys.readouterr()
+        assert f"samples must be at least 1, got {samples}" in captured.err
+        assert "passed" not in captured.out
+
 
 class TestBench:
     def test_summary_table(self, outdir, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitep.linalg import (
+    MAX_MAGNITUDE,
     DenseOperator,
     _norm,
     as_vector,
@@ -56,10 +57,11 @@ class TestNormKernel:
             assert self.same_float(norm(v), np.linalg.norm(v))
 
     def test_public_norm_where_the_sum_of_squares_overflows(self):
-        # np.linalg.norm gives inf there, and numpy warns of the overflow
-        assert norm([1e200, 0.0]) == 1e200
-        assert norm([3e200, -4e200]) == pytest.approx(5e200, rel=1e-15)
-        assert norm(np.full((2, 2), 1e200)) == 2e200
+        # like np.linalg.norm it gives inf there, and numpy warns of the
+        # overflow; such entries lie beyond the bound that as_vector admits
+        for u in ([1e200, 0.0], [3e200, -4e200], np.full((2, 2), 1e200)):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert norm(u) == math.inf
 
     @pytest.mark.parametrize(
         "u",
@@ -73,6 +75,13 @@ class TestNormKernel:
 
 
 class TestAsVector:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_magnitude_bound(self, sign):
+        assert as_vector([sign * MAX_MAGNITUDE, 0.0])[0] == sign * 1e150
+        for beyond in (np.nextafter(MAX_MAGNITUDE, np.inf), 1e300, np.inf):
+            with pytest.raises(ValueError, match=r"finite and at most 1e\+150 in magnitude"):
+                as_vector([0.0, sign * beyond])
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             as_vector([1.0, np.nan])

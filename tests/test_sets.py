@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
+from splitep.linalg import MAX_MAGNITUDE
 from splitep.sets import (
+    TINY_NORMAL,
     ActiveSet,
     Averaged,
     Ball,
@@ -23,6 +25,9 @@ from splitep.sets import (
     project_intersection,
     project_polyhedron,
 )
+
+# the message of every refusal of a value beyond MAX_MAGNITUDE
+BEYOND_THE_BOUND = r"at most 1e\+150 in magnitude"
 
 
 def sample_sets(rng):
@@ -43,20 +48,25 @@ class TestClosedFormProjections:
         ball = Ball([0.0, 0.0], 1.0)
         assert np.allclose(ball.project([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
 
+    # Points whose squared distance, or product with a normal, would overflow
+    # lie beyond MAX_MAGNITUDE, and every public call refuses them.
+
     def test_ball_projection_of_a_point_whose_squared_distance_overflows(self):
-        assert np.array_equal(Ball([0.0, 0.0], 1.0).project([1e160, 0.0]), [1.0, 0.0])
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            Ball([0.0, 0.0], 1.0).project([1e160, 0.0])
 
     def test_ball_membership_of_a_point_whose_squared_distance_overflows(self):
-        violation = Ball([0.0, 0.0], 1.0).membership_violation([1e160, 0.0])
-        assert abs(violation - 1e160) <= 1e-12 * 1e160
-        assert Ball([0.0, 0.0], 1.0).membership_violation([1e200, 0.0]) == 1e200
+        for x in ([1e160, 0.0], [1e200, 0.0]):
+            with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+                Ball([0.0, 0.0], 1.0).membership_violation(x)
 
     def test_a_map_through_a_ball_applied_to_a_point_whose_squared_distance_overflows(self):
         S = Averaged(0.5, ProjectionOnto(Ball([0.0, 0.0], 1.0)))
-        assert np.array_equal(S.apply([1e200, 0.0]), [5e199, 0.0])
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            S.apply([1e200, 0.0])
 
     def test_ball_membership_of_ordinary_points_keeps_its_bytes(self):
-        # only a squared norm that overflows takes the scaled path
+        # the closed form keeps np.linalg.norm's bits
         rng = np.random.default_rng(5)
         for _ in range(200):
             ball = Ball(rng.standard_normal(4), rng.uniform(0.0, 2.0))
@@ -69,50 +79,47 @@ class TestClosedFormProjections:
         assert np.allclose(hs.project([2.0, 5.0]), [0.0, 5.0], atol=1e-15)
 
     def test_halfspace_projection_of_a_point_whose_product_with_the_normal_overflows(self):
-        # <normal, x>, or its ratio to a small squared norm, overflowed to inf,
-        # and the step once gave [-inf, nan]
-        assert np.array_equal(Halfspace([1e150, 0.0], 0.0).project([1e200, 0.0]), [0.0, 0.0])
-        assert np.array_equal(Halfspace([1e-13, 0.0], 0.0).project([1e300, 0.0]), [0.0, 0.0])
-        assert np.array_equal(Halfspace([1e150, 1e150], 0.0).project([1e200, -1e200]), [1e200, -1e200])
+        # the normals lie within the bound, the points beyond it
+        cases = [([1e150, 0.0], [1e200, 0.0]), ([1e-13, 0.0], [1e300, 0.0]), ([1e150, 1e150], [1e200, -1e200])]
+        for normal, x in cases:
+            with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+                Halfspace(normal, 0.0).project(x)
 
     def test_halfspace_membership_of_a_point_whose_product_with_the_normal_overflows(self):
-        assert Halfspace([1e150, 0.0], 0.0).membership_violation([1e200, 0.0]) == 1e200
-        assert Halfspace([1e150, 1e150], 0.0).membership_violation([1e200, -1e200]) == 0.0
+        for normal, x in (([1e150, 0.0], [1e200, 0.0]), ([1e150, 1e150], [1e200, -1e200])):
+            with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+                Halfspace(normal, 0.0).membership_violation(x)
 
     def test_halfspace_projection_of_a_point_near_the_float_maximum(self):
-        # <unit normal, x> itself overflowed, and the step once gave [-inf, -inf]
         x = np.array([1.5e308, 1.5e308])
-        through_origin = Halfspace([1.0, 1.0], 0.0)
-        r = through_origin.project(x)
-        assert np.abs(r).max() <= 4 * np.spacing(1.5e308)
-        assert through_origin.membership_violation(r) <= 4 * np.spacing(1.5e308)
-        r = Halfspace([1.0, 1.0], 1.7e308).project(x)
-        assert np.allclose(r, [8.5e307, 8.5e307], rtol=1e-15, atol=0.0)
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            Halfspace([1.0, 1.0], 0.0).project(x)
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            Halfspace([1.0, 1.0], 1.7e308)
 
     def test_halfspace_kernel_passes_a_nan_through(self):
-        # the overflow branch also takes a NaN product; it once built a
-        # Halfspace from a NaN offset, which raised ValueError
+        # a NaN product steps to a NaN vector; an overflow branch once built
+        # a Halfspace from a NaN offset, which raised ValueError
         r = Halfspace([1.0, 1.0, 0.0], 0.0)._project(np.array([np.nan, 1.0, 2.0]))
         assert r.shape == (3,) and np.isnan(r).any()
 
     def test_ball_projection_of_a_point_whose_offset_overflows(self):
-        # x - center overflowed to inf, and the rescale once divided inf by inf
-        assert np.array_equal(Ball([-1e308, 0.0], 1.0).project([1e308, 0.0]), [-1e308, 0.0])
-        assert np.array_equal(Ball([-1e308, 0.0], 1e308).project([1e308, 0.0]), [0.0, 0.0])
+        # the center lies beyond the bound, so the ball is refused
+        for radius in (1.0, 1e308):
+            with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+                Ball([-1e308, 0.0], radius)
 
     def test_membership_of_a_point_near_the_float_maximum(self):
-        # a distance beyond the float maximum reads inf; one below it is finite
-        x = [1.5e308, 1.5e308]
-        assert Halfspace([1.0, 1.0], 0.0).membership_violation(x) == np.inf
-        want = (1.5e308 - 0.85e308) * math.sqrt(2.0)
-        assert abs(Halfspace([1.0, 1.0], 1.7e308).membership_violation(x) - want) <= 1e-15 * want
-        assert Ball([-1e308, 0.0], 1.0).membership_violation([1e308, 0.0]) == np.inf
-        assert Ball([-1e308, 0.0], 1e308).membership_violation([1e308, 0.0]) == 1e308
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            Halfspace([1.0, 1.0], 0.0).membership_violation([1.5e308, 1.5e308])
+        for refused in (lambda: Halfspace([1.0, 1.0], 1.7e308), lambda: Ball([-1e308, 0.0], 1e308)):
+            with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+                refused()
 
     def test_box_membership_of_a_point_whose_squared_distance_overflows(self):
-        violation = Box([0.0, 0.0], [1.0, 1.0]).membership_violation([1e200, 0.0])
-        assert abs(violation - 1e200) <= 1e-12 * 1e200
-        assert Box([-1.0, -1.0], [1.0, 1.0]).membership_violation([1e200, 0.0]) == 1e200
+        for box in (Box([0.0, 0.0], [1.0, 1.0]), Box([-1.0, -1.0], [1.0, 1.0])):
+            with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+                box.membership_violation([1e200, 0.0])
 
     def test_whole_space(self):
         assert np.array_equal(WholeSpace(2).project([7.0, -1.0]), [7.0, -1.0])
@@ -190,6 +197,32 @@ def test_box_projection_is_bit_equal_to_clip():
             assert box._project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 1000])
+def test_projections_stay_finite_up_to_the_bound(n):
+    # centers, normals, bounds, offsets and points log-uniform in magnitude
+    # up to MAX_MAGNITUDE, a tenth of the entries at the bound itself; the
+    # kernels have no overflow branch, and numpy's warnings raise here
+    rng = np.random.default_rng(n)
+
+    def draw(size=n):
+        v = 10.0 ** rng.uniform(-150.0, 150.0, size)
+        v[rng.random(size) < 0.1] = MAX_MAGNITUDE
+        return rng.choice([-1.0, 1.0], size) * v
+
+    for _ in range(600):
+        x, a, b = draw(), draw(), draw()
+        normal, offset = draw(), draw(1)[0]
+        if np.linalg.norm(normal) < TINY_NORMAL:
+            offset = abs(offset)  # the whole space, not the empty set
+        ball = Ball(draw(), abs(draw(1)[0]))
+        sets = [ball, Halfspace(normal, offset), Box(np.minimum(a, b), np.maximum(a, b))]
+        for s in sets:
+            assert np.isfinite(s.project(x)).all()
+            assert math.isfinite(s.membership_violation(x))
+        assert np.isfinite(Averaged(0.5, ProjectionOnto(ball)).apply(x)).all()
+
+
 class TestSetValidation:
     def test_box_requires_ordered_bounds(self):
         with pytest.raises(ValueError, match="lower <= upper"):
@@ -210,17 +243,9 @@ class TestSetValidation:
         assert hs.membership_violation([5.0, -3.0]) == 0.0
 
     @pytest.mark.parametrize("normal", [[1e160, 0.0], [0.0, -1e200], [1e154, 1e154]])
-    def test_halfspace_whose_squared_normal_overflows_projects_onto_its_boundary(self, normal):
-        # a step of excess / ||normal||^2 would leave every point where it
-        # was; a step along the unit normal does not
-        hs = Halfspace(normal, 0.0)
-        unit = np.asarray(normal) / np.hypot(*normal)
-        x = 3.0 * unit + np.array([unit[1], -unit[0]])
-        assert hs.membership_violation(x) == pytest.approx(3.0, rel=1e-15)
-        p = hs.project(x)
-        assert abs(unit @ p) <= 1e-15
-        assert np.allclose(p, x - 3.0 * unit, rtol=0.0, atol=1e-15)
-        assert hs.contains(p)
+    def test_halfspace_whose_normal_exceeds_the_bound_is_refused(self, normal):
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            Halfspace(normal, 0.0)
 
     def test_intersection_dimension_agreement(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -467,15 +492,14 @@ class TestProjectPolyhedron:
         with pytest.raises(ValueError, match="zero rows"):
             project_polyhedron(np.array([2.0, 2.0]), G, np.ones(3), start=ActiveSet([2.0, 2.0]))
 
-    def test_a_far_point_is_projected_onto_every_row(self):
-        # the tolerance 1e-12 (1 + ||x0||) once overflowed to inf, so every
-        # row counted as satisfied and x0 itself came back
+    def test_a_far_point_is_refused(self):
+        # the tolerance 1e-12 (1 + ||x0||) once overflowed to inf; such a
+        # point now lies beyond the bound
         x0 = np.array([1e200, 1e200])
-        start = ActiveSet(x0)
-        r, _ = project_polyhedron(x0, np.eye(2), np.ones(2), start=start)
-        assert start.tol < np.inf
-        assert np.all(r - 1.0 <= start.tol)
-        assert np.linalg.norm(r - 1.0) <= start.tol
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            ActiveSet(x0)
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
+            project_polyhedron(x0, np.eye(2), np.ones(2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_a_non_finite_point(self, value):
@@ -514,13 +538,13 @@ class TestProjectPolyhedron:
         if resumed:
             project_polyhedron(x, G[:2], h[:2], start=start)
         before = copy.deepcopy(start)
-        with pytest.raises(ValueError, match="finite norms and offsets"):
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
             project_polyhedron(x, G, h, start=start)
         assert same_record(start, before)
 
     @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
     def test_rejects_a_row_whose_norm_overflows(self, resumed):
-        # a finite row whose norm is not finite is refused like a non-finite one
+        # a finite row beyond the bound is refused like a non-finite one, before its norm is taken
         G = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
         h = np.array([1.0, 1.0, 1.5])
         x = np.array([3.0, 3.0])
@@ -528,7 +552,7 @@ class TestProjectPolyhedron:
         if resumed:
             project_polyhedron(x, G[:2], h[:2], start=start)
         before = copy.deepcopy(start)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite norms and offsets"):
+        with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
             project_polyhedron(x, G, h, start=start)
         assert same_record(start, before)
 

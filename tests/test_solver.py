@@ -37,6 +37,7 @@ from splitep.solver import (
 )
 
 from oracles import (
+    box_fixed_point_problem,
     inequality_rows,
     quadratic_bifunction,
     reference_core_step,
@@ -112,6 +113,14 @@ class NaNFromFourthCall(NonexpansiveMap):
     def apply(self, x):
         self.calls += 1
         return self.base.apply(x) if self.calls < 4 else np.full(self.dim, np.nan)
+
+
+class BeyondTheBoundFromFourthCall(NaNFromFourthCall):
+    """A user map that returns a finite vector beyond ``MAX_MAGNITUDE`` from its fourth call on."""
+
+    def apply(self, x):
+        self.calls += 1
+        return self.base.apply(x) if self.calls < 4 else np.full(self.dim, 1e152)
 
 
 class NaNOnCall(ConvexSet):
@@ -654,6 +663,34 @@ def test_strong_solve_converges_without_rows_for_C(seed, make_C):
     assert np.linalg.norm(report.final_x - planted.planted_solution) <= 1e-5
 
 
+# Instances of the box fixed-point family, whose solution set is a polyhedron.
+BOX_FIXED_POINT_CASES = [(n, m, seed) for n, m in ((2, 1), (3, 2), (4, 3), (5, 3)) for seed in range(3)]
+# At tol 1e-5, 1e-6 and 1e-7 every strong solve of the family ended within
+# 5.7 tol of P_Omega(x1); below tol 1e-8 a floor near 1e-5 takes over.
+FAMILY_TOL, FAMILY_DISTANCE = 1e-6, 1e-5
+
+
+@pytest.mark.parametrize("n, m, seed", BOX_FIXED_POINT_CASES)
+def test_strong_solve_converges_to_the_solution_nearest_the_start_point(n, m, seed):
+    # the strong theorem: the iterates converge to P_Omega(x1), not merely to some solution
+    problem, nearest = box_fixed_point_problem(n, m, seed)
+    report = strong_solve(problem, default_config(problem, mode="strong", tol=FAMILY_TOL))
+    assert report.status is SolveStatus.CONVERGED
+    assert np.linalg.norm(report.final_x - nearest) <= FAMILY_DISTANCE
+
+
+def test_weak_solve_of_the_family_mostly_ends_at_another_solution():
+    # the family tells the theorems apart: the weak theorem promises some
+    # solution, and on 11 of the 12 instances it is not the nearest one
+    far = 0
+    for n, m, seed in BOX_FIXED_POINT_CASES:
+        problem, nearest = box_fixed_point_problem(n, m, seed)
+        report = weak_solve(problem, default_config(problem, tol=FAMILY_TOL))
+        assert report.status is SolveStatus.CONVERGED
+        far += np.linalg.norm(report.final_x - nearest) > FAMILY_DISTANCE
+    assert far >= 10
+
+
 def test_box_faces_through_the_solution_give_the_projection_onto_its_rows(monkeypatch):
     # every other upper face of C passes through x*, so some projections onto
     # the cuts land outside C and the step adds C's supporting rows; each
@@ -837,8 +874,8 @@ class TestFailureRouting:
     )
     def test_non_finite_map_value_is_an_inner_failure(self, mode, sets, iterations, message):
         # the loop checks nothing past its start, so the NaN flows through the
-        # step and every set's projection, the public Intersection's and the
-        # rescaling branch of a Halfspace's included, into the resolvent's
+        # step and every set's projection, the public Intersection's and a
+        # Halfspace's included, into the resolvent's
         # check or the residual instead of being rejected by a projection
         planted = sp.generate_planted(3, 3, seed=1)
         problem = dataclasses.replace(planted, S=NaNFromFourthCall(planted.S), **sets(planted))
@@ -846,6 +883,24 @@ class TestFailureRouting:
         assert report.status is SolveStatus.INNER_FAILURE
         assert report.iterations == iterations
         assert message in report.message
+
+    @pytest.mark.parametrize(
+        "mode, sets, message",
+        [
+            ("weak", lambda planted: {"C": sp.Intersection([planted.C, Ball(np.zeros(3), 1e6)])}, "components"),
+            ("strong", lambda planted: {}, "inequality rows and offsets"),
+            ("strong", lambda planted: {"C": sp.Intersection([planted.C, Ball(np.zeros(3), 1e6)])}, "components"),
+        ],
+        ids=["weak-intersection-C", "strong-box", "strong-intersection-C"],
+    )
+    def test_map_value_beyond_the_bound_is_an_inner_failure(self, mode, sets, message):
+        # the value reaches a checked call inside the step, Dykstra's or the
+        # projection onto the cut rows, whose refusal ends the solve
+        planted = sp.generate_planted(3, 3, seed=2)
+        problem = dataclasses.replace(planted, S=BeyondTheBoundFromFourthCall(planted.S), **sets(planted))
+        report = SOLVERS[mode](problem, default_config(problem, mode=mode, max_iter=50))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert f"{message} must be finite and at most 1e+150 in magnitude" in report.message
 
     @pytest.mark.parametrize("call", [4, 8, 12])
     def test_non_finite_projection_in_the_supporting_row_loop_is_an_inner_failure(self, call):
