@@ -45,7 +45,6 @@ from splitep.equilibrium import (
     check_assumptions,
     prox_step,
     resolvent,
-    resolvent_oracle,
 )
 from splitep.solver import (
     ConfigError,
@@ -119,7 +118,6 @@ __all__ = [
     "project_intersection",
     "prox_step",
     "resolvent",
-    "resolvent_oracle",
     "save",
     "strong_solve",
     "strong_step",

@@ -42,7 +42,6 @@ __all__ = [
     "check_assumptions",
     "prox_step",
     "resolvent",
-    "resolvent_oracle",
 ]
 
 MONOTONE = "monotone"
@@ -78,10 +77,6 @@ class Bifunction:
     def subgradient_y(self, x, y) -> np.ndarray:
         """A selection from the subdifferential of ``f(x, .)`` at ``y``."""
         raise NotImplementedError
-
-    def evaluate_many(self, x, ys: np.ndarray) -> np.ndarray:
-        """Evaluate ``f(x, y)`` for every row ``y`` of ``ys``."""
-        return np.array([self.evaluate(x, y) for y in ys])
 
 
 def _check_metadata(monotonicity: str, c1: float, c2: float) -> tuple[str, float, float]:
@@ -157,10 +152,6 @@ class AffineVIBifunction(Bifunction):
 
     def subgradient_y(self, x, y) -> np.ndarray:
         return self.operator(x)
-
-    def evaluate_many(self, x, ys: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (np.asarray(ys, dtype=float) - x) @ self.operator(x)
 
     def __eq__(self, other) -> bool:
         return (
@@ -406,52 +397,6 @@ def _fbf(F, K, start: np.ndarray, tol: float, max_inner: int, name: str) -> Prox
             w = K._project(z - gamma * (forward_z - forward_w))
             forward_w = F(w)
     raise InnerSolveError(f"{what} did not converge", displacement)
-
-
-def resolvent_oracle(g: Bifunction, Q: ConvexSet, alpha: float, u, grid_points: int = 1001) -> np.ndarray:
-    """Brute-force resolvent for bounded sets of dimension <= 2.
-
-    Scans a uniform grid over ``Q`` (``grid_points`` nodes per axis) and
-    returns the grid point ``w`` minimizing the worst violation
-
-    ``max_v [ -g(w, v) - (1/alpha) <v - w, w - u> ]``
-
-    over the same grid of ``v``. The accuracy is the grid spacing. Intended
-    as an independent check of :func:`resolvent`, not for production use.
-    """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("resolvent parameter must be positive")
-    if Q.dim > 2:
-        raise ValueError("the grid oracle supports dimensions 1 and 2 only")
-    bb = Q.bounding_box()
-    if bb is None:
-        raise ValueError("the grid oracle requires a bounded set")
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    u = as_vector(u, Q.dim)
-
-    axes = [np.linspace(bb[0][i], bb[1][i], grid_points) for i in range(Q.dim)]
-    if Q.dim == 1:
-        candidates = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        candidates = np.column_stack([g0.ravel(), g1.ravel()])
-    inside = np.array([Q.membership_violation(p) <= 1e-9 for p in candidates])
-    grid = candidates[inside]
-    if grid.shape[0] == 0:
-        raise ValueError("no grid points fall inside the set; refine the grid")
-
-    best_point = None
-    best_violation = np.inf
-    for w in grid:
-        values = g.evaluate_many(w, grid)
-        inner_terms = (grid - w) @ (w - u) / alpha
-        worst = float(np.max(-values - inner_terms))
-        if worst < best_violation:
-            best_violation = worst
-            best_point = w
-    return np.array(best_point)
 
 
 @dataclass

@@ -51,6 +51,7 @@ __all__ = [
 # Below this norm a halfspace normal is considered exactly zero, encoding the
 # whole space (offset >= -TINY_NORMAL) or the empty set (offset < -TINY_NORMAL).
 TINY_NORMAL = 1e-14
+_BEYOND_THE_BOUND = f"the projection onto the rows has a component beyond {MAX_MAGNITUDE:g} in magnitude"
 
 
 def _dimension(dim) -> int:
@@ -110,10 +111,6 @@ class ConvexSet:
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.membership_violation(x) <= tol
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Axis-aligned bounds enclosing the set, or None when unbounded."""
-        return None
-
 
 class WholeSpace(ConvexSet):
     """All of R^dim."""
@@ -145,9 +142,6 @@ class Box(ConvexSet):
         # the ufunc np.clip runs, without its Python wrappers
         return _clip(x, self.lower, self.upper)
 
-    def bounding_box(self):
-        return self.lower, self.upper
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Box)
@@ -175,9 +169,6 @@ class Ball(ConvexSet):
 
     def membership_violation(self, x) -> float:
         return max(0.0, norm(as_vector(x, self.dim) - self.center) - self.radius)
-
-    def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
 
     def __eq__(self, other) -> bool:
         return (
@@ -260,18 +251,6 @@ class Intersection(ConvexSet):
 
     def membership_violation(self, x) -> float:
         return max(member.membership_violation(x) for member in self.members)
-
-    def bounding_box(self):
-        lo, hi = None, None
-        for member in self.members:
-            bb = member.bounding_box()
-            if bb is None:
-                continue
-            lo = bb[0] if lo is None else np.maximum(lo, bb[0])
-            hi = bb[1] if hi is None else np.minimum(hi, bb[1])
-        if lo is None:
-            return None
-        return lo, hi
 
     def __eq__(self, other) -> bool:
         return (
@@ -402,7 +381,8 @@ def project_polyhedron(
         If ``x0`` is not a vector that ``as_vector`` admits, if ``start`` was
         made for another point or has checked more rows than ``G`` has, or if
         a row it has not checked is zero, or it or its offset has an entry
-        that ``as_vector`` refuses; the record is left as it was.
+        that ``as_vector`` refuses, or if the projection or an iterate on the
+        way has a component beyond ``MAX_MAGNITUDE``; the record is left as it was.
     EmptySetError
         If the rows are detected to be infeasible (no point satisfies all).
     PivotBudgetError
@@ -436,65 +416,71 @@ def project_polyhedron(
     # singular Gram matrix as invalid; raised, that takes the lstsq fallback.
     # Nothing else here sets the flag while the products stay finite: the scans
     # divide by nonzero norms, t is finite, and the ratio test is Python floats.
-    with np.errstate(invalid="raise"):
-        for _ in range(max_pivots):
-            # each row's violation scaled by its norm, in place on the product
-            violations = G[fresh:].dot(r)
-            violations -= h[fresh:]
-            violations /= row_scale[fresh:]
-            worst = violations.argmax()
-            if violations[worst] <= feas_scale:
-                start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
-                return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
-            p = fresh + int(worst)
-            fresh = 0
-            a_p, h_p = G[p], float(h[p])
-            dependent_sq = (1e-12 * float(row_scale[p])) ** 2
-            lam_p = 0.0
-            for _ in range(len(working) + 1):
-                if working:
-                    # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
-                    Gw = G.take(working, 0)
-                    gram, rhs = Gw.dot(Gw.T), Gw.dot(a_p)
-                    try:
-                        d = _umath_linalg.solve1(gram, rhs, signature="dd->d")
-                    except FloatingPointError:
-                        d = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-                    z = a_p - Gw.T.dot(d)
-                    d = d.tolist()
-                else:
-                    d = []
-                    z = a_p.copy()
-                z_sq = float(z.dot(z))
-                dependent = z_sq <= dependent_sq
-                # Longest multiplier-feasible dual step along the exchange
-                # direction; the blocking row's multiplier hits zero first.
-                t_dual = np.inf
-                blocking = -1
-                for idx, d_i in enumerate(d):
-                    if d_i > 1e-14:
-                        ratio = max(multipliers[idx], 0.0) / d_i
-                        if ratio < t_dual:
-                            t_dual, blocking = ratio, idx
-                if dependent:
-                    if blocking < 0:
-                        raise EmptySetError(
-                            "inequality rows are infeasible; no point satisfies them all"
-                        )
-                    t, full_step = t_dual, False
-                else:
-                    t_primal = (float(a_p.dot(r)) - h_p) / z_sq
-                    full_step = t_primal <= t_dual
-                    t = t_primal if full_step else t_dual
-                r = r - t * z
-                multipliers = [lam_i - t * d_i for lam_i, d_i in zip(multipliers, d)]
-                lam_p += t
-                if full_step:
-                    working.append(p)
-                    multipliers.append(lam_p)
-                    break
-                del working[blocking]
-                del multipliers[blocking]
+    # A tiny admitted row can send the iterate past MAX_MAGNITUDE: refused at the end, or where a product overflows.
+    try:
+        with np.errstate(invalid="raise"):
+            for _ in range(max_pivots):
+                # each row's violation scaled by its norm, in place on the product
+                violations = G[fresh:].dot(r)
+                violations -= h[fresh:]
+                violations /= row_scale[fresh:]
+                worst = violations.argmax()
+                if violations[worst] <= feas_scale:
+                    if not abs(r).max() <= MAX_MAGNITUDE:
+                        raise ValueError(_BEYOND_THE_BOUND)
+                    start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
+                    return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
+                p = fresh + int(worst)
+                fresh = 0
+                a_p, h_p = G[p], float(h[p])
+                dependent_sq = (1e-12 * float(row_scale[p])) ** 2
+                lam_p = 0.0
+                for _ in range(len(working) + 1):
+                    if working:
+                        # G.take(rows, 0) gives the bytes of G[rows] for a fraction of its cost
+                        Gw = G.take(working, 0)
+                        gram, rhs = Gw.dot(Gw.T), Gw.dot(a_p)
+                        try:
+                            d = _umath_linalg.solve1(gram, rhs, signature="dd->d")
+                        except FloatingPointError:
+                            d = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+                        z = a_p - Gw.T.dot(d)
+                        d = d.tolist()
+                    else:
+                        d = []
+                        z = a_p.copy()
+                    z_sq = float(z.dot(z))
+                    dependent = z_sq <= dependent_sq
+                    # Longest multiplier-feasible dual step along the exchange
+                    # direction; the blocking row's multiplier hits zero first.
+                    t_dual = np.inf
+                    blocking = -1
+                    for idx, d_i in enumerate(d):
+                        if d_i > 1e-14:
+                            ratio = max(multipliers[idx], 0.0) / d_i
+                            if ratio < t_dual:
+                                t_dual, blocking = ratio, idx
+                    if dependent:
+                        if blocking < 0:
+                            raise EmptySetError(
+                                "inequality rows are infeasible; no point satisfies them all"
+                            )
+                        t, full_step = t_dual, False
+                    else:
+                        t_primal = (float(a_p.dot(r)) - h_p) / z_sq
+                        full_step = t_primal <= t_dual
+                        t = t_primal if full_step else t_dual
+                    r = r - t * z
+                    multipliers = [lam_i - t * d_i for lam_i, d_i in zip(multipliers, d)]
+                    lam_p += t
+                    if full_step:
+                        working.append(p)
+                        multipliers.append(lam_p)
+                        break
+                    del working[blocking]
+                    del multipliers[blocking]
+    except FloatingPointError:
+        raise ValueError(_BEYOND_THE_BOUND) from None
     raise PivotBudgetError(float(np.max((G @ r - h) / row_scale)), max_pivots)
 
 

@@ -495,30 +495,31 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
     history: list[IterateRecord] = []
     last = failure = None
     x = as_vector(problem.x1, problem.C.dim)
-    for k in range(config.max_iter + 1):
-        if _norm(x) > DIVERGENCE_LIMIT:
-            failure = "iterates diverged; check the problem data"
-            break
-        violation = _schedule_violation(config, lambda_rule, k) or _schedule_violation(config, alpha_k_rule, k)
-        if violation is not None:
-            failure = str(violation)
-            break
-        try:
-            last = step(x, k)
-        except EmptySetError as exc:
-            failure = f"the shrinking set is empty: {exc}"
-            break
-        except (InnerSolveError, DykstraError, PivotBudgetError, ValueError) as exc:
-            failure = str(exc)  # a ValueError is a checked call refusing a value, say one beyond MAX_MAGNITUDE
-            break
-        if k % config.history_stride == 0:
-            history.append(last)
-        if not math.isfinite(last.residual):
-            failure = "non-finite residual; check the problem data"
-            break
-        x = last.next_x
-        if last.residual <= config.tol:
-            break
+    with np.errstate(over="ignore"):  # a user map's value near 1e200 overflows to inf, which the residual test reports
+        for k in range(config.max_iter + 1):
+            if _norm(x) > DIVERGENCE_LIMIT:
+                failure = "iterates diverged; check the problem data"
+                break
+            violation = _schedule_violation(config, lambda_rule, k) or _schedule_violation(config, alpha_k_rule, k)
+            if violation is not None:
+                failure = str(violation)
+                break
+            try:
+                last = step(x, k)
+            except EmptySetError as exc:
+                failure = f"the shrinking set is empty: {exc}"
+                break
+            except (InnerSolveError, DykstraError, PivotBudgetError, ValueError) as exc:
+                failure = str(exc)  # a ValueError is a checked call refusing a value, say one beyond MAX_MAGNITUDE
+                break
+            if k % config.history_stride == 0:
+                history.append(last)
+            if not math.isfinite(last.residual):
+                failure = "non-finite residual; check the problem data"
+                break
+            x = last.next_x
+            if last.residual <= config.tol:
+                break
     if last is not None and (not history or history[-1] is not last):
         history.append(last)
     if failure is not None:

@@ -93,6 +93,20 @@ def contracting_resolvent(g, Q, alpha, u, tol=1e-13, max_steps=10**6):
     raise AssertionError("the contracting resolvent loop did not converge")
 
 
+def grid_resolvent(g, box, alpha, u, grid_points):
+    """Resolvent of an affine ``g`` on a small box by brute force, accurate to the grid spacing.
+
+    Scans a uniform grid of ``grid_points`` nodes per axis of ``box`` and
+    returns the first node ``w`` in scan order with the least worst violation
+    ``max_v [-g(w, v) - <v - w, w - u> / alpha]`` over the nodes ``v``.
+    """
+    axes = np.linspace(box.lower, box.upper, grid_points).T
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
+    u = np.asarray(u, dtype=float)
+    worst = [np.max(-((grid - w) @ (g.matrix @ w + g.offset)) - (grid - w) @ (w - u) / alpha) for w in grid]
+    return grid[np.argmin(worst)]
+
+
 def projected_gradient(grad, C, start, lipschitz, tol=1e-13, max_steps=10**6):
     """Minimizer over ``C`` of a 1-strongly convex function with ``lipschitz``-Lipschitz gradient ``grad``.
 
@@ -373,7 +387,7 @@ def tangential_ball_problem(stretch: float = 1.0, shift: float = 2.0):
     return dataclasses.replace(problem, C=Ball(center, stretch * np.linalg.norm(x1 - center)))
 
 
-def box_fixed_point_problem(n: int, m: int, seed: int) -> tuple[ProblemSpec, np.ndarray]:
+def box_fixed_point_problem(n: int, m: int, seed: int, pinned: bool = False) -> tuple[ProblemSpec, np.ndarray]:
     """A problem whose solution set ``Omega`` is a polyhedron, and the projection of ``x1`` onto it.
 
     ``f`` and ``g`` vanish (zero matrices, ``c1 = c2 = 1``), so every point of
@@ -381,10 +395,15 @@ def box_fixed_point_problem(n: int, m: int, seed: int) -> tuple[ProblemSpec, np.
     equilibrium. ``S`` and ``T`` are the 0.5-averaged projections onto boxes
     ``B_S`` and ``B_T``, whose fixed points are the boxes themselves, so
     ``Omega = {x in C and B_S : A x in B_T}``; ``B_T`` lies inside ``Q``.
-    ``B_S`` sits around a seeded point of ``[-2, 2]^n``, ``B_T`` around its
-    image, so ``Omega`` holds that point, and ``x1`` is a vertex of ``C``,
-    outside ``B_S``. The reference is the exact projection of ``x1`` onto
-    the ``4 n + 2 m`` rows of ``Omega``, the point the strong theorem names.
+    ``B_S`` sits around a seeded point ``c`` of ``[-2, 2]^n``, ``B_T`` around
+    its image, so ``Omega`` holds ``c``, and ``x1`` is a vertex of ``C``,
+    outside ``B_S``. With ``pinned``, ``f(x, y) = <D (x - c), y - x>`` for a
+    0/1 diagonal ``D`` with ``n // 2`` seeded ones instead: a monotone ``f``
+    with a singular matrix when ``n > 1``, whose equilibria in ``C`` are the
+    points with ``x_i = c_i`` wherever ``D_ii = 1``. The reference is the
+    exact projection of ``x1`` onto the ``4 n + 2 m`` rows of ``Omega``, and
+    the two rows ``x_i <= c_i``, ``-x_i <= -c_i`` of each pinned coordinate:
+    the point the strong theorem names.
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
@@ -392,18 +411,22 @@ def box_fixed_point_problem(n: int, m: int, seed: int) -> tuple[ProblemSpec, np.
     B_S = Box(center - rng.uniform(0.5, 2.0, n), center + rng.uniform(0.5, 2.0, n))
     image = A @ center
     B_T = Box(image - rng.uniform(0.1, 1.0, m), image + rng.uniform(0.1, 1.0, m))
+    x1 = rng.choice([-5.0, 5.0], n)
+    D = np.diag(rng.permutation(n) < n // 2).astype(float) if pinned else np.zeros((n, n))
     problem = ProblemSpec(
         C=Box(np.full(n, -5.0), np.full(n, 5.0)),
         Q=Box(np.full(m, -1e3), np.full(m, 1e3)),
         A=DenseOperator(A),
-        f=AffineVIBifunction(np.zeros((n, n)), np.zeros(n), "monotone", 1.0, 1.0),
+        f=AffineVIBifunction(D, -D @ center, "monotone", 1.0, 1.0),
         g=AffineVIBifunction(np.zeros((m, m)), np.zeros(m), "monotone", 1.0, 1.0),
         S=Averaged(0.5, ProjectionOnto(B_S)),
         T=Averaged(0.5, ProjectionOnto(B_T)),
-        x1=rng.choice([-5.0, 5.0], n),
+        x1=x1,
     )
+    E = np.eye(n)[np.diag(D) == 1.0]
     G, h = inequality_rows(problem.C, B_S)
-    G, h = np.vstack([G, A, -A]), np.concatenate([h, B_T.upper, -B_T.lower])
+    G = np.vstack([G, A, -A, E, -E])
+    h = np.concatenate([h, B_T.upper, -B_T.lower, E @ center, -E @ center])
     return problem, project_polyhedron(problem.x1, G, h)[0]
 
 

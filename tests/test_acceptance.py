@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import splitep as sp
-from oracles import random_two_halfspaces, two_halfspace_projection_oracle
+from oracles import grid_resolvent, random_two_halfspaces, two_halfspace_projection_oracle
 from splitep.cli import main as cli_main
-from splitep.equilibrium import AffineVIBifunction, resolvent, resolvent_oracle
+from splitep.equilibrium import AffineVIBifunction, resolvent
 from splitep.sets import Ball, Box, Halfspace, WholeSpace, project_intersection
 from splitep.solver import SolveStatus, default_config, fejer_audit, weak_solve
 
@@ -117,7 +117,7 @@ def test_criterion_5_resolvent_properties():
         alpha = rng.uniform(0.5, 3.0)
         u = rng.uniform(lo - 2.0, hi + 2.0, 1)
         w = resolvent(g, box, alpha, u, tol=1e-12)
-        oracle = resolvent_oracle(g, box, alpha, u, grid_points=grid_points)
+        oracle = grid_resolvent(g, box, alpha, u, grid_points=grid_points)
         spacing = (hi - lo) / (grid_points - 1)
         worst_oracle_gap = max(worst_oracle_gap, abs(float(w[0] - oracle[0])) / spacing)
 

@@ -11,7 +11,6 @@ from splitep.equilibrium import (
     check_assumptions,
     prox_step,
     resolvent,
-    resolvent_oracle,
 )
 from splitep.sets import Ball, Box, Halfspace, Intersection, WholeSpace
 
@@ -20,6 +19,7 @@ from splitep.problems import generate_planted
 from oracles import (
     clipped_soft_threshold,
     contracting_resolvent,
+    grid_resolvent,
     quadratic_bifunction,
     quadratic_prox_reference,
     reference_affine_resolvent,
@@ -67,15 +67,6 @@ class TestBifunctionBasics:
         for _ in range(20):
             x = rng.standard_normal(3)
             assert f.evaluate(x, x) == 0.0
-
-    def test_evaluate_many_matches_scalar(self):
-        rng = np.random.default_rng(1)
-        f = random_monotone_vi(rng, 3)
-        x = rng.standard_normal(3)
-        ys = rng.standard_normal((10, 3))
-        batch = f.evaluate_many(x, ys)
-        for value, y in zip(batch, ys):
-            assert value == pytest.approx(f.evaluate(x, y), abs=1e-14)
 
     def test_metadata_validation(self):
         with pytest.raises(ValueError, match="monotonicity"):
@@ -243,7 +234,7 @@ class TestResolvent:
         g = AffineVIBifunction.with_default_constants(np.eye(1), np.array([-0.3]))
         w = resolvent(g, box, alpha=2.0, u=[0.9], tol=1e-12)
         assert abs(w[0] - 0.5) <= 1e-6
-        oracle = resolvent_oracle(g, box, alpha=2.0, u=[0.9], grid_points=4001)
+        oracle = grid_resolvent(g, box, alpha=2.0, u=[0.9], grid_points=4001)
         spacing = 2.0 / 4000
         assert abs(w[0] - oracle[0]) <= spacing
 
@@ -383,7 +374,7 @@ class TestExactResolvent:
         g = AffineVIBifunction(np.array([[0.0, 3.0], [-3.0, 0.0]]), np.array([1.0, -0.5]), "monotone", 1.5, 1.5)
         u = np.array([1.5, 0.2])
         w = resolvent(g, box, 1.0, u)
-        oracle = resolvent_oracle(g, box, 1.0, u, grid_points=81)
+        oracle = grid_resolvent(g, box, 1.0, u, grid_points=81)
         assert np.abs(w - oracle).max() <= 2.0 * 2.0 / 80
 
     @pytest.mark.parametrize("family", [random_monotone_vi, skew_plus_psd_vi])
@@ -511,7 +502,7 @@ class TestSkewResolvent:
 class TestResolventOracle:
     def test_zero_bifunction_projects(self):
         box = Box([0.0], [1.0])
-        w = resolvent_oracle(zero_bifunction(1), box, alpha=1.0, u=[2.0], grid_points=101)
+        w = grid_resolvent(zero_bifunction(1), box, alpha=1.0, u=[2.0], grid_points=101)
         assert w[0] == 1.0
 
     def test_matches_resolvent_in_two_dimensions(self):
@@ -520,7 +511,7 @@ class TestResolventOracle:
         g = random_monotone_vi(rng, 2, center=np.array([0.2, -0.1]))
         u = np.array([0.8, 0.5])
         w = resolvent(g, box, alpha=1.5, u=u, tol=1e-12)
-        oracle = resolvent_oracle(g, box, alpha=1.5, u=u, grid_points=61)
+        oracle = grid_resolvent(g, box, alpha=1.5, u=u, grid_points=61)
         spacing = 2.0 / 60
         assert np.linalg.norm(w - oracle) <= np.sqrt(2.0) * spacing
 
@@ -530,19 +521,9 @@ class TestResolventOracle:
         box = Box([-1.0], [1.0])
         g = AffineVIBifunction.with_default_constants(np.eye(1), np.array([-0.3]))
         grid_points = 2001
-        w = resolvent_oracle(g, box, alpha=1e6, u=[0.9], grid_points=grid_points)
+        w = grid_resolvent(g, box, alpha=1e6, u=[0.9], grid_points=grid_points)
         spacing = 2.0 / (grid_points - 1)
         assert abs(w[0] - 0.3) <= 10.0 * spacing
-
-    def test_dimension_limit(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            resolvent_oracle(zero_bifunction(3), Box(-np.ones(3), np.ones(3)), 1.0, np.zeros(3))
-
-    def test_requires_bounded_set(self):
-        with pytest.raises(ValueError, match="bounded"):
-            resolvent_oracle(zero_bifunction(2), WholeSpace(2), 1.0, np.zeros(2))
-        with pytest.raises(ValueError, match="bounded"):
-            resolvent_oracle(zero_bifunction(2), Halfspace([1.0, 0.0], 1.0), 1.0, np.zeros(2))
 
 
 class TestCheckAssumptions:

@@ -556,6 +556,26 @@ class TestProjectPolyhedron:
             project_polyhedron(x, G, h, start=start)
         assert same_record(start, before)
 
+    @pytest.mark.parametrize("resumed", [False, True], ids=["cold", "resumed"])
+    @pytest.mark.parametrize(
+        "G, h",
+        [([[1e-100, 0.0]], [-1e100]), ([[1e-110, 0.0], [1e100, 1e100]], [-1e100, 1e100])],
+        ids=["at-the-end", "in-a-pivot"],
+    )
+    def test_rejects_a_projection_beyond_the_bound(self, resumed, G, h):
+        # admitted rows whose projection lies near 1e200: the first was
+        # returned as it stood, the second overflowed a pivot's product into a
+        # stray FloatingPointError
+        G, h = np.vstack([[1.0, 0.0], G]), np.concatenate([[1.0], h])
+        x = np.zeros(2)
+        start = ActiveSet(x)
+        if resumed:
+            project_polyhedron(x, G[:1], h[:1], start=start)
+        before = copy.deepcopy(start)
+        with pytest.raises(ValueError, match=r"component beyond 1e\+150 in magnitude"):
+            project_polyhedron(x, G, h, start=start)
+        assert same_record(start, before)
+
     def test_record_keeps_the_norms_of_its_checked_rows(self):
         rng = np.random.default_rng(20)
         G, h = self.box_and_cuts(rng, 5, 12)
@@ -682,9 +702,3 @@ class TestProjectPolyhedronMatchesReference:
             with pytest.raises(ValueError, match="zero rows"):
                 project(np.array([2.0, 2.0]), G, np.ones(3))
 
-
-class TestRowDescriptions:
-    def test_intersection_bounding_box(self):
-        inter = Intersection([Box([-2.0], [5.0]), Ball([0.0], 1.0)])
-        lo, hi = inter.bounding_box()
-        assert lo[0] == -1.0 and hi[0] == 1.0

@@ -123,6 +123,14 @@ class BeyondTheBoundFromFourthCall(NaNFromFourthCall):
         return self.base.apply(x) if self.calls < 4 else np.full(self.dim, 1e152)
 
 
+class OverflowingOnThirdCall(NaNFromFourthCall):
+    """A user map whose third value is finite and admitted, but near 1e200, so that its square overflows."""
+
+    def apply(self, x):
+        self.calls += 1
+        return np.full(self.dim, 1e200) if self.calls == 3 else self.base.apply(x)
+
+
 class NaNOnCall(ConvexSet):
     """A user set whose ``_project`` is NaN on its ``call``-th call and ``base``'s otherwise; membership calls no ``_project``."""
 
@@ -666,14 +674,17 @@ def test_strong_solve_converges_without_rows_for_C(seed, make_C):
 # Instances of the box fixed-point family, whose solution set is a polyhedron.
 BOX_FIXED_POINT_CASES = [(n, m, seed) for n, m in ((2, 1), (3, 2), (4, 3), (5, 3)) for seed in range(3)]
 # At tol 1e-5, 1e-6 and 1e-7 every strong solve of the family ended within
-# 5.7 tol of P_Omega(x1); below tol 1e-8 a floor near 1e-5 takes over.
+# 5.7 tol of P_Omega(x1); below tol 1e-8 a floor near 1e-5 takes over. With
+# half the coordinates pinned by f, the worst at tol 1e-6 is 5.0e-6.
 FAMILY_TOL, FAMILY_DISTANCE = 1e-6, 1e-5
 
 
+@pytest.mark.parametrize("pinned", [False, True], ids=["zero-f", "pinned-f"])
 @pytest.mark.parametrize("n, m, seed", BOX_FIXED_POINT_CASES)
-def test_strong_solve_converges_to_the_solution_nearest_the_start_point(n, m, seed):
-    # the strong theorem: the iterates converge to P_Omega(x1), not merely to some solution
-    problem, nearest = box_fixed_point_problem(n, m, seed)
+def test_strong_solve_converges_to_the_solution_nearest_the_start_point(n, m, seed, pinned):
+    # the strong theorem: the iterates converge to P_Omega(x1), not merely to
+    # some solution, also where f's equilibria are a face of C (singular M)
+    problem, nearest = box_fixed_point_problem(n, m, seed, pinned)
     report = strong_solve(problem, default_config(problem, mode="strong", tol=FAMILY_TOL))
     assert report.status is SolveStatus.CONVERGED
     assert np.linalg.norm(report.final_x - nearest) <= FAMILY_DISTANCE
@@ -901,6 +912,16 @@ class TestFailureRouting:
         report = SOLVERS[mode](problem, default_config(problem, mode=mode, max_iter=50))
         assert report.status is SolveStatus.INNER_FAILURE
         assert f"{message} must be finite and at most 1e+150 in magnitude" in report.message
+
+    @pytest.mark.parametrize("mode", SOLVERS)
+    def test_overflowing_map_value_is_an_inner_failure_without_a_warning(self, mode):
+        # a norm of the huge value once overflowed with numpy's RuntimeWarning,
+        # which the error::RuntimeWarning filter turned into an exception
+        planted = sp.generate_planted(3, 3, seed=2)
+        problem = dataclasses.replace(planted, S=OverflowingOnThirdCall(planted.S))
+        report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert "non-finite residual" in report.message
 
     @pytest.mark.parametrize("call", [4, 8, 12])
     def test_non_finite_projection_in_the_supporting_row_loop_is_an_inner_failure(self, call):
