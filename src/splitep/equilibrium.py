@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splitep.linalg import DenseOperator, _norm, as_vector, operator_norm_sq_upper
+from splitep.linalg import DenseOperator, Value, _norm, _real_array, as_vector, operator_norm_sq_upper
 from splitep.sets import Box, ConvexSet, WholeSpace
 
 __all__ = [
@@ -88,7 +88,7 @@ def _check_metadata(monotonicity: str, c1: float, c2: float) -> tuple[str, float
     return monotonicity, c1, c2
 
 
-class AffineVIBifunction(Bifunction):
+class AffineVIBifunction(Bifunction, Value):
     """Bifunction ``f(x, y) = <M x + q, y - x>`` of an affine operator.
 
     The first resolvent call caches ``(alpha, inv(I + alpha M))``, one
@@ -96,8 +96,10 @@ class AffineVIBifunction(Bifunction):
     schedule that changes ``alpha`` every iteration rebuilds it every call.
     """
 
+    __match_args__ = ("matrix", "offset", "c1", "c2", "monotonicity")
+
     def __init__(self, matrix, offset, monotonicity: str, c1: float, c2: float):
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = _real_array(matrix)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("bifunction matrix must be square")
         self._linear = DenseOperator(self.matrix)  # rejects non-finite entries
@@ -152,16 +154,6 @@ class AffineVIBifunction(Bifunction):
 
     def subgradient_y(self, x, y) -> np.ndarray:
         return self.operator(x)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineVIBifunction)
-            and bool(np.array_equal(other.matrix, self.matrix))
-            and bool(np.array_equal(other.offset, self.offset))
-            and other.monotonicity == self.monotonicity
-            and other.c1 == self.c1
-            and other.c2 == self.c2
-        )
 
     def __repr__(self) -> str:
         return f"AffineVIBifunction(dim={self.dim}, monotonicity={self.monotonicity!r})"

@@ -30,9 +30,16 @@ __all__ = [
 MAX_MAGNITUDE = 1e150
 
 
+def _real_array(x) -> np.ndarray:
+    """``np.asarray(x, dtype=float)``, refusing complex input rather than dropping its imaginary part."""
+    if np.iscomplexobj(x):
+        raise ValueError("expected real numbers, got complex ones")
+    return np.asarray(x, dtype=float)
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate ``x`` as a 1-D real vector of components at most ``MAX_MAGNITUDE`` in magnitude; return float64."""
-    v = np.asarray(x, dtype=float)
+    v = _real_array(x)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
@@ -60,15 +67,37 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-class DenseOperator:
+def _same(a, b) -> bool:
+    """Equality of two fields: arrays by ``np.array_equal``, anything else by ``==`` (lists member by member)."""
+    return bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+
+
+class Value:
+    """Equality of the package's value types over their fields, named once in ``__match_args__`` in file order.
+
+    An instance equals one of its class or a subclass whose fields are equal
+    (see :func:`_same`); against another class ``__eq__`` returns
+    ``NotImplemented``. Pattern matching reads the same tuple, and a dataclass
+    generates it. Values are unhashable.
+    """
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(_same(getattr(self, name), getattr(other, name)) for name in self.__match_args__)
+
+
+class DenseOperator(Value):
     """Dense linear operator mapping dim-n vectors to dim-m vectors.
 
     The adjoint is the transpose action, so ``<A x, y> == <x, A* y>`` holds
     exactly up to floating-point rounding.
     """
 
+    __match_args__ = ("entries",)
+
     def __init__(self, entries):
-        entries = np.asarray(entries, dtype=float)
+        entries = _real_array(entries)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError(f"operator entries must be a nonempty 2-D matrix, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
@@ -91,13 +120,6 @@ class DenseOperator:
     def adjoint_apply(self, y) -> np.ndarray:
         """``A* y`` for a vector ``y`` of dimension ``m``, checked by :func:`as_vector`."""
         return self.entries.T @ as_vector(y, self.m)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseOperator):
-            return NotImplemented
-        return self.entries.shape == other.entries.shape and bool(
-            np.array_equal(self.entries, other.entries)
-        )
 
     def __repr__(self) -> str:
         return f"DenseOperator(shape={self.entries.shape})"

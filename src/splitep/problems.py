@@ -8,20 +8,21 @@ operator, both bifunctions, both nonexpansive mappings and a start point.
 
 The file format is a single JSON document with top-level keys
 ``C, Q, A, f, g, S, T, x1, planted_solution``; sets, bifunctions and maps
-are tagged by a ``type`` field. One table, ``_FORMAT``, declares each tagged
-variant's keys for both :func:`save` and :func:`load`. Only affine
-bifunctions are serializable.
+are tagged by a ``type`` field. A tagged variant declares its fields once, on
+its class, as ``__match_args__`` in file order; one table, ``_FORMAT``, adds
+only their file keys and kinds, for both :func:`save` and :func:`load`. Only
+affine bifunctions are serializable.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from splitep.equilibrium import MONOTONE, PSEUDOMONOTONE, AffineVIBifunction, Bifunction
-from splitep.linalg import DenseOperator, _norm, as_vector, norm
+from splitep.linalg import DenseOperator, Value, _norm, as_vector, norm
 from splitep.sets import (
     Averaged,
     Ball,
@@ -56,8 +57,8 @@ class ParseError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-@dataclass
-class ProblemSpec:
+@dataclass(eq=False)  # Value's equality, over the generated __match_args__
+class ProblemSpec(Value):
     """One split equilibrium problem instance.
 
     ``f`` lives on ``C`` (dimension n), ``g`` on ``Q`` (dimension m), and the
@@ -81,6 +82,8 @@ class ProblemSpec:
             raise ValueError(f"operator shape {self.A.entries.shape} does not map dim {n} to dim {m}")
         if self.S.dim != n or self.T.dim != m:
             raise ValueError("nonexpansive mappings must act on their own spaces")
+        if getattr(self.f, "dim", n) != n or getattr(self.g, "dim", m) != m:
+            raise ValueError("bifunctions must act on their own spaces")
         self.x1 = as_vector(self.x1, n)
         if self.C.membership_violation(self.x1) > 1e-9:
             raise ValueError("start point x1 must belong to the constraint set C")
@@ -96,41 +99,7 @@ class ProblemSpec:
         return self.Q.dim
 
     def with_identity_maps(self) -> "ProblemSpec":
-        return ProblemSpec(
-            C=self.C,
-            Q=self.Q,
-            A=self.A,
-            f=self.f,
-            g=self.g,
-            S=Identity(self.n),
-            T=Identity(self.m),
-            x1=self.x1,
-            planted_solution=self.planted_solution,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProblemSpec):
-            return NotImplemented
-        planted_equal = (
-            self.planted_solution is None
-            and other.planted_solution is None
-            or (
-                self.planted_solution is not None
-                and other.planted_solution is not None
-                and bool(np.array_equal(self.planted_solution, other.planted_solution))
-            )
-        )
-        return (
-            self.C == other.C
-            and self.Q == other.Q
-            and self.A == other.A
-            and self.f == other.f
-            and self.g == other.g
-            and self.S == other.S
-            and self.T == other.T
-            and bool(np.array_equal(self.x1, other.x1))
-            and planted_equal
-        )
+        return replace(self, S=Identity(self.n), T=Identity(self.m))
 
 
 def generate_planted(n: int, m: int, seed: int) -> ProblemSpec:
@@ -239,29 +208,29 @@ def verify_planted(problem: ProblemSpec, samples: int = 100, seed: int = 0) -> P
 # Serialization
 
 
-# The file form of each tagged family: type tag -> (class, fields), in file
-# order. A field is (file key, constructor keyword and attribute, kind). Kind
-# None passes the value to the constructor, which checks it; a callable
+# The file form of each tagged family: type tag -> (class, fields). The
+# fields pair, in file order, each file key with a kind; the attribute and
+# constructor keyword of each is the class's __match_args__ in the same order.
+# Kind None passes the value to the constructor, which checks it; a callable
 # converts it first, and its errors name the key; a family name reads a nested
 # entry, and [family] a nonempty list of them.
 _FORMAT = {
     "set": {
-        "whole": (WholeSpace, [("dim", "dim", None)]),
-        "box": (Box, [("lower", "lower", as_vector), ("upper", "upper", as_vector)]),
-        "ball": (Ball, [("center", "center", as_vector), ("radius", "radius", None)]),
-        "halfspace": (Halfspace, [("normal", "normal", as_vector), ("offset", "offset", None)]),
-        "intersection": (Intersection, [("members", "members", ["set"])]),
+        "whole": (WholeSpace, [("dim", None)]),
+        "box": (Box, [("lower", as_vector), ("upper", as_vector)]),
+        "ball": (Ball, [("center", as_vector), ("radius", None)]),
+        "halfspace": (Halfspace, [("normal", as_vector), ("offset", None)]),
+        "intersection": (Intersection, [("members", ["set"])]),
     },
     "mapping": {
-        "identity": (Identity, [("dim", "dim", None)]),
-        "projection": (ProjectionOnto, [("set", "target", "set")]),
-        "averaged": (Averaged, [("theta", "theta", None), ("base", "base", "mapping")]),
-        "composition": (Composition, [("outer", "outer", "mapping"), ("inner", "inner", "mapping")]),
+        "identity": (Identity, [("dim", None)]),
+        "projection": (ProjectionOnto, [("set", "set")]),
+        "averaged": (Averaged, [("theta", None), ("base", "mapping")]),
+        "composition": (Composition, [("outer", "mapping"), ("inner", "mapping")]),
     },
     "bifunction": {
         "vi_affine": (AffineVIBifunction, [
-            ("M", "matrix", None), ("q", "offset", as_vector), ("c1", "c1", None), ("c2", "c2", None),
-            ("monotonicity", "monotonicity", str),
+            ("M", None), ("q", as_vector), ("c1", None), ("c2", None), ("monotonicity", str),
         ]),
     },
 }
@@ -275,7 +244,7 @@ def _encode(value, family: str) -> dict:
     else:
         raise ValueError(f"cannot serialize {family} {value!r}; serializable variants: {', '.join(_FORMAT[family])}")
     entry = {"type": tag}
-    for key, attribute, kind in fields:
+    for attribute, (key, kind) in zip(cls.__match_args__, fields, strict=True):
         item = getattr(value, attribute)
         if isinstance(kind, list):
             item = [_encode(member, kind[0]) for member in item]
@@ -311,7 +280,7 @@ def _decode(entry, location: str, family: str):
         raise ParseError(location, f"unknown {family} variant {tag!r}")
     cls, fields = variant
     arguments = {}
-    for key, attribute, kind in fields:
+    for attribute, (key, kind) in zip(cls.__match_args__, fields, strict=True):
         item, item_location = _require(entry, key, location), f"{location}.{key}"
         if isinstance(kind, list):
             if not isinstance(item, list) or not item:

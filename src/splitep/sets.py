@@ -25,7 +25,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as _clip
 
-from splitep.linalg import MAX_MAGNITUDE, _norm, as_vector, norm
+from splitep.linalg import MAX_MAGNITUDE, Value, _norm, as_vector, norm
 
 __all__ = [
     "ActiveSet",
@@ -112,8 +112,10 @@ class ConvexSet:
         return self.membership_violation(x) <= tol
 
 
-class WholeSpace(ConvexSet):
+class WholeSpace(ConvexSet, Value):
     """All of R^dim."""
+
+    __match_args__ = ("dim",)
 
     def __init__(self, dim: int):
         self.dim = _dimension(dim)
@@ -121,15 +123,14 @@ class WholeSpace(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WholeSpace) and other.dim == self.dim
-
     def __repr__(self) -> str:
         return f"WholeSpace(dim={self.dim})"
 
 
-class Box(ConvexSet):
+class Box(ConvexSet, Value):
     """Axis-aligned box ``{x : lower <= x <= upper}`` (componentwise)."""
+
+    __match_args__ = ("lower", "upper")
 
     def __init__(self, lower, upper):
         self.lower = as_vector(lower)
@@ -142,19 +143,14 @@ class Box(ConvexSet):
         # the ufunc np.clip runs, without its Python wrappers
         return _clip(x, self.lower, self.upper)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Box)
-            and bool(np.array_equal(other.lower, self.lower))
-            and bool(np.array_equal(other.upper, self.upper))
-        )
-
     def __repr__(self) -> str:
         return f"Box(dim={self.dim})"
 
 
-class Ball(ConvexSet):
+class Ball(ConvexSet, Value):
     """Closed Euclidean ball of given center and radius >= 0."""
+
+    __match_args__ = ("center", "radius")
 
     def __init__(self, center, radius: float):
         self.center, self.radius = as_vector(center), float(radius)
@@ -170,18 +166,11 @@ class Ball(ConvexSet):
     def membership_violation(self, x) -> float:
         return max(0.0, norm(as_vector(x, self.dim) - self.center) - self.radius)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Ball)
-            and bool(np.array_equal(other.center, self.center))
-            and other.radius == self.radius
-        )
-
     def __repr__(self) -> str:
         return f"Ball(dim={self.dim}, radius={self.radius})"
 
 
-class Halfspace(ConvexSet):
+class Halfspace(ConvexSet, Value):
     """Halfspace ``{x : <normal, x> <= offset}``.
 
     Its constructor admits a normal and offset of components at most
@@ -190,6 +179,8 @@ class Halfspace(ConvexSet):
     ``size < TINY_NORMAL`` encodes the whole space when the offset is
     nonnegative (up to the same tolerance) and is rejected as empty otherwise.
     """
+
+    __match_args__ = ("normal", "offset")
 
     def __init__(self, normal, offset: float):
         self.normal = as_vector(normal)
@@ -222,19 +213,14 @@ class Halfspace(ConvexSet):
     def membership_violation(self, x) -> float:
         return max(0.0, float(self._unit.dot(as_vector(x, self.dim))) - self._level)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Halfspace)
-            and bool(np.array_equal(other.normal, self.normal))
-            and other.offset == self.offset
-        )
-
     def __repr__(self) -> str:
         return f"Halfspace(dim={self.dim})"
 
 
-class Intersection(ConvexSet):
+class Intersection(ConvexSet, Value):
     """Intersection of finitely many convex sets of one ambient dimension."""
+
+    __match_args__ = ("members",)
 
     def __init__(self, members):
         members = list(members)
@@ -251,13 +237,6 @@ class Intersection(ConvexSet):
 
     def membership_violation(self, x) -> float:
         return max(member.membership_violation(x) for member in self.members)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Intersection)
-            and len(other.members) == len(self.members)
-            and all(a == b for a, b in zip(self.members, other.members))
-        )
 
     def __repr__(self) -> str:
         return f"Intersection(dim={self.dim}, members={len(self.members)})"
@@ -524,22 +503,23 @@ class NonexpansiveMap:
         return self.apply(x)
 
 
-class Identity(NonexpansiveMap):
+class Identity(NonexpansiveMap, Value):
+    __match_args__ = ("dim",)
+
     def __init__(self, dim: int):
         self.dim = _dimension(dim)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Identity) and other.dim == self.dim
-
     def __repr__(self) -> str:
         return f"Identity(dim={self.dim})"
 
 
-class ProjectionOnto(NonexpansiveMap):
+class ProjectionOnto(NonexpansiveMap, Value):
     """Metric projection onto a convex set; its fixed points are the set itself."""
+
+    __match_args__ = ("target",)
 
     def __init__(self, target: ConvexSet):
         self.target = target
@@ -548,15 +528,14 @@ class ProjectionOnto(NonexpansiveMap):
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return self.target._project(x)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjectionOnto) and other.target == self.target
-
     def __repr__(self) -> str:
         return f"ProjectionOnto({self.target!r})"
 
 
-class Averaged(NonexpansiveMap):
+class Averaged(NonexpansiveMap, Value):
     """Convex combination ``(1 - theta) I + theta base`` with theta in (0, 1]."""
+
+    __match_args__ = ("theta", "base")
 
     def __init__(self, theta: float, base: NonexpansiveMap):
         theta = float(theta)
@@ -569,15 +548,14 @@ class Averaged(NonexpansiveMap):
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return (1.0 - self.theta) * x + self.theta * self.base._apply(x)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Averaged) and other.theta == self.theta and other.base == self.base
-
     def __repr__(self) -> str:
         return f"Averaged(theta={self.theta}, base={self.base!r})"
 
 
-class Composition(NonexpansiveMap):
+class Composition(NonexpansiveMap, Value):
     """Composition ``outer(inner(x))`` of two nonexpansive maps."""
+
+    __match_args__ = ("outer", "inner")
 
     def __init__(self, outer: NonexpansiveMap, inner: NonexpansiveMap):
         if outer.dim != inner.dim:
@@ -588,9 +566,6 @@ class Composition(NonexpansiveMap):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return self.outer._apply(self.inner._apply(x))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and other.outer == self.outer and other.inner == self.inner
 
     def __repr__(self) -> str:
         return f"Composition({self.outer!r}, {self.inner!r})"

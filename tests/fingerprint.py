@@ -1,10 +1,12 @@
-"""Print SHA-256 digests of the solvers' iterates on the acceptance grid.
+"""Print SHA-256 digests of the solvers' iterates and of the problem files on the acceptance grid.
 
-A change that must keep the iterates byte-identical runs this script on the
-old and the new tree and compares the two outputs. Each digest covers, for
-every instance of ``ACCEPTANCE_CASES`` in order, the bytes of every history
-record's ``next_x``, of the report's ``final_x``, its status, iteration count
-and number of cuts, and each cut's normal and offset.
+A change that must keep the iterates or the file format byte-identical runs
+this script on the old and the new tree and compares the two outputs. Each
+solver digest covers, for every instance of ``ACCEPTANCE_CASES`` in order, the
+bytes of every history record's ``next_x``, of the report's ``final_x``, its
+status, iteration count and number of cuts, and each cut's normal and offset.
+The last digest covers the JSON of ``problem_to_dict`` of each instance, as
+``save`` writes it.
 
 It is not collected by pytest. Run it from the repository root::
 
@@ -14,10 +16,12 @@ It is not collected by pytest. Run it from the repository root::
 
 import argparse
 import hashlib
+import json
 
 import numpy as np
 
 import splitep as sp
+from splitep.problems import problem_to_dict
 from conftest import ACCEPTANCE_CASES
 
 
@@ -40,6 +44,14 @@ def digest(mode: str, max_iter: int | None = None) -> str:
     return sha.hexdigest()
 
 
+def problem_files_digest() -> str:
+    """SHA-256 over the file form of each acceptance instance."""
+    sha = hashlib.sha256()
+    for seed, n, m in ACCEPTANCE_CASES:
+        sha.update(json.dumps(problem_to_dict(sp.generate_planted(n, m, seed=seed)), indent=2).encode())
+    return sha.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--unbudgeted", action="store_true", help="also digest strong_solve without an iteration budget")
@@ -49,6 +61,7 @@ def main() -> None:
         runs.append(("strong unbudgeted", "strong", None))
     for label, mode, max_iter in runs:
         print(f"{label:<22}{digest(mode, max_iter)}")
+    print(f"{'problem files':<22}{problem_files_digest()}")
 
 
 if __name__ == "__main__":

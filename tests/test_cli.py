@@ -151,6 +151,14 @@ class TestSolve:
         assert run_cli("solve", "--problem", path) == 3
         assert "f: Lipschitz-type constants" in capsys.readouterr().err
 
+    def test_bifunction_of_the_wrong_dimension_in_file(self, outdir, capsys):
+        path = outdir / "wide_g.json"
+        data = problem_to_dict(sp.generate_planted(3, 2, seed=1))
+        data["g"].update(M=np.eye(5).tolist(), q=[0.0] * 5)
+        path.write_text(json.dumps(data))
+        assert run_cli("solve", "--problem", path) == 3
+        assert "bifunctions must act on their own spaces" in capsys.readouterr().err
+
     def test_inner_failure_exit_code(self, outdir, capsys):
         # a bifunction declared monotone but actually expansive diverges
         path = outdir / "divergent.json"

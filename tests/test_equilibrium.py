@@ -76,6 +76,14 @@ class TestBifunctionBasics:
         with pytest.raises(ValueError, match="square"):
             AffineVIBifunction(np.ones((2, 3)), np.zeros(2), "monotone", 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "matrix, offset", [([[1 + 2j]], [0.0]), (np.array([[1 + 0j]]), [0.0]), ([[1.0]], np.array([1j]))]
+    )
+    def test_complex_entries_rejected(self, matrix, offset):
+        # the cast to float64 would keep [[1.]] of [[1+2j]]
+        with pytest.raises(ValueError, match="complex"):
+            AffineVIBifunction(matrix, offset, "monotone", 1.0, 1.0)
+
     @pytest.mark.parametrize("c1, c2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
     def test_non_finite_lipschitz_constants_rejected(self, c1, c2):
         with pytest.raises(ValueError, match="finite"):

@@ -97,6 +97,23 @@ class TestAsVector:
     def test_scalar_promotes(self):
         assert as_vector(2.0).shape == (1,)
 
+    @pytest.mark.parametrize(
+        "x",
+        [np.array([3 + 4j, 1]), [1 + 2j, 1.0], [np.complex128(1 + 2j), 1.0], np.complex128(1 + 0j), 1 + 2j],
+        ids=["array", "python-complex", "numpy-scalar-in-list", "numpy-scalar", "python-scalar"],
+    )
+    def test_refuses_complex_input(self, x):
+        # the cast to float64 would drop the imaginary part or raise a TypeError
+        with pytest.raises(ValueError, match="complex"):
+            as_vector(x)
+        with pytest.raises(ValueError, match="complex"):
+            DenseOperator(np.reshape(x, (1, -1)) if np.ndim(x) else [[x]])
+
+    def test_real_input_converts_as_before(self):
+        for x in ([1, True, "2.5"], np.array([1, 2], dtype=np.int32), [np.float32(0.5)]):
+            assert np.array_equal(as_vector(x), np.asarray(x, dtype=float))
+            assert np.array_equal(DenseOperator([x]).entries, np.asarray([x], dtype=float))
+
 
 class TestApply:
     def test_identity(self):

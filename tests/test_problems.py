@@ -1,5 +1,8 @@
 import copy
+import dataclasses
 import functools
+import inspect
+import itertools
 import json
 import operator
 import re
@@ -115,6 +118,19 @@ class TestProblemSpecValidation:
         problem = sp.generate_planted(2, 3, seed=0).with_identity_maps()
         assert problem.S == Identity(2)
         assert problem.T == Identity(3)
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_bifunction_dimension_must_match(self, which, tmp_path):
+        problem = sp.generate_planted(3, 2, seed=1)
+        wide = AffineVIBifunction(np.eye(5), np.zeros(5), "monotone", 1.0, 1.0)
+        with pytest.raises(ValueError, match="bifunctions must act on their own spaces"):
+            dataclasses.replace(problem, **{which: wide})
+        data = problem_to_dict(problem)
+        data[which].update(M=np.eye(5).tolist(), q=[0.0] * 5)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=r"^\$: bifunctions must act on their own spaces"):
+            sp.load(path)
 
 
 class TestSerialization:
@@ -354,8 +370,95 @@ class TestFileFormat:
             for tag, rest in re.findall(r'^\{"type": "(\w+)"(.*)\}$', section, flags=re.MULTILINE)
         }
         declared = {
-            tag: [key for key, _, _ in fields]
+            tag: [key for key, _ in fields]
             for variants in _FORMAT.values()
             for tag, (_, fields) in variants.items()
         }
         assert listed == declared
+
+
+def values_within(value):
+    """Yield ``value`` and, depth first, every value among its declared fields."""
+    yield value
+    for name in value.__match_args__:
+        field = getattr(value, name)
+        for item in field if isinstance(field, list) else [field]:
+            if hasattr(item, "__match_args__"):
+                yield from values_within(item)
+
+
+def changed(field):
+    """A different value of the same kind as ``field``."""
+    if isinstance(field, np.ndarray):
+        return field + 1.0
+    if isinstance(field, list):
+        return field[1:] + field[:1]
+    if isinstance(field, str):
+        return field + "!"
+    if isinstance(field, (int, float)):
+        return field + 1
+    return altered(field, field.__match_args__[0])
+
+
+def altered(value, name):
+    """A shallow copy of ``value`` with the field ``name`` changed."""
+    copied = copy.copy(value)
+    setattr(copied, name, changed(getattr(value, name)))
+    return copied
+
+
+EVERY_VALUE = list(values_within(every_variant_problem()))
+
+
+class TestValueEquality:
+    def test_every_value_class_is_covered(self):
+        classes = {type(value) for value in EVERY_VALUE}
+        assert len(classes) == 12
+        assert {cls for variants in _FORMAT.values() for cls, _ in variants.values()} <= classes
+
+    @pytest.mark.parametrize("value", EVERY_VALUE, ids=lambda value: type(value).__name__)
+    def test_a_copy_with_any_one_field_changed_is_unequal(self, value):
+        assert copy.copy(value) == value
+        for name in value.__match_args__:
+            other = altered(value, name)
+            assert other != value and value != other
+            assert not (other == value or value == other)
+
+    def test_different_variants_are_unequal(self):
+        for a, b in itertools.combinations(EVERY_VALUE, 2):
+            if type(a) is not type(b):
+                assert a != b and b != a
+        assert WholeSpace(2) != Identity(2)
+
+    def test_declared_fields_are_the_constructor_parameters(self):
+        # a new constructor argument cannot be left out of == or of the file format
+        for cls in {type(value) for value in EVERY_VALUE}:
+            assert sorted(cls.__match_args__) == sorted(inspect.signature(cls).parameters), cls
+        for variants in _FORMAT.values():
+            for cls, fields in variants.values():
+                assert len(fields) == len(cls.__match_args__), cls
+
+    def test_values_are_unhashable(self):
+        for value in EVERY_VALUE:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+
+    def test_a_set_without_declared_fields_compares_by_identity(self):
+        class Slab(sp.ConvexSet):
+            dim = 1
+
+            def _project(self, x):
+                return np.clip(x, 0.0, 1.0)
+
+        a, b = Slab(), Slab()
+        assert a == a and a != b
+        assert {a, b} == {a, b}  # still hashable
+        assert sp.Intersection([a]) != sp.Intersection([b])
+        assert sp.Intersection([a]) == sp.Intersection([a])
+
+    def test_subclass_instances_compare_by_the_declared_fields(self):
+        class NamedBox(Box):
+            pass
+
+        assert NamedBox([0.0], [1.0]) == Box([0.0], [1.0]) and Box([0.0], [1.0]) == NamedBox([0.0], [1.0])
+        assert NamedBox([0.0], [1.0]) != Box([0.0], [2.0])
