@@ -18,8 +18,8 @@ Bifunction values are immutable (user callables must be pure), and every
 operation here is a pure function, safe to call from any number of threads.
 :class:`AffineVIBifunction` fills two caches lazily, the operator-norm bound
 of its matrix (held by a :class:`~splitep.linalg.DenseOperator`) and the
-inverse its exact resolvent uses; each is replaced by one assignment, so
-threads sharing a bifunction at worst compute a value twice.
+inverse and shift its exact resolvent uses; each is replaced by one
+assignment, so threads sharing a bifunction at worst compute a value twice.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ def _check_metadata(monotonicity: str, c1: float, c2: float) -> tuple[str, float
 class AffineVIBifunction(Bifunction, Value):
     """Bifunction ``f(x, y) = <M x + q, y - x>`` of an affine operator.
 
-    The first resolvent call caches ``(alpha, inv(I + alpha M))``, one
-    ``m x m`` array, and later calls reuse it while ``alpha`` repeats; a
-    schedule that changes ``alpha`` every iteration rebuilds it every call.
+    The first resolvent call caches ``(alpha, inv(I + alpha M), alpha q)``,
+    one ``m x m`` array and the shift of the right-hand side, and later calls
+    reuse them while ``alpha`` repeats; a schedule that changes ``alpha``
+    every iteration rebuilds them every call.
     """
 
     __match_args__ = ("matrix", "offset", "c1", "c2", "monotonicity")
@@ -106,7 +107,7 @@ class AffineVIBifunction(Bifunction, Value):
         self.offset = as_vector(offset, self.matrix.shape[0])
         self.monotonicity, self.c1, self.c2 = _check_metadata(monotonicity, c1, c2)
         self.dim = self.matrix.shape[0]
-        self._inverse_cache: tuple[float, np.ndarray | None] | None = None
+        self._inverse_cache: tuple[float, np.ndarray | None, np.ndarray] | None = None
 
     @classmethod
     def with_default_constants(cls, matrix, offset, monotonicity: str = MONOTONE) -> "AffineVIBifunction":
@@ -126,8 +127,8 @@ class AffineVIBifunction(Bifunction, Value):
         """Certified upper bound on ``||M||``: the root of :func:`operator_norm_sq_upper`."""
         return math.sqrt(operator_norm_sq_upper(self._linear))
 
-    def _resolvent_inverse(self, alpha: float) -> np.ndarray | None:
-        """``inv(I + alpha M)``, cached for the last ``alpha``; None when singular.
+    def _resolvent_inverse(self, alpha: float) -> tuple[np.ndarray | None, np.ndarray]:
+        """``inv(I + alpha M)``, None when singular, and ``alpha q``, cached for the last ``alpha``.
 
         The matrix is invertible whenever ``M`` is monotone (positive
         semidefinite symmetric part), since then ``I + alpha M`` has a
@@ -139,17 +140,16 @@ class AffineVIBifunction(Bifunction, Value):
                 inverse = np.linalg.inv(np.eye(self.dim) + alpha * self.matrix)
             except np.linalg.LinAlgError:
                 inverse = None
-            # one assignment of the pair keeps it consistent across threads
-            cached = (alpha, inverse)
+            # one assignment of the triple keeps it consistent across threads
+            cached = (alpha, inverse, alpha * self.offset)
             self._inverse_cache = cached
-        return cached[1]
+        return cached[1], cached[2]
 
     def operator(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float) + self.offset
+        return self.matrix @ _real_array(x) + self.offset
 
     def evaluate(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _real_array(x), _real_array(y)
         return float(self.operator(x) @ (y - x))
 
     def subgradient_y(self, x, y) -> np.ndarray:
@@ -175,7 +175,7 @@ class CallableBifunction(Bifunction):
         return float(self._evaluate(x, y))
 
     def subgradient_y(self, x, y) -> np.ndarray:
-        return np.asarray(self._subgradient_y(x, y), dtype=float)
+        return _real_array(self._subgradient_y(x, y))
 
     def __repr__(self) -> str:
         return f"CallableBifunction(monotonicity={self.monotonicity!r})"
@@ -268,10 +268,10 @@ def _exact_affine_resolvent(g: AffineVIBifunction, Q, alpha: float, u, max_steps
     finite ``u``, when an active set repeats, or after ``max_steps`` steps;
     the caller then runs its iterative loop.
     """
-    inverse = g._resolvent_inverse(alpha)
+    inverse, shift = g._resolvent_inverse(alpha)
     if inverse is None:
         return None
-    free = inverse.dot(u - alpha * g.offset)
+    free = inverse.dot(u - shift)
     w = Q._project(free)
     if isinstance(Q, Box) and not np.count_nonzero(w != free):
         return w  # free lies in the box, so is finite; step 0 below keeps the empty active set

@@ -30,8 +30,13 @@ __all__ = [
 MAX_MAGNITUDE = 1e150
 
 
+_FLOAT = np.dtype(float)
+
+
 def _real_array(x) -> np.ndarray:
     """``np.asarray(x, dtype=float)``, refusing complex input rather than dropping its imaginary part."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT:
+        return x  # as np.asarray returns it
     if np.iscomplexobj(x):
         raise ValueError("expected real numbers, got complex ones")
     return np.asarray(x, dtype=float)

@@ -25,7 +25,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as _clip
 
-from splitep.linalg import MAX_MAGNITUDE, Value, _norm, as_vector, norm
+from splitep.linalg import MAX_MAGNITUDE, Value, _norm, _real_array, as_vector, norm
 
 __all__ = [
     "ActiveSet",
@@ -52,6 +52,7 @@ __all__ = [
 # whole space (offset >= -TINY_NORMAL) or the empty set (offset < -TINY_NORMAL).
 TINY_NORMAL = 1e-14
 _BEYOND_THE_BOUND = f"the projection onto the rows has a component beyond {MAX_MAGNITUDE:g} in magnitude"
+_largest = np.maximum.reduce
 
 
 def _dimension(dim) -> int:
@@ -65,15 +66,22 @@ class EmptySetError(ValueError):
 
 
 class DykstraError(RuntimeError):
-    """Dykstra's scheme used up its ``sweeps`` without reaching feasibility (the intersection may be empty)."""
+    """Dykstra's scheme ended after ``sweeps`` sweeps without reaching feasibility.
 
-    def __init__(self, worst_violation: float, sweeps: int):
+    ``stalled`` tells the two ends apart: the iterate stalled before the
+    budget ran out (no projection of a sweep moved it by the tolerance), or
+    the budget ran out while it still moved.
+    """
+
+    def __init__(self, worst_violation: float, sweeps: int, stalled: bool):
         self.worst_violation = worst_violation
         self.sweeps = sweeps
-        super().__init__(
-            f"alternating projections did not converge after {sweeps} sweeps; worst membership "
-            f"violation {worst_violation:.3e} (the intersection may be empty)"
-        )
+        self.stalled = stalled
+        if stalled:
+            how = f"stalled after {sweeps} sweeps: no projection of the last one moved the iterate by the tolerance"
+        else:
+            how = f"used up its {sweeps} sweeps (its sets may meet at a small angle, or the intersection may be empty)"
+        super().__init__(f"Dykstra's scheme {how}; worst membership violation {worst_violation:.3e}")
 
 
 class PivotBudgetError(RuntimeError):
@@ -198,13 +206,20 @@ class Halfspace(ConvexSet, Value):
             self._unit, self._level = self.normal / self.size, self.offset / self.size
 
     @classmethod
-    def _from_row(cls, normal: np.ndarray, offset: float) -> "Halfspace":
-        """Halfspace of a finite row of a contiguous normal with norm at least ``TINY_NORMAL``, unchecked."""
-        cut = cls.__new__(cls)
-        cut.normal, cut.offset, cut.dim, cut.is_whole_space = normal, float(offset), normal.size, False
-        cut.size = _norm(normal)
-        cut._unit, cut._level = normal / cut.size, cut.offset / cut.size
-        return cut
+    def _from_rows(cls, G: np.ndarray, h: np.ndarray, sizes: np.ndarray) -> list["Halfspace"]:
+        """Halfspaces of finite rows ``G r <= h``, unchecked, for the rows' norms ``sizes``, each at least ``TINY_NORMAL``.
+
+        One division over the rows gives every unit normal and level, with
+        the bits of a division per row.
+        """
+        cuts = []
+        units, levels = G / sizes[:, None], (h / sizes).tolist()
+        for normal, offset, size, unit, level in zip(G, h.tolist(), sizes.tolist(), units, levels):
+            cut = cls.__new__(cls)
+            cut.normal, cut.offset, cut.dim, cut.is_whole_space = normal, offset, normal.size, False
+            cut.size, cut._unit, cut._level = size, unit, level
+            cuts.append(cut)
+        return cuts
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         distance = float(self._unit.dot(x)) - self._level
@@ -273,8 +288,9 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
         If ``members`` is empty or its sets disagree on the dimension.
     DykstraError
         If, at exit, the iterate still violates some member's membership by
-        more than ``10 * tol`` (exhausted budget or a stalled sweep; either
-        way the usual cause is an empty intersection).
+        more than ``10 * tol``. Its message says whether the budget ran out,
+        as it does on an empty intersection and on sets meeting at a small
+        angle, or the iterate stalled before it.
     """
     members = list(members)
     dim = Intersection(members).dim
@@ -283,7 +299,7 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
         return members[0]._project(x)
     increments = [np.zeros(dim) for _ in members]
     current = x
-    sweeps = 0
+    sweeps, moved = 0, np.inf
     for sweeps in range(1, max_sweeps + 1):
         moved = 0.0
         for i, member in enumerate(members):
@@ -296,7 +312,7 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
             break
     worst = max(member.membership_violation(current) for member in members)
     if worst > 10.0 * tol:
-        raise DykstraError(worst, sweeps)
+        raise DykstraError(worst, sweeps, stalled=moved < tol)
     return current
 
 
@@ -367,9 +383,7 @@ def project_polyhedron(
     PivotBudgetError
         If the pivot budget is exhausted.
     """
-    x0 = np.asarray(x0, dtype=float)
-    G = np.asarray(G, dtype=float)
-    h = np.asarray(h, dtype=float)
+    x0, G, h = _real_array(x0), _real_array(G), _real_array(h)
     k = G.shape[0]
     start = ActiveSet(x0) if start is None else start
     if start.key != x0.tobytes() or start.checked > k:
@@ -379,7 +393,10 @@ def project_polyhedron(
     if start.norms.size < k:  # checked rows are unchanged and keep their norms; the added rows' go after them
         start.norms = np.concatenate((start.norms, np.zeros(max(k, start.norms.size))))
     row_scale, added, offsets = start.norms[:k], G[start.checked:], h[start.checked:]
-    if not (np.abs(added).max(initial=0.0) <= MAX_MAGNITUDE and np.abs(offsets).max(initial=0.0) <= MAX_MAGNITUDE):
+    # the ufunc's reduce runs, without max's Python wrapper; a NaN fails the test
+    if start.checked < k and not (
+        _largest(abs(added), None) <= MAX_MAGNITUDE and _largest(abs(offsets), None) <= MAX_MAGNITUDE
+    ):
         raise ValueError(f"inequality rows and offsets must be finite and at most {MAX_MAGNITUDE:g} in magnitude")
     unchecked = row_scale[start.checked:]
     np.sqrt(np.add.reduce(added * added, axis=1), out=unchecked)  # np.linalg.norm(added, axis=1)
@@ -388,8 +405,9 @@ def project_polyhedron(
     max_pivots = 200 + 10 * G.shape[1] + 2 * k
     working, multipliers, r, feas_scale = list(start.rows), list(start.multipliers), start.point, start.tol
     # The first scan starts at the added rows, or at the last row when none
-    # were added, so that it is never empty.
+    # were added, so that it is never empty; every later scan reads all rows.
     fresh = min(start.checked, k - 1)
+    scan_G, scan_h, scan_scale = G[fresh:], h[fresh:], row_scale[fresh:]
 
     # The gufunc under np.linalg.solve, without its costly wrapper, flags a
     # singular Gram matrix as invalid; raised, that takes the lstsq fallback.
@@ -400,17 +418,18 @@ def project_polyhedron(
         with np.errstate(invalid="raise"):
             for _ in range(max_pivots):
                 # each row's violation scaled by its norm, in place on the product
-                violations = G[fresh:].dot(r)
-                violations -= h[fresh:]
-                violations /= row_scale[fresh:]
+                violations = scan_G.dot(r)
+                violations -= scan_h
+                violations /= scan_scale
                 worst = violations.argmax()
                 if violations[worst] <= feas_scale:
-                    if not abs(r).max() <= MAX_MAGNITUDE:
+                    if not _largest(abs(r), None) <= MAX_MAGNITUDE:
                         raise ValueError(_BEYOND_THE_BOUND)
                     start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
                     return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
                 p = fresh + int(worst)
-                fresh = 0
+                if fresh:
+                    fresh, scan_G, scan_h, scan_scale = 0, G, h, row_scale
                 a_p, h_p = G[p], float(h[p])
                 dependent_sq = (1e-12 * float(row_scale[p])) ** 2
                 lam_p = 0.0
@@ -477,14 +496,18 @@ def halfspace_dominates(a, b) -> Halfspace:
     """
     a = as_vector(a)
     row = _dominating_row(a, as_vector(b, a.size))
-    return Halfspace(np.zeros(a.size), 0.0) if row is None else Halfspace._from_row(*row)
+    if row is None:
+        return Halfspace(np.zeros(a.size), 0.0)
+    normal, offset, size = row
+    return Halfspace._from_rows(normal[None], np.array([offset]), np.array([size]))[0]
 
 
-def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Normal and offset of :func:`halfspace_dominates`, unchecked; None for the whole space."""
+def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """Normal, offset and the normal's norm of :func:`halfspace_dominates`, unchecked; None for the whole space."""
     difference = b - a
     normal = 2.0 * difference
-    return None if _norm(normal) < TINY_NORMAL else (normal, float(difference.dot(a + b)))
+    size = _norm(normal)
+    return None if size < TINY_NORMAL else (normal, float(difference.dot(a + b)), size)
 
 
 class NonexpansiveMap:

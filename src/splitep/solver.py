@@ -34,6 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -123,10 +124,11 @@ class SolverConfig:
     """Parameters of one solve.
 
     :func:`validate` checks each schedule on its first
-    ``SCHEDULE_PROBE_COUNT`` (50) values. A solve checks every value again
-    before the step that uses it, and a value outside its admissible range
-    ends the run with the ``InnerFailure`` status; each schedule must be a
-    pure function of the iteration index, as it is read more than once.
+    ``SCHEDULE_PROBE_COUNT`` (50) values. A solve reads each schedule once
+    per iteration, checks the value and hands it to the step; a value outside
+    its admissible range ends the run with the ``InnerFailure`` status. As
+    the solve reads again the values :func:`validate` read, each schedule
+    must be a pure function of the iteration index.
 
     Attributes
     ----------
@@ -249,10 +251,9 @@ def _schedule_rules(problem) -> tuple[tuple[str, float, str, str], ...]:
     )
 
 
-def _schedule_violation(config: SolverConfig, rule, k: int) -> ConfigViolation | None:
-    """The violation of a :func:`_schedule_rules` rule by the schedule's value at ``k``, if any."""
+def _schedule_violation(rule, k: int, value) -> ConfigViolation | None:
+    """The violation of a :func:`_schedule_rules` rule by its schedule's ``value`` at ``k``, if any."""
     label, upper, name, requirement = rule
-    value = getattr(config, label)(k)
     if 0.0 < value < upper:
         return None
     return ConfigViolation(name, f"{label}({k}) = {value} must be {requirement}")
@@ -260,8 +261,9 @@ def _schedule_violation(config: SolverConfig, rule, k: int) -> ConfigViolation |
 
 def _probe_schedule(violations, config: SolverConfig, rule) -> None:
     """Append the violation of ``rule`` by the first probed schedule value that breaks it."""
+    schedule = getattr(config, rule[0])
     for k in range(SCHEDULE_PROBE_COUNT):
-        violation = _schedule_violation(config, rule, k)
+        violation = _schedule_violation(rule, k, schedule(k))
         if violation is not None:
             violations.append(violation)
             return
@@ -273,9 +275,9 @@ def _require_valid(config: SolverConfig, problem) -> None:
         raise ConfigError(violations)
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateRecord:
-    """One outer iteration: the points produced and the residual parts."""
+    """One outer iteration: the points produced and the residual parts; slotted, so it has no ``__dict__``."""
 
     k: int
     x: np.ndarray
@@ -321,6 +323,7 @@ class StrongState:
         self.anchor = as_vector(problem.x1, dim)
         self.count = 0
         self.cut_rows: list[int] = []
+        self.cut_sizes: list[float] = []  # the norm of each cut row, as _dominating_row took it
         self._G, self._h = np.zeros((64, dim)), np.zeros(64)
         self.active_set = ActiveSet(self.anchor)
 
@@ -369,8 +372,10 @@ class StrongState:
         """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space."""
         row = _dominating_row(a, b)
         if row is not None:
+            normal, offset, size = row
             self.cut_rows.append(self.count)
-            self._append(*row)
+            self.cut_sizes.append(size)
+            self._append(normal, offset)
 
     def _append(self, normal: np.ndarray, offset: float) -> None:
         if self.count == len(self._h):
@@ -385,7 +390,8 @@ class StrongState:
 
     def cuts(self) -> list[Halfspace]:
         """The stored cuts, in order, as halfspaces, not checked again."""
-        return [Halfspace._from_row(self._G[i], self._h[i]) for i in self.cut_rows]
+        rows = self.cut_rows
+        return Halfspace._from_rows(self._G[rows], self._h[rows], np.array(self.cut_sizes))
 
 
 @dataclass
@@ -403,16 +409,20 @@ class SolveReport:
     message: str = ""
 
 
-def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int) -> IterateRecord:
+def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int, lam=None, alpha_k=None) -> IterateRecord:
     """Shared portion of both iterations: the plain iteration's record.
 
     Its ``next_x`` is the corrected point ``s``; the hybrid iteration amends
-    the record in place. It runs on unchecked kernels and checks nothing: a
-    non-finite value a user's map or bifunction returns makes the residual
-    non-finite, and the driver ends the run with the ``InnerFailure`` status.
+    the record in place. ``lam`` and ``alpha_k`` are the schedules' values at
+    ``k``, read here when not given. It runs on unchecked kernels and checks
+    nothing: a non-finite value a user's map or bifunction returns makes the
+    residual non-finite, and the driver ends the run with the ``InnerFailure``
+    status.
     """
-    lam = config.lambda_schedule(k)
-    alpha_k = config.alpha_k_schedule(k)
+    if lam is None:
+        lam = config.lambda_schedule(k)
+    if alpha_k is None:
+        alpha_k = config.alpha_k_schedule(k)
 
     y = _prox_step(problem.f, problem.C, x, lam, x)
     z = _prox_step(problem.f, problem.C, x, lam, y)
@@ -445,16 +455,19 @@ def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int) -> IterateR
     )
 
 
-def weak_step(problem, config: SolverConfig, x, k: int) -> IterateRecord:
+def weak_step(problem, config: SolverConfig, x, k: int, *, lam=None, alpha_k=None) -> IterateRecord:
     """One iteration of the plain extragradient scheme from ``x`` at index ``k``.
 
-    The caller is responsible for ``x`` being a finite float vector in ``C``
-    and for ``config`` having passed :func:`validate`.
+    ``lam`` and ``alpha_k`` are ``config.lambda_schedule(k)`` and
+    ``config.alpha_k_schedule(k)``, which the step reads itself when they are
+    not given; a solve reads them once, to check them, and passes them. The
+    caller is responsible for ``x`` being a finite float vector in ``C`` and
+    for ``config`` having passed :func:`validate`.
     """
-    return _core_step(problem, config, x, k)
+    return _core_step(problem, config, x, k, lam, alpha_k)
 
 
-def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) -> IterateRecord:
+def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int, *, lam=None, alpha_k=None) -> IterateRecord:
     """One iteration of the shrinking-projection scheme from ``x`` at index ``k``.
 
     Stores the two new cuts (points at least as close to the corrected point
@@ -462,10 +475,12 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
     the whole space, and sets the record's ``next_x`` to the projection
     ``state.project_anchor()`` of the anchor; ``s`` holds the corrected
     point. A record with a non-finite residual is returned without cuts, for
-    the driver to stop on. The caller is responsible for ``x`` being a finite
-    float vector in ``C`` and for ``config`` having passed :func:`validate`.
+    the driver to stop on. ``lam`` and ``alpha_k`` are the schedules' values
+    at ``k``, as for :func:`weak_step`. The caller is responsible for ``x``
+    being a finite float vector in ``C`` and for ``config`` having passed
+    :func:`validate`.
     """
-    record = _core_step(problem, config, x, k)
+    record = _core_step(problem, config, x, k, lam, alpha_k)
     if not math.isfinite(record.residual):
         return record
     state.add_cut(record.next_x, record.t)
@@ -479,8 +494,9 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int) ->
 
 
 def _solve(problem, config: SolverConfig, step) -> SolveReport:
-    """Iterate ``step(x, k) -> IterateRecord`` from ``problem.x1``.
+    """Iterate ``step(x, k, lam=..., alpha_k=...) -> IterateRecord`` from ``problem.x1``.
 
+    Reads each schedule once per iteration and hands its value to the step.
     Stops at the first record whose residual is at most ``config.tol``,
     after ``config.max_iter + 1`` records, or on the first failure: iterates
     beyond ``DIVERGENCE_LIMIT``, a schedule value outside its admissible
@@ -492,6 +508,8 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
     """
     _require_valid(config, problem)
     lambda_rule, alpha_k_rule = _schedule_rules(problem)
+    lambda_schedule, lambda_upper = config.lambda_schedule, lambda_rule[1]
+    alpha_k_schedule, alpha_k_upper = config.alpha_k_schedule, alpha_k_rule[1]
     history: list[IterateRecord] = []
     last = failure = None
     x = as_vector(problem.x1, problem.C.dim)
@@ -500,12 +518,12 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
             if _norm(x) > DIVERGENCE_LIMIT:
                 failure = "iterates diverged; check the problem data"
                 break
-            violation = _schedule_violation(config, lambda_rule, k) or _schedule_violation(config, alpha_k_rule, k)
-            if violation is not None:
-                failure = str(violation)
+            lam, alpha_k = lambda_schedule(k), alpha_k_schedule(k)
+            if not (0.0 < lam < lambda_upper and 0.0 < alpha_k < alpha_k_upper):  # the rules, inline
+                failure = str(_schedule_violation(lambda_rule, k, lam) or _schedule_violation(alpha_k_rule, k, alpha_k))
                 break
             try:
-                last = step(x, k)
+                last = step(x, k, lam=lam, alpha_k=alpha_k)
             except EmptySetError as exc:
                 failure = f"the shrinking set is empty: {exc}"
                 break
@@ -550,7 +568,7 @@ def weak_solve(problem, config: SolverConfig | None = None) -> SolveReport:
         config = default_config(problem, mode=WEAK)
     if config.mode != WEAK:
         raise ValueError("weak_solve requires a config with mode='weak'")
-    return _solve(problem, config, lambda x, k: weak_step(problem, config, x, k))
+    return _solve(problem, config, partial(weak_step, problem, config))
 
 
 def strong_solve(problem, config: SolverConfig | None = None) -> SolveReport:
@@ -566,7 +584,7 @@ def strong_solve(problem, config: SolverConfig | None = None) -> SolveReport:
     if config.mode != STRONG:
         raise ValueError("strong_solve requires a config with mode='strong'")
     state = StrongState(problem)
-    report = _solve(problem, config, lambda x, k: strong_step(problem, config, state, x, k))
+    report = _solve(problem, config, partial(strong_step, problem, config, state))
     report.cuts = state.cuts()
     return report
 

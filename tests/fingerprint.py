@@ -5,8 +5,10 @@ this script on the old and the new tree and compares the two outputs. Each
 solver digest covers, for every instance of ``ACCEPTANCE_CASES`` in order, the
 bytes of every history record's ``next_x``, of the report's ``final_x``, its
 status, iteration count and number of cuts, and each cut's normal and offset.
-The last digest covers the JSON of ``problem_to_dict`` of each instance, as
-``save`` writes it.
+The cut geometry digest covers, for the strong runs in the order printed,
+each reported cut's norm ``size``, unit normal and level, which the solver
+derives from its rows. The last digest covers the JSON of ``problem_to_dict``
+of each instance, as ``save`` writes it.
 
 It is not collected by pytest. Run it from the repository root::
 
@@ -25,8 +27,8 @@ from splitep.problems import problem_to_dict
 from conftest import ACCEPTANCE_CASES
 
 
-def digest(mode: str, max_iter: int | None = None) -> str:
-    """SHA-256 over the runs of one solver on the acceptance grid."""
+def digest(mode: str, max_iter: int | None = None, geometry=None) -> str:
+    """SHA-256 over the runs of one solver on the acceptance grid; each cut's geometry goes into ``geometry``."""
     sha = hashlib.sha256()
     for seed, n, m in ACCEPTANCE_CASES:
         problem = sp.generate_planted(n, m, seed=seed)
@@ -41,6 +43,10 @@ def digest(mode: str, max_iter: int | None = None) -> str:
         for cut in report.cuts:
             sha.update(cut.normal.tobytes())
             sha.update(np.float64(cut.offset).tobytes())
+            if geometry is not None:
+                geometry.update(np.float64(cut.size).tobytes())
+                geometry.update(cut._unit.tobytes())
+                geometry.update(np.float64(cut._level).tobytes())
     return sha.hexdigest()
 
 
@@ -59,8 +65,10 @@ def main() -> None:
     runs = [("weak", "weak", None), ("strong max_iter=1000", "strong", 1000)]
     if args.unbudgeted:
         runs.append(("strong unbudgeted", "strong", None))
+    geometry = hashlib.sha256()
     for label, mode, max_iter in runs:
-        print(f"{label:<22}{digest(mode, max_iter)}")
+        print(f"{label:<22}{digest(mode, max_iter, geometry if mode == 'strong' else None)}")
+    print(f"{'cut geometry':<22}{geometry.hexdigest()}")
     print(f"{'problem files':<22}{problem_files_digest()}")
 
 

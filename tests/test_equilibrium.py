@@ -84,6 +84,26 @@ class TestBifunctionBasics:
         with pytest.raises(ValueError, match="complex"):
             AffineVIBifunction(matrix, offset, "monotone", 1.0, 1.0)
 
+    @pytest.mark.parametrize("x, y", [(np.array([1 + 1j, 0.0]), np.zeros(2)), (np.zeros(2), [0.0, 2j])])
+    def test_complex_points_rejected(self, x, y):
+        # the cast to float64 dropped the imaginary part: evaluate([1+1j, 0], 0) gave -1.0
+        f = AffineVIBifunction(np.eye(2), np.zeros(2), "monotone", 1.0, 1.0)
+        with pytest.raises(ValueError, match="complex"):
+            f.evaluate(x, y)
+        for point in (x, y):
+            if np.iscomplexobj(point):
+                with pytest.raises(ValueError, match="complex"):
+                    f.operator(point)
+                with pytest.raises(ValueError, match="complex"):
+                    f.subgradient_y(point, np.zeros(2))
+
+    def test_complex_subgradient_of_a_callable_rejected(self):
+        g = CallableBifunction(lambda x, y: 0.0, lambda x, y: np.asarray(y) * (1 + 1j), "monotone", 1.0, 1.0)
+        with pytest.raises(ValueError, match="complex"):
+            g.subgradient_y(np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="complex"):
+            resolvent(g, WholeSpace(2), 1.0, np.ones(2))
+
     @pytest.mark.parametrize("c1, c2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
     def test_non_finite_lipschitz_constants_rejected(self, c1, c2):
         with pytest.raises(ValueError, match="finite"):

@@ -302,6 +302,32 @@ class TestProjectIntersection:
             project_intersection(members, [0.0], max_sweeps=50)
         assert excinfo.value.worst_violation > 0.0
 
+    def test_a_thin_wedge_runs_out_of_sweeps_and_says_so(self):
+        # {x2 <= 0} and {sin(0.01) x1 - cos(0.01) x2 <= 0} hold the origin, yet
+        # 10,000 sweeps end 3.7e-3 short of it; the message once called the
+        # intersection possibly empty and did not say the budget ran out
+        theta = 0.01
+        members = [Halfspace([0.0, 1.0], 0.0), Halfspace([math.sin(theta), -math.cos(theta)], 0.0)]
+        with pytest.raises(DykstraError) as excinfo:
+            project_intersection(members, [1.0, 1.0])
+        assert not excinfo.value.stalled and excinfo.value.sweeps == 10_000
+        assert 3e-3 < excinfo.value.worst_violation < 4e-3
+        assert "used up its 10000 sweeps" in str(excinfo.value)
+        assert "small angle" in str(excinfo.value)
+
+    def test_a_stall_short_of_feasibility_says_so(self):
+        # a member whose projection leaves every point where it is, though its
+        # membership test puts them outside: the first sweep moves nothing
+        class Stuck(Box):
+            def membership_violation(self, x):
+                return 1.0
+
+        members = [Stuck([-1.0], [1.0]), Box([-1.0], [1.0])]
+        with pytest.raises(DykstraError) as excinfo:
+            project_intersection(members, [0.5])
+        assert excinfo.value.stalled and excinfo.value.sweeps == 1
+        assert "stalled after 1 sweeps" in str(excinfo.value)
+
     def test_requires_members(self):
         with pytest.raises(ValueError):
             project_intersection([], [0.0])
@@ -500,6 +526,14 @@ class TestProjectPolyhedron:
             ActiveSet(x0)
         with pytest.raises(ValueError, match=BEYOND_THE_BOUND):
             project_polyhedron(x0, np.eye(2), np.ones(2))
+
+    @pytest.mark.parametrize("which", ["x0", "G", "h"])
+    def test_rejects_complex_input(self, which):
+        # the cast to float64 dropped the imaginary part: x0 = [2+5j, 0] projected to [1, 0]
+        args = {"x0": np.array([2.0, 0.0]), "G": np.array([[1.0, 0.0]]), "h": np.array([1.0])}
+        args[which] = args[which] + 5j
+        with pytest.raises(ValueError, match="complex"):
+            project_polyhedron(args["x0"], args["G"], args["h"])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_a_non_finite_point(self, value):

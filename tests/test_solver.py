@@ -604,6 +604,20 @@ def test_cut_rows_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch):
     assert all(cut.size == np.linalg.norm(normal) for cut, normal in zip(report.cuts, stored))
 
 
+def test_reported_cuts_hold_what_the_halfspace_constructor_takes_from_their_rows():
+    # the report divides all cut rows by their norms at once; each cut must
+    # hold the norm, unit normal and level the constructor takes row by row
+    problem = sp.generate_planted(10, 10, seed=5)
+    report = strong_solve(problem, default_config(problem, mode="strong", max_iter=300))
+    assert len(report.cuts) == 2 * (report.iterations + 1)
+    for cut in report.cuts:
+        built = Halfspace(cut.normal, cut.offset)
+        assert cut == built and not cut.is_whole_space and cut.dim == built.dim
+        assert type(cut.offset) is type(cut.size) is type(cut._level) is float
+        assert np.float64([cut.size, cut._level]).tobytes() == np.float64([built.size, built._level]).tobytes()
+        assert cut._unit.tobytes() == built._unit.tobytes()
+
+
 def test_solve_loop_calls_the_projections_by_the_names_the_benchmark_traces(monkeypatch):
     # bench/spans.py times the shrinking-set projection by replacing
     # project_polyhedron in splitep.solver, and reads the rows' offsets h as
@@ -1100,6 +1114,55 @@ class TestVariableSchedules:
             assert report.status is SolveStatus.CONVERGED
             assert np.linalg.norm(report.final_x - problem.planted_solution) <= 1e-4
             assert report.history[0].lambda_k != report.history[5].lambda_k
+
+
+    @pytest.mark.parametrize("mode", SOLVERS)
+    def test_a_solve_reads_each_schedule_once_per_iteration(self, mode):
+        # validate probes the first 50 values; then the loop reads each value
+        # once, checks it and hands it to the step, which once read it again
+        problem = sp.generate_planted(3, 3, seed=17)
+        base = default_config(problem, mode=mode)
+        reads = {"lambda_schedule": [], "alpha_k_schedule": []}
+
+        def counted(name):
+            schedule = getattr(base, name)
+            return lambda k: reads[name].append(k) or schedule(k)
+
+        config = dataclasses.replace(base, **{name: counted(name) for name in reads})
+        report = SOLVERS[mode](problem, config)
+        assert report.status is SolveStatus.CONVERGED
+        for ks in reads.values():
+            assert ks == list(range(50)) + list(range(report.iterations + 1))
+
+    @pytest.mark.parametrize("mode", SOLVERS)
+    def test_a_step_takes_the_schedule_values_it_is_handed(self, mode):
+        # the values handed in give the record the step reads itself from
+        # schedules of those values, bit for bit
+        problem = sp.generate_planted(5, 5, seed=4)
+        config = default_config(problem, mode=mode)
+        lam, alpha_k = 0.5 * config.lambda_schedule(3), 2.0
+        constant = dataclasses.replace(
+            config, lambda_schedule=constant_schedule(lam), alpha_k_schedule=constant_schedule(alpha_k)
+        )
+        records = []
+        for cfg, values in ((config, dict(lam=lam, alpha_k=alpha_k)), (constant, {})):
+            if mode == "weak":
+                records.append(weak_step(problem, cfg, problem.x1, 3, **values))
+            else:
+                records.append(strong_step(problem, cfg, StrongState(problem), problem.x1, 3, **values))
+        handed, read = records
+        assert (handed.lambda_k, handed.alpha_k) == (lam, alpha_k)
+        for field in dataclasses.fields(IterateRecord):
+            assert same_bits(getattr(handed, field.name), getattr(read, field.name)), field.name
+
+
+def test_iterate_records_have_no_instance_dict():
+    # a long run keeps one record per kept iteration; slots make each smaller
+    problem = sp.generate_planted(2, 2, seed=1)
+    record = weak_step(problem, default_config(problem), problem.x1, 0)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.note = "not a field"
 
 
 class TestSepMode:
