@@ -1,6 +1,6 @@
 """Command-line interface: generate instances, solve, verify, benchmark.
 
-Exit codes: 0 success, 2 validation error, 3 parse error, 4 inner failure.
+Exit codes: 0 success, 2 validation error, 3 parse or file error, 4 inner failure.
 Traces are CSV (one row per outer iteration, including iteration 0), reports
 are JSON. When an output path is not given explicitly, files are written
 under the directory named by ``SPLITEP_OUTPUT_DIR`` (default: the current
@@ -289,7 +289,7 @@ def run(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: cannot parse problem file: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that is missing, a directory or not readable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConfigError as exc:

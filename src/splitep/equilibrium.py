@@ -146,10 +146,10 @@ class AffineVIBifunction(Bifunction, Value):
         return cached[1], cached[2]
 
     def operator(self, x) -> np.ndarray:
-        return self.matrix @ _real_array(x) + self.offset
+        return self.matrix @ as_vector(x, self.dim) + self.offset
 
     def evaluate(self, x, y) -> float:
-        x, y = _real_array(x), _real_array(y)
+        x, y = as_vector(x, self.dim), as_vector(y, self.dim)
         return float(self.operator(x) @ (y - x))
 
     def subgradient_y(self, x, y) -> np.ndarray:
@@ -354,13 +354,15 @@ def resolvent(
 
 def _resolvent(g, Q, alpha: float, u: np.ndarray, tol=1e-9, max_inner=10_000) -> np.ndarray:
     """:func:`resolvent` unchecked: ``alpha > 0`` and ``u`` a finite float vector of dimension ``Q.dim``."""
-    if isinstance(g, AffineVIBifunction) and isinstance(Q, (Box, WholeSpace)):
+    affine = isinstance(g, AffineVIBifunction)
+    if affine and isinstance(Q, (Box, WholeSpace)):
         w = _exact_affine_resolvent(g, Q, alpha, u, max_inner)
         if w is not None:
             return w
 
     def forward(w):
-        return alpha * g.subgradient_y(w, w) + (w - u)
+        # the affine product unchecked: a diverging loop ends in InnerSolveError, not in as_vector's ValueError
+        return alpha * (g.matrix @ w + g.offset if affine else g.subgradient_y(w, w)) + (w - u)
 
     return _fbf(forward, Q, Q._project(u), tol, max_inner, "resolvent").minimizer
 
@@ -405,7 +407,7 @@ class AssumptionReport:
     lipschitz_type: float
 
     def worst(self) -> float:
-        return max(self.diagonal, self.monotonicity, self.pseudomonotonicity, self.lipschitz_type)
+        return max(vars(self).values())  # the fields in order, as max is order-sensitive under NaN
 
 
 def check_assumptions(f: Bifunction, domain: ConvexSet, samples: int = 200, seed: int = 0) -> AssumptionReport:

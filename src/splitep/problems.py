@@ -157,15 +157,7 @@ class PlantedReport:
     g_equilibrium: float
 
     def worst(self) -> float:
-        return max(
-            self.x1_membership,
-            self.solution_membership,
-            self.image_membership,
-            self.s_fixed_point,
-            self.t_fixed_point,
-            self.f_equilibrium,
-            self.g_equilibrium,
-        )
+        return max(vars(self).values())  # the fields in order, as max is order-sensitive under NaN
 
 
 def verify_planted(problem: ProblemSpec, samples: int = 100, seed: int = 0) -> PlantedReport:
@@ -343,10 +335,12 @@ def save(problem: ProblemSpec, path) -> None:
 
 
 def load(path) -> ProblemSpec:
-    """Read a problem from ``path``; malformed files raise :class:`ParseError`."""
+    """Read a problem from ``path``; malformed files, UTF-8 decoding included, raise :class:`ParseError`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}", "the file is not UTF-8 text") from None
     return problem_from_dict(data)

@@ -206,12 +206,14 @@ class Halfspace(ConvexSet, Value):
             self._unit, self._level = self.normal / self.size, self.offset / self.size
 
     @classmethod
-    def _from_rows(cls, G: np.ndarray, h: np.ndarray, sizes: np.ndarray) -> list["Halfspace"]:
-        """Halfspaces of finite rows ``G r <= h``, unchecked, for the rows' norms ``sizes``, each at least ``TINY_NORMAL``.
+    def _from_rows(cls, G: np.ndarray, h: np.ndarray) -> list["Halfspace"]:
+        """Halfspaces of finite rows ``G r <= h``, unchecked, each of norm at least ``TINY_NORMAL``.
 
         One division over the rows gives every unit normal and level, with
         the bits of a division per row.
         """
+        # stacked 1 x n by n x 1 products run ndarray.dot's kernel per row, so each size has _norm's bits
+        sizes = np.sqrt(np.matmul(G[:, None, :], G[:, :, None]).ravel())
         cuts = []
         units, levels = G / sizes[:, None], (h / sizes).tolist()
         for normal, offset, size, unit, level in zip(G, h.tolist(), sizes.tolist(), units, levels):
@@ -317,15 +319,16 @@ def project_intersection(members, x, tol: float = 1e-10, max_sweeps: int = 10_00
 
 
 class ActiveSet:
-    """Where :func:`project_polyhedron` stopped projecting the point ``x0`` the record is made for.
+    """The rows ``G r <= h`` stored for the point ``x0``, and where :func:`project_polyhedron` stopped projecting it.
 
     ``key`` and ``tol``, the bytes of ``x0``, which :func:`~splitep.linalg.as_vector`
     must admit, and its feasibility tolerance ``1e-12 (1 + ||x0||)``, never change.
-    ``rows``, ``multipliers``, ``point`` and ``checked``, the working rows,
-    their multipliers, the projection so far and how many leading rows it
-    satisfies, start cold: none, ``x0`` and 0. The leading ``checked``
-    entries of ``norms``, a buffer that grows by doubling, are the norms of
-    those rows. The caller must not modify ``point`` or ``norms`` in place.
+    ``G``, ``h`` and ``norms`` view the ``count`` stored rows, their offsets
+    and the norms of the leading ``checked`` ones, kept in three buffers that
+    grow together by doubling. ``rows``, ``multipliers``, ``point`` and
+    ``checked``, the working rows, their multipliers, the projection so far
+    and how many leading rows it satisfies, start cold: none, ``x0`` and 0.
+    The caller must not modify ``point`` or the views in place.
     """
 
     def __init__(self, x0):
@@ -335,8 +338,25 @@ class ActiveSet:
         self.point = x0.copy()
         self.rows: tuple[int, ...] = ()
         self.multipliers: list[float] = []
-        self.checked = 0
-        self.norms = np.zeros(0)
+        self.count = self.checked = 0
+        self._G, self._h, self._norms = np.zeros((0, x0.size)), np.zeros(0), np.zeros(0)
+
+    G = property(lambda self: self._G[: self.count])
+    h = property(lambda self: self._h[: self.count])
+    norms = property(lambda self: self._norms[: self.checked])
+
+    def append(self, normal: np.ndarray, offset: float) -> None:
+        """Store the row ``<normal, r> <= offset``, unchecked: the next projection checks it."""
+        if self.count == self._h.size:
+            self._reserve(self.count + 1)
+        self._G[self.count], self._h[self.count] = normal, offset
+        self.count += 1
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the three buffers together to hold ``rows`` rows, at least doubling them; past ``count`` is scratch."""
+        size = max(rows, 2 * self._h.size)
+        self._G = np.resize(self._G, (size, self._G.shape[1]))
+        self._h, self._norms = np.resize(self._h, size), np.resize(self._norms, size)
 
 
 def project_polyhedron(
@@ -360,21 +380,21 @@ def project_polyhedron(
 
     Returns the projection together with the active row indices (the working
     rows with positive multipliers). The iteration runs from a ``start``
-    record made for ``x0``, a new one when none is given, and writes its end
-    state back: the next call with the same record may add rows after the
-    old ones but must leave those unchanged. It resumes from the stored
-    point and multipliers, takes the norms of the added rows only, and its
-    first scan reads only the added rows, as the others held at that point
-    to the record's tolerance. A call with no rows returns the record's
-    point and leaves the record as it was. Unlike Dykstra's scheme this is
-    insensitive to nearly parallel rows, but it needs the explicit
-    inequality description.
+    record made for ``x0``, a new one when none is given, whose stored rows
+    must lead ``G`` and ``h`` (its own ``start.G`` and ``start.h`` do). A
+    call that succeeds stores the rows past those and writes its end state
+    back. It resumes from the stored point and multipliers, takes the norms
+    of the rows not yet checked only, and its first scan reads only those,
+    as the others held at that point to the record's tolerance. A call with
+    no rows returns the record's point and leaves the record as it was.
+    Unlike Dykstra's scheme this is insensitive to nearly parallel rows, but
+    it needs the explicit inequality description.
 
     Raises
     ------
     ValueError
         If ``x0`` is not a vector that ``as_vector`` admits, if ``start`` was
-        made for another point or has checked more rows than ``G`` has, or if
+        made for another point or stores more rows than ``G`` has, or if
         a row it has not checked is zero, or it or its offset has an entry
         that ``as_vector`` refuses, or if the projection or an iterate on the
         way has a component beyond ``MAX_MAGNITUDE``; the record is left as it was.
@@ -386,13 +406,15 @@ def project_polyhedron(
     x0, G, h = _real_array(x0), _real_array(G), _real_array(h)
     k = G.shape[0]
     start = ActiveSet(x0) if start is None else start
-    if start.key != x0.tobytes() or start.checked > k:
+    if start.key != x0.tobytes() or start.count > k:
         raise ValueError("the active-set record was made for another point or for more rows")
     if k == 0:
         return start.point, ()
-    if start.norms.size < k:  # checked rows are unchanged and keep their norms; the added rows' go after them
-        start.norms = np.concatenate((start.norms, np.zeros(max(k, start.norms.size))))
-    row_scale, added, offsets = start.norms[:k], G[start.checked:], h[start.checked:]
+    if start.count < k:  # rows past the stored ones go to scratch, and count takes them only on success
+        if start._h.size < k:
+            start._reserve(k)
+        start._G[start.count : k], start._h[start.count : k] = G[start.count :], h[start.count :]
+    row_scale, added, offsets = start._norms[:k], G[start.checked:], h[start.checked:]
     # the ufunc's reduce runs, without max's Python wrapper; a NaN fails the test
     if start.checked < k and not (
         _largest(abs(added), None) <= MAX_MAGNITUDE and _largest(abs(offsets), None) <= MAX_MAGNITUDE
@@ -425,7 +447,8 @@ def project_polyhedron(
                 if violations[worst] <= feas_scale:
                     if not _largest(abs(r), None) <= MAX_MAGNITUDE:
                         raise ValueError(_BEYOND_THE_BOUND)
-                    start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
+                    start.rows, start.multipliers, start.point = tuple(working), multipliers, r
+                    start.checked = start.count = k
                     return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
                 p = fresh + int(worst)
                 if fresh:
@@ -498,16 +521,15 @@ def halfspace_dominates(a, b) -> Halfspace:
     row = _dominating_row(a, as_vector(b, a.size))
     if row is None:
         return Halfspace(np.zeros(a.size), 0.0)
-    normal, offset, size = row
-    return Halfspace._from_rows(normal[None], np.array([offset]), np.array([size]))[0]
+    normal, offset = row
+    return Halfspace._from_rows(normal[None], np.array([offset]))[0]
 
 
-def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """Normal, offset and the normal's norm of :func:`halfspace_dominates`, unchecked; None for the whole space."""
+def _dominating_row(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Normal and offset of :func:`halfspace_dominates`, unchecked; None for the whole space."""
     difference = b - a
     normal = 2.0 * difference
-    size = _norm(normal)
-    return None if size < TINY_NORMAL else (normal, float(difference.dot(a + b)), size)
+    return None if _norm(normal) < TINY_NORMAL else (normal, float(difference.dot(a + b)))
 
 
 class NonexpansiveMap:

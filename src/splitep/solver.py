@@ -11,8 +11,8 @@ directly and is Fejer monotone with respect to every solution. The hybrid
 variant (:func:`strong_solve`) instead accumulates, per iteration, the two
 halfspaces of points at least as close to the corrected point as to the
 trial points, and re-projects the fixed anchor ``x1`` onto the constraint
-set, any closed convex one, intersected with all accumulated cuts, kept
-as rows of :class:`StrongState`, which projects the anchor and no other point.
+set, any closed convex one, intersected with all accumulated cuts, rows of
+the record :class:`StrongState` keeps for the anchor, the only point it projects.
 
 One driver loop runs both iterations: it owns the start point, the
 divergence guard, the mapping of inner-solver failures to the
@@ -304,27 +304,21 @@ class IterateRecord:
 class StrongState:
     """Anchor, and the shrinking set: ``C`` intersected with the rows ``G r <= h``.
 
-    A store of rows that projects one point, the anchor, by
-    :meth:`project_anchor`; ``C`` is reached only through its projection.
-    The rows are every cut that constrains something and every supporting
-    halfspace of ``C`` that a projection added, in the order made;
-    whole-space cuts are not stored. A supporting row holds all of ``C``, so
-    it leaves the shrinking set as it was. Rows are never dropped: the
-    nesting of the constraint sets, which the convergence argument relies
-    on, would break otherwise. Row indices are stable and stored rows never
-    change, so the end state of each exact projection, kept in the record
-    ``active_set`` made for the anchor, stays valid after appending, and the
-    next projection resumes from it, row norms included.
+    Projects one point, the anchor, by :meth:`project_anchor`; ``C`` is
+    reached only through its projection. The record ``active_set`` made for
+    the anchor stores the rows: every cut that constrains something (their
+    indices are ``cut_rows``) and every supporting halfspace of ``C`` that a
+    projection added, in the order made. A supporting row holds all of
+    ``C``, so it leaves the shrinking set as it was. Rows are never dropped:
+    the nesting of the constraint sets, which the convergence argument
+    relies on, would break otherwise. Stored rows never change, so each
+    projection resumes from where the last one stopped.
     """
 
     def __init__(self, problem):
         self.C = problem.C
-        dim = problem.C.dim
-        self.anchor = as_vector(problem.x1, dim)
-        self.count = 0
+        self.anchor = as_vector(problem.x1, problem.C.dim)
         self.cut_rows: list[int] = []
-        self.cut_sizes: list[float] = []  # the norm of each cut row, as _dominating_row took it
-        self._G, self._h = np.zeros((64, dim)), np.zeros(64)
         self.active_set = ActiveSet(self.anchor)
 
     def project_anchor(self) -> np.ndarray:
@@ -345,13 +339,13 @@ class StrongState:
         was rounding rather than a normal of ``C`` at ``p``, and ``r`` lies in
         ``C`` to working precision: it is returned.
         """
+        record = self.active_set
         for _ in range(SUPPORT_ROUNDS):
-            G, h = self.rows()
-            r = project_polyhedron(self.anchor, G, h, start=self.active_set)[0]
+            r = project_polyhedron(self.anchor, record.G, record.h, start=record)[0]
             p = self.C._project(r)
             normal = r - p
             gap = _norm(normal)
-            if gap <= self.active_set.tol:
+            if gap <= record.tol:
                 return r
             push = 1e-4 * (1.0 + _norm(p))
             if gap < push:
@@ -363,7 +357,7 @@ class StrongState:
             offset = float(normal.dot(p))  # finite only when normal and p are
             if not abs(offset) < math.inf:
                 raise InnerSolveError("the shrinking-set projection met a non-finite supporting row of C", offset)
-            self._append(normal, offset)
+            record.append(normal, offset)
         raise InnerSolveError(
             f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap
         )
@@ -372,26 +366,13 @@ class StrongState:
         """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space."""
         row = _dominating_row(a, b)
         if row is not None:
-            normal, offset, size = row
-            self.cut_rows.append(self.count)
-            self.cut_sizes.append(size)
-            self._append(normal, offset)
-
-    def _append(self, normal: np.ndarray, offset: float) -> None:
-        if self.count == len(self._h):
-            self._G = np.concatenate([self._G, np.zeros_like(self._G)])
-            self._h = np.concatenate([self._h, np.zeros_like(self._h)])
-        self._G[self.count], self._h[self.count] = normal, offset
-        self.count += 1
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored rows ``G`` and ``h``."""
-        return self._G[: self.count], self._h[: self.count]
+            self.cut_rows.append(self.active_set.count)
+            self.active_set.append(*row)
 
     def cuts(self) -> list[Halfspace]:
         """The stored cuts, in order, as halfspaces, not checked again."""
         rows = self.cut_rows
-        return Halfspace._from_rows(self._G[rows], self._h[rows], np.array(self.cut_sizes))
+        return Halfspace._from_rows(self.active_set.G[rows], self.active_set.h[rows])
 
 
 @dataclass

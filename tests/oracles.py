@@ -270,16 +270,17 @@ def reference_project_polyhedron(
     demand bit-equal points, active rows and ``ActiveSet`` records from the
     library's version on the same calls. Only the record follows the
     library: it is made for its point, which a call must be for, it carries
-    the tolerance, and it keeps the norms of the checked rows, which every
-    call here takes afresh for all rows; a call with no rows returns its
-    point.
+    the tolerance, a call that succeeds stores the rows past those it holds,
+    through its public ``append``, and the record keeps the norms of the
+    checked rows, which every call here takes afresh for all rows; a call
+    with no rows returns its point.
     """
     x0 = np.asarray(x0, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     k = G.shape[0]
     start = ActiveSet(x0) if start is None else start
-    if start.key != x0.tobytes() or start.checked > k:
+    if start.key != x0.tobytes() or start.count > k:
         raise ValueError("the active-set record was made for another point or for more rows")
     if k == 0:
         return start.point, ()
@@ -297,8 +298,10 @@ def reference_project_polyhedron(
         violations = (G[fresh:] @ r - h[fresh:]) / row_scale[fresh:]
         p = fresh + int(np.argmax(violations))
         if violations[p - fresh] <= feas_scale:
+            for normal, offset in zip(G[start.count :], h[start.count :]):
+                start.append(normal, offset)
             start.rows, start.multipliers, start.point, start.checked = tuple(working), multipliers, r, k
-            start.norms = row_scale
+            start.norms[:] = row_scale
             return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
         fresh = 0
         a_p = G[p]
@@ -348,15 +351,19 @@ def reference_project_polyhedron(
 
 
 def same_record(start: ActiveSet, reference: ActiveSet) -> bool:
-    """Whether two ``ActiveSet`` records hold the same rows, multipliers, checked rows, point, tolerance and checked rows' norms, bit for bit."""
+    """Whether two ``ActiveSet`` records hold the same stored rows and offsets, working rows, multipliers,
+    checked rows, point, tolerance and checked rows' norms, bit for bit."""
     return (
-        start.rows == reference.rows
+        start.count == reference.count
+        and start.G.tobytes() == reference.G.tobytes()
+        and start.h.tobytes() == reference.h.tobytes()
+        and start.rows == reference.rows
         and np.asarray(start.multipliers).tobytes() == np.asarray(reference.multipliers).tobytes()
         and start.checked == reference.checked
         and start.key == reference.key
         and start.point.tobytes() == reference.point.tobytes()
         and np.float64(start.tol).tobytes() == np.float64(reference.tol).tobytes()
-        and start.norms[: start.checked].tobytes() == reference.norms[: reference.checked].tobytes()
+        and start.norms.tobytes() == reference.norms.tobytes()
     )
 
 

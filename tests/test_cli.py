@@ -130,6 +130,28 @@ class TestSolve:
         assert run_cli("solve", "--problem", outdir / "nope.json") == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_problem_path_that_is_a_directory(self, outdir, capsys, command):
+        # IsADirectoryError once ended the run with a traceback and exit code 1
+        assert run_cli(command, "--problem", outdir) == 3
+        assert "error" in capsys.readouterr().err
+
+    def test_unreadable_problem_file(self, outdir, capsys, monkeypatch):
+        # a file the user may not read, whose permission bits root would ignore
+        def refused(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("splitep.cli.load", refused)
+        assert run_cli("solve", "--problem", generate(outdir)) == 3
+        assert "Permission denied" in capsys.readouterr().err
+
+    def test_problem_file_that_is_not_utf8(self, outdir, capsys):
+        # the UnicodeDecodeError, a ValueError, once exited 2 as a validation error
+        path = outdir / "latin1.json"
+        path.write_bytes('{"C": "café"}'.encode("latin-1"))
+        assert run_cli("solve", "--problem", path) == 3
+        assert "cannot parse problem file: byte 10: the file is not UTF-8 text" in capsys.readouterr().err
+
     def test_malformed_problem_file(self, outdir, capsys):
         path = outdir / "broken.json"
         path.write_text("{not json")

@@ -97,6 +97,42 @@ class TestBifunctionBasics:
                 with pytest.raises(ValueError, match="complex"):
                     f.subgradient_y(point, np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [([1e200, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, -1e200]), ([np.inf, 0.0], [0.0, 0.0]), ([np.nan, 0.0], [0.0, 0.0])],
+        ids=["x-beyond-the-bound", "y-beyond-the-bound", "inf", "nan"],
+    )
+    def test_points_beyond_the_magnitude_bound_rejected(self, x, y):
+        # evaluate([1e200, 0], 0) overflowed to -inf with a RuntimeWarning, a NaN
+        # point gave nan, and operator([inf, 0]) gave [inf, nan]
+        f = AffineVIBifunction(np.eye(2), np.zeros(2), "monotone", 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"finite and at most 1e\+150 in magnitude"):
+                f.evaluate(x, y)
+            for point in (x, y):
+                if not np.abs(point).max() <= 1e150:
+                    for call in (f.operator, lambda p: f.subgradient_y(p, np.zeros(2))):
+                        with pytest.raises(ValueError, match=r"finite and at most 1e\+150 in magnitude"):
+                            call(point)
+
+    def test_points_of_another_dimension_rejected(self):
+        f = AffineVIBifunction(np.eye(2), np.zeros(2), "monotone", 1.0, 1.0)
+        with pytest.raises(ValueError, match="expected dimension 2, got 3"):
+            f.operator(np.ones(3))
+        with pytest.raises(ValueError, match="expected dimension 2, got 1"):
+            f.evaluate(np.ones(2), [1.0])
+
+    def test_diverging_affine_resolvent_loop_is_an_inner_failure(self):
+        # declared monotone but M = -2I is not; on a halfspace the iterative
+        # loop runs and its iterates pass the magnitude bound on the way to
+        # overflow, where a checked product would end it in ValueError
+        g = AffineVIBifunction(-2.0 * np.eye(2), np.zeros(2), "monotone", 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InnerSolveError, match="diverged"):
+                resolvent(g, Halfspace([1.0, 0.0], 10.0), alpha=1.0, u=[1.0, 2.0])
+
     def test_complex_subgradient_of_a_callable_rejected(self):
         g = CallableBifunction(lambda x, y: 0.0, lambda x, y: np.asarray(y) * (1 + 1j), "monotone", 1.0, 1.0)
         with pytest.raises(ValueError, match="complex"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from splitep.linalg import MAX_MAGNITUDE
+from splitep.linalg import MAX_MAGNITUDE, _norm
 from splitep.sets import (
     TINY_NORMAL,
     ActiveSet,
@@ -483,7 +483,7 @@ class TestProjectPolyhedron:
             point, active = project_polyhedron(x, G[:10], h[:10], start=start)
             cold, cold_active = project_polyhedron(x, G[:10], h[:10])
             assert point.tobytes() == cold.tobytes() and active == cold_active
-            # another point, or fewer rows than the record has checked, is refused
+            # another point, or fewer rows than the record stores, is refused
             before = copy.deepcopy(start)
             for project in (project_polyhedron, reference_project_polyhedron):
                 for z, rows in ((y, 10), (x, 9), (np.nextafter(x, np.inf), 10)):
@@ -610,23 +610,66 @@ class TestProjectPolyhedron:
             project_polyhedron(x, G, h, start=start)
         assert same_record(start, before)
 
-    def test_record_keeps_the_norms_of_its_checked_rows(self):
+    def test_record_stores_its_rows_and_their_norms(self):
         rng = np.random.default_rng(20)
         G, h = self.box_and_cuts(rng, 5, 12)
         x = 3.0 * rng.standard_normal(5)
         start = ActiveSet(x)
-        assert start.norms.size == 0
-        for rows in (10, 11, 11, 16, 22):
-            before = start.norms
+        assert start.count == start.checked == 0 and start.G.shape == (0, 5) and start.norms.size == 0
+        for rows, room in ((10, 10), (11, 20), (11, 20), (16, 20), (22, 40)):
+            buffers = start._G, start._h, start._norms
             project_polyhedron(x, G[:rows], h[:rows], start=start)
-            assert start.checked == rows
-            assert start.norms[:rows].tobytes() == np.linalg.norm(G[:rows], axis=1).tobytes()
-            # the buffer grows by doubling, so a call it has room for writes in place
-            assert (start.norms is before) is (before.size >= rows)
-        # an error leaves the norms as they were, with the rest of the record
-        with pytest.raises(ValueError, match="zero rows"):
-            project_polyhedron(x, np.vstack([G, np.zeros((1, 5))]), np.append(h, 1.0), start=start)
-        assert start.norms[: start.checked].tobytes() == np.linalg.norm(G, axis=1).tobytes()
+            assert start.count == start.checked == rows
+            assert start.G.tobytes() == G[:rows].tobytes() and start.h.tobytes() == h[:rows].tobytes()
+            assert start.norms.tobytes() == np.linalg.norm(G[:rows], axis=1).tobytes()
+            # the three buffers grow together by doubling, so a call they have room for writes in place
+            assert start._G.shape == (room, 5) and start._h.size == start._norms.size == room
+            assert all((now is then) is (then.size >= rows) for now, then in zip((start._h, start._norms), buffers[1:]))
+            assert (start._G is buffers[0]) is (buffers[1].size >= rows)
+
+    def test_append_stores_a_row_for_the_next_call_to_check(self):
+        x = np.array([3.0, 3.0])
+        start = ActiveSet(x)
+        rooms = []
+        for offset in (1.0, 1.0, 1.5, 2.0, 2.5):
+            start.append(np.array([1.0, offset]), offset)
+            rooms.append(start._h.size)
+        assert rooms == [1, 2, 4, 4, 8] and start.count == 5 and start.checked == 0
+        G, h = start.G.copy(), start.h.copy()
+        assert G.tobytes() == np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.5], [1.0, 2.0], [1.0, 2.5]]).tobytes()
+        point, active = project_polyhedron(x, start.G, start.h, start=start)
+        cold, cold_active = project_polyhedron(x, G, h)
+        assert point.tobytes() == cold.tobytes() and active == cold_active
+        assert start.count == start.checked == 5 and start.G.tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("appended", [False, True], ids=["passed", "appended"])
+    @pytest.mark.parametrize(
+        "row, offset, error, match",
+        [
+            ([-1.0, 0.0, 0.0], -2.0, EmptySetError, "infeasible"),  # r_1 >= 2 misses the box [-1, 1]^3
+            ([0.0, 0.0, 0.0], 1.0, ValueError, "zero rows"),
+            ([1e200, 0.0, 0.0], 1.0, ValueError, BEYOND_THE_BOUND),
+        ],
+        ids=["empty", "zero", "beyond-the-bound"],
+    )
+    def test_resumed_call_that_raises_leaves_the_record_as_it_was(self, appended, row, offset, error, match):
+        # a row passed past the stored ones is stored only by a call that
+        # succeeds; a row appended before the call stays stored, unchecked
+        rng = np.random.default_rng(21)
+        G, h = self.box_and_cuts(rng, 3, 2)
+        x = np.array([2.0, -3.0, 0.5])
+        start = ActiveSet(x)
+        project_polyhedron(x, G, h, start=start)
+        if appended:
+            start.append(np.array(row), offset)
+            G, h = start.G, start.h
+        else:
+            G, h = np.vstack([G, row]), np.append(h, offset)
+        before = copy.deepcopy(start)
+        with pytest.raises(error, match=match):
+            project_polyhedron(x, G, h, start=start)
+        assert same_record(start, before)
+        assert start.count == len(h) - (not appended) and start.checked == len(h) - 1
 
     def test_direction_gufunc_matches_numpy_solve(self):
         # project_polyhedron calls numpy's private solve gufunc; a numpy that changes it fails here
@@ -655,6 +698,18 @@ class TestProjectPolyhedron:
             assert Gw.T.dot(d).tobytes() == (Gw.T @ d).tobytes()
             assert G[q].dot(r).tobytes() == (G[q] @ r).tobytes()
         assert r.dot(r).tobytes() == (r @ r).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 20, 64])
+    def test_stacked_row_products_give_the_bytes_of_each_rows_dot(self, n):
+        # Halfspace._from_rows takes every cut's norm from one stacked matmul;
+        # each must keep the bits of _norm(row), which a cut's norm had when
+        # each was taken alone; a numpy that routes them apart fails here
+        rng = np.random.default_rng(22)
+        G = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-20, 20, (500, 1))
+        stacked = np.matmul(G[:, None, :], G[:, :, None]).ravel()
+        assert stacked.tobytes() == np.array([row.dot(row) for row in G]).tobytes()
+        sizes = [cut.size for cut in Halfspace._from_rows(G, np.ones(500))]
+        assert np.array(sizes).tobytes() == np.array([_norm(row) for row in G]).tobytes()
 
 
 class TestProjectPolyhedronMatchesReference:
@@ -714,8 +769,10 @@ class TestProjectPolyhedronMatchesReference:
         x = np.array([3.0, 3.0])
         starts = ActiveSet(x), ActiveSet(x)
         for start in starts:
+            for normal, offset in zip(G[:2], h[:2]):
+                start.append(normal, offset)
             start.rows, start.multipliers, start.point, start.checked = (0, 1), [1.0, 1.0], np.array([1.0, 3.0]), 2
-            start.norms = np.linalg.norm(G[:2], axis=1)
+            start.norms[:] = np.linalg.norm(G[:2], axis=1)
         fallbacks = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))

@@ -423,14 +423,15 @@ class TestStrongIteration:
         config = default_config(problem, mode="strong", max_iter=40)
         state = StrongState(problem)
         x = problem.x1
+        record = state.active_set
         for k in range(40):
-            count = state.count
+            count = record.count
             state.add_cut(x, x.copy())
-            assert state.count == count
+            assert record.count == count
             x = strong_step(problem, config, state, x, k).next_x
-        G, _ = state.rows()
-        assert len(G) > 2 * 20
-        assert np.all(np.any(G != 0.0, axis=1)) and np.all(state.active_set.norms[: len(G)] > 0.0)
+        G = record.G
+        assert len(G) > 2 * 20 and record.checked == len(G)
+        assert np.all(np.any(G != 0.0, axis=1)) and np.all(record.norms > 0.0)
 
     def test_planted_run_invariants(self):
         problem = sp.generate_planted(2, 3, seed=31)
@@ -588,12 +589,13 @@ def test_cut_rows_of_a_strong_run_match_the_reference_bit_for_bit(monkeypatch):
     stored = []
 
     def compared(state, a, b):
-        before = state.count
+        record = state.active_set
+        before = record.count
         original(state, a, b)
-        assert state.count == before + 1  # no cut of this run is the whole space
+        assert record.count == before + 1 and state.cut_rows[-1] == before  # no cut of this run is the whole space
         normal, offset = reference_cut_row(a, b)
-        assert state._G[before].tobytes() == normal.tobytes()
-        assert state._h[before].tobytes() == np.float64(offset).tobytes()
+        assert record.G[before].tobytes() == normal.tobytes()
+        assert record.h[before].tobytes() == np.float64(offset).tobytes()
         stored.append(normal)
 
     monkeypatch.setattr(StrongState, "add_cut", compared)
@@ -734,8 +736,8 @@ def test_box_faces_through_the_solution_give_the_projection_onto_its_rows(monkey
     def compared(state):
         rounds.append(0)
         point = project_anchor(state)
-        G = np.vstack([G_of_C, state._G[state.cut_rows]])
-        h = np.concatenate([h_of_C, state._h[state.cut_rows]])
+        G = np.vstack([G_of_C, state.active_set.G[state.cut_rows]])
+        h = np.concatenate([h_of_C, state.active_set.h[state.cut_rows]])
         errors.append(np.abs(point - reference_project_polyhedron(state.anchor, G, h)[0]).max())
         return point
 
@@ -773,8 +775,8 @@ def supporting_rows_of_a_run(monkeypatch, problem, max_iter=500):
     monkeypatch.setattr(sp.solver, "StrongState", lambda problem: states.append(StrongState(problem)) or states[-1])
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=max_iter))
     (state,) = states
-    G, h = state.rows()
-    support = np.setdiff1d(np.arange(state.count), state.cut_rows)
+    G, h = state.active_set.G, state.active_set.h
+    support = np.setdiff1d(np.arange(len(h)), state.cut_rows)
     return report, G[support], h[support], np.linalg.norm(G[support], axis=1)
 
 
@@ -818,9 +820,9 @@ def test_a_gap_of_rounding_on_a_far_ball_returns_the_point(seed):
     state = StrongState(problem)
     a = -t / np.linalg.norm(t)
     state.cut_rows.append(0)
-    state._append(a, float(a @ t))
+    state.active_set.append(a, float(a @ t))
     r = state.project_anchor()
-    assert state.count == 1
+    assert state.active_set.count == 1
     assert np.linalg.norm(r - t) <= 4 * np.spacing(1e6)
     assert ball.membership_violation(r) <= 4 * np.spacing(1e6)
 
