@@ -127,7 +127,9 @@ def generate_planted(n: int, m: int, seed: int) -> ProblemSpec:
     Q = Box(image - 5.0, image + 5.0)
 
     R = rng.standard_normal((n, n)) / np.sqrt(n)
-    M = R.T @ R + 0.1 * np.eye(n)
+    M = R.T @ R
+    del R  # free before the bound's Gram matrix and eigensolve
+    M.flat[:: n + 1] += 0.1  # M + 0.1 I, in place
     f = AffineVIBifunction.with_default_constants(M, -M @ x_star, PSEUDOMONOTONE)
 
     B = rng.standard_normal((m, m)) / np.sqrt(m)

@@ -27,8 +27,9 @@ except ImportError:  # numpy 1.x
 
 from splitep.linalg import MAX_MAGNITUDE, Value, _norm, _real_array, as_vector, norm
 
+# ActiveSet and project_polyhedron serve the strong solver, which imports them by name; they stay
+# out of __all__ and so out of the package's namespace.
 __all__ = [
-    "ActiveSet",
     "Averaged",
     "Ball",
     "Box",
@@ -45,7 +46,6 @@ __all__ = [
     "WholeSpace",
     "halfspace_dominates",
     "project_intersection",
-    "project_polyhedron",
 ]
 
 # Below this norm a halfspace normal is considered exactly zero, encoding the
@@ -328,7 +328,8 @@ class ActiveSet:
     grow together by doubling. ``rows``, ``multipliers``, ``point`` and
     ``checked``, the working rows, their multipliers, the projection so far
     and how many leading rows it satisfies, start cold: none, ``x0`` and 0.
-    The caller must not modify ``point`` or the views in place.
+    :meth:`append` stores no row equal to a stored one; a set of the stored
+    offsets keys that check. The caller must not modify ``point`` or the views in place.
     """
 
     def __init__(self, x0):
@@ -340,17 +341,32 @@ class ActiveSet:
         self.multipliers: list[float] = []
         self.count = self.checked = 0
         self._G, self._h, self._norms = np.zeros((0, x0.size)), np.zeros(0), np.zeros(0)
+        self._offsets: set[float] = set()
 
     G = property(lambda self: self._G[: self.count])
     h = property(lambda self: self._h[: self.count])
     norms = property(lambda self: self._norms[: self.checked])
 
-    def append(self, normal: np.ndarray, offset: float) -> None:
-        """Store the row ``<normal, r> <= offset``, unchecked: the next projection checks it."""
+    def append(self, normal: np.ndarray, offset: float) -> bool:
+        """Store the row ``<normal, r> <= offset`` unless a stored row equals it; whether it was stored.
+
+        Raises ``ValueError`` for a normal that is not a vector of the record's
+        dimension; the next projection checks the rest. A row equal to a stored
+        one, entry for entry and in its offset, is the same halfspace and is not
+        stored again; the offsets seen key the lookup, so a new offset costs one probe.
+        """
+        if normal.shape != self._G.shape[1:]:
+            raise ValueError(f"a row of this record has {self._G.shape[1]} entries, got shape {normal.shape}")
+        if offset in self._offsets:
+            if (self.G[self.h == offset] == normal).all(1).any():
+                return False
+        else:
+            self._offsets.add(offset)
         if self.count == self._h.size:
             self._reserve(self.count + 1)
         self._G[self.count], self._h[self.count] = normal, offset
         self.count += 1
+        return True
 
     def _reserve(self, rows: int) -> None:
         """Grow the three buffers together to hold ``rows`` rows, at least doubling them; past ``count`` is scratch."""
@@ -448,6 +464,8 @@ def project_polyhedron(
                     if not _largest(abs(r), None) <= MAX_MAGNITUDE:
                         raise ValueError(_BEYOND_THE_BOUND)
                     start.rows, start.multipliers, start.point = tuple(working), multipliers, r
+                    if start.count < k:
+                        start._offsets.update(h[start.count :].tolist())
                     start.checked = start.count = k
                     return r, tuple(i for i, lam in zip(working, multipliers) if lam > 0.0)
                 p = fresh + int(worst)

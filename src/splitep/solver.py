@@ -306,7 +306,7 @@ class StrongState:
 
     Projects one point, the anchor, by :meth:`project_anchor`; ``C`` is
     reached only through its projection. The record ``active_set`` made for
-    the anchor stores the rows: every cut that constrains something (their
+    the anchor stores the rows, each once: every cut that constrains something (their
     indices are ``cut_rows``) and every supporting halfspace of ``C`` that a
     projection added, in the order made. A supporting row holds all of
     ``C``, so it leaves the shrinking set as it was. Rows are never dropped:
@@ -320,6 +320,7 @@ class StrongState:
         self.anchor = as_vector(problem.x1, problem.C.dim)
         self.cut_rows: list[int] = []
         self.active_set = ActiveSet(self.anchor)
+        self.schedule: tuple[float, float] | None = None  # the last step's (lambda_k, alpha_k)
 
     def project_anchor(self) -> np.ndarray:
         """Projection ``r`` of the anchor onto the rows, once it lies in ``C``.
@@ -363,11 +364,10 @@ class StrongState:
         )
 
     def add_cut(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space."""
+        """Store ``halfspace_dominates(a, b)`` of finite vectors as a row unless it is the whole space or stored."""
         row = _dominating_row(a, b)
-        if row is not None:
-            self.cut_rows.append(self.active_set.count)
-            self.active_set.append(*row)
+        if row is not None and self.active_set.append(*row):
+            self.cut_rows.append(self.active_set.count - 1)
 
     def cuts(self) -> list[Halfspace]:
         """The stored cuts, in order, as halfspaces, not checked again."""
@@ -453,21 +453,32 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int, *,
 
     Stores the two new cuts (points at least as close to the corrected point
     ``s`` as to ``t``, and to ``t`` as to ``x``) in ``state`` unless a cut is
-    the whole space, and sets the record's ``next_x`` to the projection
+    the whole space or already stored, and sets the record's ``next_x`` to the projection
     ``state.project_anchor()`` of the anchor; ``s`` holds the corrected
     point. A record with a non-finite residual is returned without cuts, for
-    the driver to stop on. ``lam`` and ``alpha_k`` are the schedules' values
-    at ``k``, as for :func:`weak_step`. The caller is responsible for ``x``
-    being a finite float vector in ``C`` and for ``config`` having passed
-    :func:`validate`.
+    the solve loop to stop on. A step that stores no new row and returns ``x``
+    itself, with the ``lambda_k`` and ``alpha_k`` of the step before (kept
+    in ``state``), can only be repeated: it raises ``InnerSolveError``.
+    ``lam`` and ``alpha_k`` are the schedules' values at ``k``, as for
+    :func:`weak_step`. The caller is responsible for ``x`` being a finite
+    float vector in ``C`` and for ``config`` having passed :func:`validate`.
     """
     record = _core_step(problem, config, x, k, lam, alpha_k)
     if not math.isfinite(record.residual):
         return record
+    stored = state.active_set.count
     state.add_cut(record.next_x, record.t)
     state.add_cut(record.t, record.x)
     record.s = record.next_x
     record.next_x = state.project_anchor()
+    schedule, state.schedule = state.schedule, (record.lambda_k, record.alpha_k)
+    if record.next_x is record.x and state.active_set.count == stored and schedule == state.schedule:
+        raise InnerSolveError(
+            f"the shrinking-set projection stalled at k = {k}: the step stored no new row and left the iterate "
+            "where it was, so with the same lambda_k and alpha_k every later step repeats it; the residual "
+            "cannot reach tol below what the projection's stop tolerance 1e-12 (1 + ||x1||) resolves",
+            record.residual,
+        )
     record.step = _norm(record.next_x - record.x)
     # the plain residual already covers the step to s and the five residual parts
     record.residual = max(record.step, record.residual, _norm(record.t - record.x))
@@ -555,8 +566,8 @@ def weak_solve(problem, config: SolverConfig | None = None) -> SolveReport:
 def strong_solve(problem, config: SolverConfig | None = None) -> SolveReport:
     """Run the shrinking-projection iteration from ``problem.x1``.
 
-    The report's ``cuts`` lists, in order, every cut that constrains
-    something; any solution of the problem satisfies them all. When ``C``
+    The report's ``cuts`` lists, in order and each once, every cut that
+    constrains something; any solution of the problem satisfies them all. When ``C``
     intersected with the cuts becomes empty, so that the problem has no
     solution, the run ends with the ``InnerFailure`` status.
     """

@@ -118,6 +118,19 @@ def bounded_entry_points():
 BOUNDED_ENTRY_POINTS = bounded_entry_points()
 
 
+# splitep's public names, sorted: the union of its modules' __all__
+PACKAGE_SURFACE = [
+    "AffineVIBifunction", "AssumptionReport", "Averaged", "Ball", "Bifunction", "Box", "CallableBifunction",
+    "Composition", "ConfigError", "ConfigViolation", "ConvexSet", "DenseOperator", "DykstraError",
+    "EmptySetError", "Halfspace", "Identity", "InnerSolveError", "Intersection", "IterateRecord",
+    "NonexpansiveMap", "ParseError", "PivotBudgetError", "PlantedReport", "ProblemSpec", "ProjectionOnto",
+    "ProxResult", "SolveReport", "SolveStatus", "SolverConfig", "StrongState", "WholeSpace", "as_vector",
+    "check_assumptions", "default_config", "fejer_audit", "generate_planted", "halfspace_dominates", "load",
+    "norm", "operator_norm_sq_upper", "project_intersection", "prox_step", "resolvent", "save", "strong_solve",
+    "strong_step", "validate", "verify_planted", "weak_solve", "weak_step",
+]
+
+
 class TestPublicBoundary:
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     @pytest.mark.parametrize(
@@ -152,6 +165,15 @@ class TestPublicBoundary:
         modules = [sp] + [importlib.import_module(f"splitep.{info.name}") for info in pkgutil.iter_modules(sp.__path__)]
         stale = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
         assert stale == []
+
+    def test_the_package_exports_the_modules_public_names_and_no_others(self):
+        # splitep's surface is the union of its modules' __all__; ActiveSet and
+        # project_polyhedron serve the strong solver from splitep.sets only
+        assert sorted(sp.__all__) == PACKAGE_SURFACE
+        assert len(sp.__all__) == len(set(sp.__all__))
+        assert not hasattr(sp, "ActiveSet") and not hasattr(sp, "project_polyhedron")
+        assert sp.sets.ActiveSet is ActiveSet and sp.sets.project_polyhedron is project_polyhedron
+        assert all(getattr(sp, name) is getattr(sp.sets, name) for name in ("Box", "project_intersection"))
 
     def test_prox_step_rejects_anchor_outside_the_set(self):
         planted = sp.generate_planted(2, 2, seed=1)

@@ -13,7 +13,7 @@ from splitep.cli import TRACE_HEADER, main
 from splitep.problems import problem_to_dict
 from splitep.sets import Ball, ProjectionOnto
 
-from oracles import tangential_ball_problem
+from oracles import box_fixed_point_problem, tangential_ball_problem
 
 
 def run_cli(*args):
@@ -243,6 +243,21 @@ class TestSolve:
         assert "shrinking set is empty" in capsys.readouterr().err
         assert json.loads(report.read_text())["status"] == "InnerFailure"
         assert trace.read_text().startswith(TRACE_HEADER)
+
+    def test_stalled_strong_run_exit_code(self, outdir, capsys):
+        # at tol 1e-10 the shrinking-set projection halts the iterate short of
+        # the tolerance, and every later step would repeat the last
+        problem, _ = box_fixed_point_problem(5, 3, 1)
+        path = outdir / "stall.json"
+        sp.save(problem, path)
+        report = outdir / "stall-report.json"
+        code = run_cli(
+            "solve", "--problem", path, "--algorithm", "strong", "--tol", 1e-10, "--max-iter", 50_000,
+            "--report", report, "--trace", outdir / "stall.csv",
+        )
+        assert code == 4
+        assert "1e-12 (1 + ||x1||)" in capsys.readouterr().err
+        assert json.loads(report.read_text())["status"] == "InnerFailure"
 
     def test_unplanted_trace_has_nan_distance(self, outdir):
         path = outdir / "anon.json"

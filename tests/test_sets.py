@@ -628,19 +628,40 @@ class TestProjectPolyhedron:
             assert (start._G is buffers[0]) is (buffers[1].size >= rows)
 
     def test_append_stores_a_row_for_the_next_call_to_check(self):
+        # the second row repeats the first and is not stored
         x = np.array([3.0, 3.0])
         start = ActiveSet(x)
-        rooms = []
+        rooms, stored = [], []
         for offset in (1.0, 1.0, 1.5, 2.0, 2.5):
-            start.append(np.array([1.0, offset]), offset)
+            stored.append(start.append(np.array([1.0, offset]), offset))
             rooms.append(start._h.size)
-        assert rooms == [1, 2, 4, 4, 8] and start.count == 5 and start.checked == 0
+        assert stored == [True, False, True, True, True]
+        assert rooms == [1, 1, 2, 4, 4] and start.count == 4 and start.checked == 0
         G, h = start.G.copy(), start.h.copy()
-        assert G.tobytes() == np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.5], [1.0, 2.0], [1.0, 2.5]]).tobytes()
+        assert G.tobytes() == np.array([[1.0, 1.0], [1.0, 1.5], [1.0, 2.0], [1.0, 2.5]]).tobytes()
         point, active = project_polyhedron(x, start.G, start.h, start=start)
         cold, cold_active = project_polyhedron(x, G, h)
         assert point.tobytes() == cold.tobytes() and active == cold_active
-        assert start.count == start.checked == 5 and start.G.tobytes() == G.tobytes()
+        assert start.count == start.checked == 4 and start.G.tobytes() == G.tobytes()
+
+    def test_append_stores_a_row_once_whichever_way_it_entered(self):
+        # a row equal to a stored one is refused, also one stored by a projection;
+        # a row that shares only the offset, or is only parallel, is stored
+        x = np.array([3.0, 3.0])
+        start = ActiveSet(x)
+        project_polyhedron(x, np.array([[1.0, 0.0]]), np.array([1.0]), start=start)
+        assert not start.append(np.array([1.0, 0.0]), 1.0)
+        assert start.append(np.array([0.0, 1.0]), 1.0) and start.append(np.array([2.0, 0.0]), 2.0)
+        assert not start.append(np.array([0.0, 1.0]), 1.0) and not start.append(np.array([2.0, 0.0]), 2.0)
+        assert start.G.tobytes() == np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]).tobytes()
+
+    @pytest.mark.parametrize("normal", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]], ids=["short", "long", "matrix"])
+    def test_append_refuses_a_normal_of_another_length(self, normal):
+        # a one-entry normal was once broadcast into the row [1, 1]
+        start = ActiveSet([3.0, 3.0])
+        with pytest.raises(ValueError, match="a row of this record has 2 entries"):
+            start.append(np.array(normal), 1.0)
+        assert start.count == 0 and start.G.shape == (0, 2)
 
     @pytest.mark.parametrize("appended", [False, True], ids=["passed", "appended"])
     @pytest.mark.parametrize(
@@ -763,9 +784,9 @@ class TestProjectPolyhedronMatchesReference:
                 assert ("zero rows" in str(raised.value)) is (last == 0.0)
 
     def test_singular_working_rows_fall_back_to_least_squares(self, monkeypatch):
-        # a record whose working rows are duplicates makes the first direction solve exactly singular
-        G = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        h = np.array([1.0, 1.0, 1.0, 1.5])
+        # a record whose working rows are parallel makes the first direction solve exactly singular
+        G = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        h = np.array([1.0, 2.0, 1.0, 1.5])
         x = np.array([3.0, 3.0])
         starts = ActiveSet(x), ActiveSet(x)
         for start in starts:

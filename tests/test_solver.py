@@ -836,7 +836,65 @@ def test_supporting_rows_running_out_is_an_inner_failure(monkeypatch):
     assert "supporting-halfspace loop of the shrinking-set projection used up its 1 rounds" in report.message
 
 
-SOLVERS = {"weak": weak_solve, "strong": strong_solve}
+# At tol 1e-10 the projection's stop tolerance 1e-12 (1 + ||x1||) halts this
+# run's iterate near k = 3,911 with the residual at 5.7e-10: from there every
+# step repeated the last, its two cuts stored again, until max_iter.
+STALL_CASE, STALL_TOL, STALL_STEP = (5, 3, 1), 1e-10, 3_911
+
+
+def stalled_run(monkeypatch, **overrides):
+    """The stalling run's report, its state and the stored-row count after each step."""
+    states, counts = [], []
+
+    class Watched(StrongState):
+        def project_anchor(self):
+            point = super().project_anchor()
+            counts.append(self.active_set.count)
+            return point
+
+    monkeypatch.setattr(sp.solver, "StrongState", lambda problem: states.append(Watched(problem)) or states[-1])
+    problem, _ = box_fixed_point_problem(*STALL_CASE)
+    config = default_config(problem, mode="strong", tol=STALL_TOL, **{"max_iter": 50_000, **overrides})
+    report = strong_solve(problem, config)
+    (state,) = states
+    return report, state, counts
+
+
+def test_a_strong_run_that_can_only_repeat_its_step_ends_as_an_inner_failure(monkeypatch):
+    report, state, counts = stalled_run(monkeypatch)
+    assert report.status is SolveStatus.INNER_FAILURE
+    assert abs(report.iterations - STALL_STEP) <= 5
+    assert "1e-12 (1 + ||x1||)" in report.message
+    assert report.final_residual > STALL_TOL
+    # no row enters after the first zero step, and none twice
+    assert len(counts) <= STALL_STEP + 5 and counts[-1] == counts[STALL_STEP]
+    record = state.active_set
+    rows = np.column_stack([record.G, record.h])
+    assert len(np.unique(rows, axis=0)) == record.count
+    assert len(report.cuts) == len(state.cut_rows) == len(set(state.cut_rows))
+
+
+def test_a_varying_schedule_is_not_ended_at_a_zero_step(monkeypatch):
+    # f and g vanish, so neither schedule changes a bit of the run: the same
+    # zero steps come, but alpha_k differs from step to step, so the run goes
+    # on to max_iter, its rows stored once
+    report, state, counts = stalled_run(monkeypatch, max_iter=STALL_STEP + 100, alpha_k_schedule=lambda k: 1.0 + k % 2)
+    assert report.status is SolveStatus.MAX_ITER_REACHED
+    assert counts[-1] == counts[STALL_STEP]
+    assert len(np.unique(np.column_stack([state.active_set.G, state.active_set.h]), axis=0)) == state.active_set.count
+
+
+def test_a_repeated_cut_is_stored_once():
+    problem, _ = box_fixed_point_problem(*STALL_CASE)
+    state = StrongState(problem)
+    a, b = problem.x1, np.zeros(problem.n)
+    state.add_cut(a, b)
+    state.add_cut(a, b)
+    assert state.active_set.count == 1 and state.cut_rows == [0]
+    assert len(state.cuts()) == 1
+
+
+SOLVERS ={"weak": weak_solve, "strong": strong_solve}
 
 
 @pytest.mark.parametrize("mode", SOLVERS)
