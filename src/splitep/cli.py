@@ -39,7 +39,9 @@ EXIT_INNER_FAILURE = 4
 
 OUTPUT_DIR_ENV = "SPLITEP_OUTPUT_DIR"
 
-TRACE_HEADER = "k,res_xy,res_yz,res_Sz,res_uAt,res_Tu,step,dist_xstar"
+# The record fields a trace row holds between k and dist_xstar, in column order.
+TRACE_FIELDS = ("res_xy", "res_yz", "res_Sz", "res_uAt", "res_Tu", "step")
+TRACE_HEADER = ",".join(("k", *TRACE_FIELDS, "dist_xstar"))
 
 ALGORITHMS = ("weak", "strong", "sep-weak", "sep-strong")
 
@@ -64,7 +66,7 @@ def write_trace(report: SolveReport, problem: ProblemSpec, path) -> None:
     lines = [TRACE_HEADER]
     for record in report.history:
         dist = norm(record.x - x_star) if x_star is not None else float("nan")
-        parts = ",".join(_fmt(v) for v in record.csv_parts())
+        parts = ",".join(_fmt(getattr(record, name)) for name in TRACE_FIELDS)
         lines.append(f"{record.k},{parts},{_fmt(dist)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

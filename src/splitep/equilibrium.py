@@ -30,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from splitep.linalg import DenseOperator, Value, _norm, _real_array, as_vector, operator_norm_sq_upper
-from splitep.sets import Box, ConvexSet, WholeSpace
+from splitep.sets import Box, ConvexSet, InnerSolveError, WholeSpace
 
 __all__ = [
     "AffineVIBifunction",
     "AssumptionReport",
     "Bifunction",
     "CallableBifunction",
-    "InnerSolveError",
     "ProxResult",
     "check_assumptions",
     "prox_step",
@@ -54,14 +53,6 @@ MIN_LIPSCHITZ_CONSTANT = 1e-9
 # Floor on the backtracked forward-backward-forward step size, about 40
 # halvings from 1; below it the loop raises, as :func:`resolvent` explains.
 MIN_FBF_STEP = 1e-12
-
-
-class InnerSolveError(RuntimeError):
-    """An iterative inner solve stopped before reaching its tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(f"{message} (last displacement {residual:.3e})")
 
 
 class Bifunction:
@@ -377,20 +368,23 @@ def _fbf(F, K, start: np.ndarray, tol: float, max_inner: int, name: str) -> Prox
         for trials in range(1, max_inner + 1):
             step = w - gamma * forward_w
             if not math.isfinite(_norm(step)):
-                raise InnerSolveError(f"{what} diverged", displacement)
+                raise InnerSolveError(f"{what} diverged (last displacement {displacement:.3e})", displacement)
             z = K._project(step)
             forward_z = F(z)
             displacement = _norm(z - w)
             if gamma * _norm(forward_z - forward_w) > 0.9 * displacement:
                 gamma *= 0.5  # Armijo backtracking: the trial step is too long
                 if gamma < MIN_FBF_STEP:
-                    raise InnerSolveError(f"{what}: step size fell below {MIN_FBF_STEP:g}", displacement)
+                    raise InnerSolveError(
+                        f"{what}: step size fell below {MIN_FBF_STEP:g} (last displacement {displacement:.3e})",
+                        displacement,
+                    )
                 continue
             if displacement <= gamma * tol:
                 return ProxResult(minimizer=z, inner_iterations=trials, inner_residual=displacement)
             w = K._project(z - gamma * (forward_z - forward_w))
             forward_w = F(w)
-    raise InnerSolveError(f"{what} did not converge", displacement)
+    raise InnerSolveError(f"{what} did not converge (last displacement {displacement:.3e})", displacement)
 
 
 @dataclass

@@ -39,6 +39,7 @@ __all__ = [
     "EmptySetError",
     "Halfspace",
     "Identity",
+    "InnerSolveError",
     "Intersection",
     "NonexpansiveMap",
     "PivotBudgetError",
@@ -65,7 +66,15 @@ class EmptySetError(ValueError):
     """A set description denotes the empty set."""
 
 
-class DykstraError(RuntimeError):
+class InnerSolveError(RuntimeError):
+    """An inner solver gave up before reaching its tolerance; the message names the quantity ``residual`` holds."""
+
+    def __init__(self, message: str, residual: float):
+        self.residual = residual
+        super().__init__(message)
+
+
+class DykstraError(InnerSolveError):
     """Dykstra's scheme ended after ``sweeps`` sweeps without reaching feasibility.
 
     ``stalled`` tells the two ends apart: the iterate stalled before the
@@ -81,10 +90,10 @@ class DykstraError(RuntimeError):
             how = f"stalled after {sweeps} sweeps: no projection of the last one moved the iterate by the tolerance"
         else:
             how = f"used up its {sweeps} sweeps (its sets may meet at a small angle, or the intersection may be empty)"
-        super().__init__(f"Dykstra's scheme {how}; worst membership violation {worst_violation:.3e}")
+        super().__init__(f"Dykstra's scheme {how}; worst membership violation {worst_violation:.3e}", worst_violation)
 
 
-class PivotBudgetError(RuntimeError):
+class PivotBudgetError(InnerSolveError):
     """:func:`project_polyhedron` used up its ``pivots`` without reaching feasibility."""
 
     def __init__(self, worst_violation: float, pivots: int):
@@ -92,7 +101,8 @@ class PivotBudgetError(RuntimeError):
         self.pivots = pivots
         super().__init__(
             f"the active-set projection used up its budget of {pivots} pivots; worst membership "
-            f"violation {worst_violation:.3e} (the intersection may be empty)"
+            f"violation {worst_violation:.3e} (the intersection may be empty)",
+            worst_violation,
         )
 
 

@@ -41,14 +41,13 @@ import numpy as np
 
 # bench/spans.py getattrs prox_step, resolvent, halfspace_dominates and project_intersection here
 # to wrap them, and raises without them, though the loop calls none of them
-from splitep.equilibrium import InnerSolveError, _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
+from splitep.equilibrium import _prox_step, _resolvent, prox_step, resolvent  # noqa: F401
 from splitep.linalg import _norm, as_vector, norm, operator_norm_sq_upper
 from splitep.sets import (
     ActiveSet,
-    DykstraError,
     EmptySetError,
     Halfspace,
-    PivotBudgetError,
+    InnerSolveError,
     _dominating_row,
     halfspace_dominates,  # noqa: F401
     project_intersection,  # noqa: F401
@@ -297,9 +296,6 @@ class IterateRecord:
     residual: float
     s: np.ndarray | None = None
 
-    def csv_parts(self) -> tuple[float, float, float, float, float, float]:
-        return (self.res_xy, self.res_yz, self.res_Sz, self.res_uAt, self.res_Tu, self.step)
-
 
 class StrongState:
     """Anchor, and the shrinking set: ``C`` intersected with the rows ``G r <= h``.
@@ -357,10 +353,14 @@ class StrongState:
                     return r  # the row misses r, so r - p was rounding
             offset = float(normal.dot(p))  # finite only when normal and p are
             if not abs(offset) < math.inf:
-                raise InnerSolveError("the shrinking-set projection met a non-finite supporting row of C", offset)
+                raise InnerSolveError(
+                    f"the shrinking-set projection met a non-finite supporting row of C (offset {offset:.3e})", offset
+                )
             record.append(normal, offset)
         raise InnerSolveError(
-            f"the supporting-halfspace loop of the shrinking-set projection used up its {SUPPORT_ROUNDS} rounds", gap
+            "the supporting-halfspace loop of the shrinking-set projection used up its "
+            f"{SUPPORT_ROUNDS} rounds (last gap {gap:.3e})",
+            gap,
         )
 
     def add_cut(self, a: np.ndarray, b: np.ndarray) -> None:
@@ -390,21 +390,17 @@ class SolveReport:
     message: str = ""
 
 
-def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int, lam=None, alpha_k=None) -> IterateRecord:
-    """Shared portion of both iterations: the plain iteration's record.
+def weak_step(problem, config: SolverConfig, x, k: int, *, lam: float, alpha_k: float) -> IterateRecord:
+    """One iteration of the plain extragradient scheme from ``x`` at index ``k``, the core of both iterations.
 
-    Its ``next_x`` is the corrected point ``s``; the hybrid iteration amends
-    the record in place. ``lam`` and ``alpha_k`` are the schedules' values at
-    ``k``, read here when not given. It runs on unchecked kernels and checks
-    nothing: a non-finite value a user's map or bifunction returns makes the
-    residual non-finite, and the driver ends the run with the ``InnerFailure``
-    status.
+    ``lam`` and ``alpha_k`` are the schedules' values at ``k``, which the solve
+    reads once and checks. ``next_x`` is the corrected point ``s``, and
+    :func:`strong_step` amends the record in place. It runs on unchecked
+    kernels and checks nothing: a non-finite value a user's map or bifunction
+    returns makes the residual non-finite, and the solve ends with the
+    ``InnerFailure`` status. The caller is responsible for ``x`` being a finite
+    float vector in ``C`` and for ``config`` having passed :func:`validate`.
     """
-    if lam is None:
-        lam = config.lambda_schedule(k)
-    if alpha_k is None:
-        alpha_k = config.alpha_k_schedule(k)
-
     y = _prox_step(problem.f, problem.C, x, lam, x)
     z = _prox_step(problem.f, problem.C, x, lam, y)
     Sz = problem.S._apply(z)
@@ -436,19 +432,14 @@ def _core_step(problem, config: SolverConfig, x: np.ndarray, k: int, lam=None, a
     )
 
 
-def weak_step(problem, config: SolverConfig, x, k: int, *, lam=None, alpha_k=None) -> IterateRecord:
-    """One iteration of the plain extragradient scheme from ``x`` at index ``k``.
-
-    ``lam`` and ``alpha_k`` are ``config.lambda_schedule(k)`` and
-    ``config.alpha_k_schedule(k)``, which the step reads itself when they are
-    not given; a solve reads them once, to check them, and passes them. The
-    caller is responsible for ``x`` being a finite float vector in ``C`` and
-    for ``config`` having passed :func:`validate`.
-    """
-    return _core_step(problem, config, x, k, lam, alpha_k)
+# strong_step calls the core step by this name: bench/spans.py replaces weak_step by name, and
+# would count each strong step twice
+_core_step = weak_step
 
 
-def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int, *, lam=None, alpha_k=None) -> IterateRecord:
+def strong_step(
+    problem, config: SolverConfig, state: StrongState, x, k: int, *, lam: float, alpha_k: float
+) -> IterateRecord:
     """One iteration of the shrinking-projection scheme from ``x`` at index ``k``.
 
     Stores the two new cuts (points at least as close to the corrected point
@@ -463,7 +454,7 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int, *,
     :func:`weak_step`. The caller is responsible for ``x`` being a finite
     float vector in ``C`` and for ``config`` having passed :func:`validate`.
     """
-    record = _core_step(problem, config, x, k, lam, alpha_k)
+    record = _core_step(problem, config, x, k, lam=lam, alpha_k=alpha_k)
     if not math.isfinite(record.residual):
         return record
     stored = state.active_set.count
@@ -476,7 +467,8 @@ def strong_step(problem, config: SolverConfig, state: StrongState, x, k: int, *,
         raise InnerSolveError(
             f"the shrinking-set projection stalled at k = {k}: the step stored no new row and left the iterate "
             "where it was, so with the same lambda_k and alpha_k every later step repeats it; the residual "
-            "cannot reach tol below what the projection's stop tolerance 1e-12 (1 + ||x1||) resolves",
+            "cannot reach tol below what the projection's stop tolerance 1e-12 (1 + ||x1||) resolves "
+            f"(residual {record.residual:.3e})",
             record.residual,
         )
     record.step = _norm(record.next_x - record.x)
@@ -519,7 +511,7 @@ def _solve(problem, config: SolverConfig, step) -> SolveReport:
             except EmptySetError as exc:
                 failure = f"the shrinking set is empty: {exc}"
                 break
-            except (InnerSolveError, DykstraError, PivotBudgetError, ValueError) as exc:
+            except (InnerSolveError, ValueError) as exc:
                 failure = str(exc)  # a ValueError is a checked call refusing a value, say one beyond MAX_MAGNITUDE
                 break
             if k % config.history_stride == 0:

@@ -15,6 +15,7 @@ from splitep.sets import (
     EmptySetError,
     Halfspace,
     Identity,
+    Intersection,
     PivotBudgetError,
     ProjectionOnto,
     WholeSpace,
@@ -211,6 +212,11 @@ def reference_affine_resolvent(g, Q, alpha, u, max_steps=10_000):
         nu = np.zeros(Q.dim)
         nu[active] = np.linalg.solve(inverse[np.ix_(active, active)], bound - free[active])
         w = free + inverse[:, active] @ nu[active]
+
+
+def scheduled(config, k: int) -> dict:
+    """The schedule values a solve hands its step at index ``k``, as the keyword arguments ``lam`` and ``alpha_k``."""
+    return {"lam": config.lambda_schedule(k), "alpha_k": config.alpha_k_schedule(k)}
 
 
 def reference_core_step(problem, config, x, k):
@@ -435,6 +441,27 @@ def box_fixed_point_problem(n: int, m: int, seed: int, pinned: bool = False) -> 
     G = np.vstack([G, A, -A, E, -E])
     h = np.concatenate([h, B_T.upper, -B_T.lower, E @ center, -E @ center])
     return problem, project_polyhedron(problem.x1, G, h)[0]
+
+
+def small_angle_problem() -> ProblemSpec:
+    """A problem whose ``C`` is two halfspaces of the plane meeting at an angle of 0.01, too small for Dykstra's scheme.
+
+    ``C = {r : r_2 <= 0, sin(0.01) r_1 <= cos(0.01) r_2}`` holds ``x1 = 0``.
+    ``f(x, y) = <x - (1, 1), y - x>``, so the first prox step projects a point
+    of the open quadrant, and Dykstra's scheme uses up its 10,000 sweeps
+    before it reaches ``C`` to its tolerance. ``A = [1, 0]``, ``Q = [-5, 5]``,
+    ``g`` vanishes and ``S``, ``T`` are identities.
+    """
+    return ProblemSpec(
+        C=Intersection([Halfspace([0.0, 1.0], 0.0), Halfspace([np.sin(0.01), -np.cos(0.01)], 0.0)]),
+        Q=Box([-5.0], [5.0]),
+        A=DenseOperator([[1.0, 0.0]]),
+        f=AffineVIBifunction(np.eye(2), -np.ones(2), "monotone", 0.5, 0.5),
+        g=AffineVIBifunction(np.zeros((1, 1)), np.zeros(1), "monotone", 0.5, 0.5),
+        S=Identity(2),
+        T=Identity(1),
+        x1=np.zeros(2),
+    )
 
 
 def reference_project_rows_and_ball(x, G, h, ball: Ball) -> np.ndarray:

@@ -33,7 +33,7 @@ from splitep.sets import (
     WholeSpace,
     project_polyhedron,
 )
-from splitep.solver import _core_step, default_config
+from splitep.solver import default_config, weak_step
 
 
 class TestKernelsMatchPublicFunctions:
@@ -44,8 +44,8 @@ class TestKernelsMatchPublicFunctions:
         C, A = problem.C, problem.A
         x = problem.x1
         for k in range(200):
-            record = _core_step(problem, config, x, k)
             lam, alpha_k = config.lambda_schedule(k), config.alpha_k_schedule(k)
+            record = weak_step(problem, config, x, k, lam=lam, alpha_k=alpha_k)
             y = sp.prox_step(problem.f, C, x, lam).minimizer
             z = sp.prox_step(problem.f, C, x, lam, at=y).minimizer
             t = (1.0 - config.alpha) * z + config.alpha * problem.S.apply(z)

@@ -13,7 +13,7 @@ from splitep.cli import TRACE_HEADER, main
 from splitep.problems import problem_to_dict
 from splitep.sets import Ball, ProjectionOnto
 
-from oracles import box_fixed_point_problem, tangential_ball_problem
+from oracles import box_fixed_point_problem, small_angle_problem, tangential_ball_problem
 
 
 def run_cli(*args):
@@ -228,6 +228,14 @@ class TestSolve:
         path.write_text(json.dumps(data))
         assert run_cli("solve", "--problem", path, "--algorithm", algorithm) == 4
         assert "resolvent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["weak", "strong"])
+    def test_dykstra_giving_up_exit_code(self, outdir, capsys, algorithm):
+        # C is two halfspaces at a small angle, which Dykstra's scheme cannot project onto
+        path = outdir / "small-angle.json"
+        sp.save(small_angle_problem(), path)
+        assert run_cli("solve", "--problem", path, "--algorithm", algorithm) == 4
+        assert "Dykstra's scheme used up its 10000 sweeps" in capsys.readouterr().err
 
     def test_empty_shrinking_set_exit_code(self, outdir, capsys):
         # the fixed points of S miss C, so the cuts and C have no common point

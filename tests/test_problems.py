@@ -17,6 +17,8 @@ from splitep.problems import _FORMAT, ParseError, ProblemSpec, problem_from_dict
 from splitep.sets import Ball, Box, Identity, ProjectionOnto, WholeSpace
 from splitep.solver import default_config, weak_step
 
+from oracles import scheduled
+
 
 class TestGeneratePlanted:
     def test_deterministic_in_seed(self):
@@ -60,7 +62,7 @@ class TestGeneratePlanted:
     def test_solution_is_fixed_point_of_one_solver_step(self):
         problem = sp.generate_planted(3, 3, seed=8)
         config = default_config(problem)
-        record = weak_step(problem, config, problem.planted_solution, 0)
+        record = weak_step(problem, config, problem.planted_solution, 0, **scheduled(config, 0))
         assert np.linalg.norm(record.next_x - problem.planted_solution) <= 1e-8
         assert record.residual <= 1e-7
 

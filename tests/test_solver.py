@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,8 +14,10 @@ from splitep.sets import (
     Ball,
     Box,
     ConvexSet,
+    DykstraError,
     Halfspace,
     Identity,
+    InnerSolveError,
     NonexpansiveMap,
     PivotBudgetError,
     ProjectionOnto,
@@ -45,6 +48,8 @@ from oracles import (
     reference_project_polyhedron,
     reference_project_rows_and_ball,
     same_record,
+    scheduled,
+    small_angle_problem,
     tangential_ball_problem,
 )
 
@@ -312,7 +317,8 @@ class TestValidate:
 class TestWeakIteration:
     def test_degenerate_problem_is_a_fixed_point(self):
         problem = degenerate_problem()
-        record = weak_step(problem, simple_config(problem), problem.x1, 0)
+        config = simple_config(problem)
+        record = weak_step(problem, config, problem.x1, 0, **scheduled(config, 0))
         assert record.residual == 0.0
         assert np.array_equal(record.next_x, problem.x1)
 
@@ -326,7 +332,7 @@ class TestWeakIteration:
     def test_planted_solution_is_a_fixed_point(self):
         problem = sp.generate_planted(2, 2, seed=21)
         config = default_config(problem)
-        record = weak_step(problem, config, problem.planted_solution, 0)
+        record = weak_step(problem, config, problem.planted_solution, 0, **scheduled(config, 0))
         assert record.residual <= 1e-7
 
     def test_single_step_does_not_move_away_from_solution(self):
@@ -336,7 +342,7 @@ class TestWeakIteration:
         x_star = problem.planted_solution
         for _ in range(25):
             x = problem.C.project(x_star + 3.0 * rng.standard_normal(2))
-            record = weak_step(problem, config, x, 0)
+            record = weak_step(problem, config, x, 0, **scheduled(config, 0))
             assert np.linalg.norm(record.next_x - x_star) <= np.linalg.norm(x - x_star) + 1e-8
 
     def test_distance_chain_inequality_per_iteration(self):
@@ -405,7 +411,7 @@ class TestStrongIteration:
         problem = degenerate_problem()
         config = simple_config(problem, mode="strong")
         state = StrongState(problem)
-        record = strong_step(problem, config, state, problem.x1, 0)
+        record = strong_step(problem, config, state, problem.x1, 0, **scheduled(config, 0))
         assert state.cuts() == []
         assert np.array_equal(record.next_x, problem.x1)
         assert record.residual == 0.0
@@ -428,7 +434,7 @@ class TestStrongIteration:
             count = record.count
             state.add_cut(x, x.copy())
             assert record.count == count
-            x = strong_step(problem, config, state, x, k).next_x
+            x = strong_step(problem, config, state, x, k, **scheduled(config, k)).next_x
         G = record.G
         assert len(G) > 2 * 20 and record.checked == len(G)
         assert np.all(np.any(G != 0.0, axis=1)) and np.all(record.norms > 0.0)
@@ -833,7 +839,7 @@ def test_supporting_rows_running_out_is_an_inner_failure(monkeypatch):
     problem = tangential_ball_problem()
     report = strong_solve(problem, default_config(problem, mode="strong", max_iter=500))
     assert report.status is SolveStatus.INNER_FAILURE
-    assert "supporting-halfspace loop of the shrinking-set projection used up its 1 rounds" in report.message
+    assert "supporting-halfspace loop of the shrinking-set projection used up its 1 rounds (last gap " in report.message
 
 
 # At tol 1e-10 the projection's stop tolerance 1e-12 (1 + ||x1||) halts this
@@ -865,6 +871,8 @@ def test_a_strong_run_that_can_only_repeat_its_step_ends_as_an_inner_failure(mon
     assert report.status is SolveStatus.INNER_FAILURE
     assert abs(report.iterations - STALL_STEP) <= 5
     assert "1e-12 (1 + ||x1||)" in report.message
+    assert re.search(r"resolves \(residual \d\.\d{3}e-\d+\)$", report.message)
+    assert "last displacement" not in report.message
     assert report.final_residual > STALL_TOL
     # no row enters after the first zero step, and none twice
     assert len(counts) <= STALL_STEP + 5 and counts[-1] == counts[STALL_STEP]
@@ -914,6 +922,28 @@ def test_callable_f_converges_to_the_planted_solution(mode):
 
 
 class TestFailureRouting:
+    @pytest.mark.parametrize("mode", SOLVERS)
+    def test_dykstra_giving_up_is_an_inner_failure(self, mode):
+        # the first prox step projects onto two halfspaces at a small angle
+        problem = small_angle_problem()
+        report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+        assert report.status is SolveStatus.INNER_FAILURE
+        assert report.iterations == 0
+        assert "Dykstra's scheme used up its 10000 sweeps" in report.message
+
+    def test_every_inner_give_up_is_an_inner_solve_error_holding_what_it_names(self):
+        # the solve loop catches InnerSolveError alone, so each kind must be one
+        with pytest.raises(InnerSolveError) as excinfo:
+            small_angle_problem().C.project([0.5, 0.5])
+        dykstra = excinfo.value
+        assert isinstance(dykstra, DykstraError) and not dykstra.stalled
+        assert dykstra.residual == dykstra.worst_violation > 0.0
+        assert str(dykstra).endswith(f"worst membership violation {dykstra.residual:.3e}")
+        pivots = PivotBudgetError(0.25, 7)
+        assert isinstance(pivots, InnerSolveError)
+        assert pivots.residual == pivots.worst_violation == 0.25
+        assert str(pivots).startswith("the active-set projection used up its budget of 7 pivots")
+
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_diverging_resolvent_is_an_inner_failure(self, mode):
         problem = expanding_resolvent_problem()
@@ -1006,7 +1036,7 @@ class TestFailureRouting:
         problem = dataclasses.replace(planted, C=NaNOnCall(planted.C, call))
         report = strong_solve(problem, default_config(problem, mode="strong", max_iter=20))
         assert report.status is SolveStatus.INNER_FAILURE
-        assert "non-finite supporting row of C" in report.message
+        assert "non-finite supporting row of C (offset " in report.message
 
     @pytest.mark.parametrize("call", [7, 18, 20])
     def test_non_finite_projection_in_the_push_out_branch_is_an_inner_failure(self, call):
@@ -1017,7 +1047,7 @@ class TestFailureRouting:
         problem = dataclasses.replace(ball, C=NaNOnCall(ball.C, call))
         report = strong_solve(problem, default_config(problem, mode="strong"))
         assert report.status is SolveStatus.INNER_FAILURE
-        assert "non-finite supporting row of C" in report.message
+        assert "non-finite supporting row of C (offset " in report.message
 
     @pytest.mark.parametrize("mode", SOLVERS)
     @pytest.mark.parametrize(
@@ -1111,7 +1141,7 @@ def test_weak_steps_match_the_reference_step_bit_for_bit(seed, n, m):
     config = default_config(problem)
     x = problem.x1
     for k in range(50):
-        record = weak_step(problem, config, x, k)
+        record = weak_step(problem, config, x, k, **scheduled(config, k))
         reference = reference_core_step(problem, config, x, k)
         for field in dataclasses.fields(IterateRecord):
             assert same_bits(getattr(record, field.name), getattr(reference, field.name)), (k, field.name)
@@ -1196,8 +1226,9 @@ class TestVariableSchedules:
 
     @pytest.mark.parametrize("mode", SOLVERS)
     def test_a_step_takes_the_schedule_values_it_is_handed(self, mode):
-        # the values handed in give the record the step reads itself from
-        # schedules of those values, bit for bit
+        # the step reads no schedule: handed the same values, a config whose
+        # schedules give other values and one whose schedules give these
+        # yield the same record, bit for bit
         problem = sp.generate_planted(5, 5, seed=4)
         config = default_config(problem, mode=mode)
         lam, alpha_k = 0.5 * config.lambda_schedule(3), 2.0
@@ -1205,21 +1236,46 @@ class TestVariableSchedules:
             config, lambda_schedule=constant_schedule(lam), alpha_k_schedule=constant_schedule(alpha_k)
         )
         records = []
-        for cfg, values in ((config, dict(lam=lam, alpha_k=alpha_k)), (constant, {})):
+        for cfg in (config, constant):
             if mode == "weak":
-                records.append(weak_step(problem, cfg, problem.x1, 3, **values))
+                records.append(weak_step(problem, cfg, problem.x1, 3, lam=lam, alpha_k=alpha_k))
             else:
-                records.append(strong_step(problem, cfg, StrongState(problem), problem.x1, 3, **values))
+                records.append(strong_step(problem, cfg, StrongState(problem), problem.x1, 3, lam=lam, alpha_k=alpha_k))
         handed, read = records
         assert (handed.lambda_k, handed.alpha_k) == (lam, alpha_k)
         for field in dataclasses.fields(IterateRecord):
             assert same_bits(getattr(handed, field.name), getattr(read, field.name)), field.name
 
+    @pytest.mark.parametrize("values", [{}, {"lam": 0.1}, {"alpha_k": 1.0}], ids=["none", "lam", "alpha_k"])
+    def test_a_step_without_its_schedule_values_is_refused(self, values):
+        problem = sp.generate_planted(2, 2, seed=1)
+        config = default_config(problem)
+        with pytest.raises(TypeError, match="lam|alpha_k"):
+            weak_step(problem, config, problem.x1, 0, **values)
+        strong = default_config(problem, mode="strong")
+        with pytest.raises(TypeError, match="lam|alpha_k"):
+            strong_step(problem, strong, StrongState(problem), problem.x1, 0, **values)
+
+
+@pytest.mark.parametrize("mode", SOLVERS)
+def test_a_weak_solve_calls_weak_step_by_name_once_per_record_and_a_strong_solve_never(monkeypatch, mode):
+    # bench/spans.py times each step by replacing weak_step and strong_step in
+    # splitep.solver: a weak solve looks weak_step up there, and a strong step
+    # reaches the core step by another name, or each would be counted twice
+    calls = []
+    core = sp.solver.weak_step
+    monkeypatch.setattr(sp.solver, "weak_step", lambda *args, **kwargs: calls.append(args[3]) or core(*args, **kwargs))
+    problem = sp.generate_planted(3, 3, seed=17)
+    report = SOLVERS[mode](problem, default_config(problem, mode=mode))
+    assert report.status is SolveStatus.CONVERGED and report.iterations > 10
+    assert calls == ([record.k for record in report.history] if mode == "weak" else [])
+
 
 def test_iterate_records_have_no_instance_dict():
     # a long run keeps one record per kept iteration; slots make each smaller
     problem = sp.generate_planted(2, 2, seed=1)
-    record = weak_step(problem, default_config(problem), problem.x1, 0)
+    config = default_config(problem)
+    record = weak_step(problem, config, problem.x1, 0, **scheduled(config, 0))
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         record.note = "not a field"
@@ -1251,7 +1307,7 @@ class TestFejerAudit:
     def test_single_record_history_is_empty_chain(self):
         problem = sp.generate_planted(2, 2, seed=51)
         config = default_config(problem)
-        record = weak_step(problem, config, problem.x1, 0)
+        record = weak_step(problem, config, problem.x1, 0, **scheduled(config, 0))
         assert fejer_audit([record], problem.planted_solution) == 0.0
 
     def test_valid_run_has_no_violation(self):
